@@ -8,44 +8,13 @@
 //! * `PP_SEED` — master seed (default 20180725, the paper's submission
 //!   date);
 //! * `PP_RESULTS_DIR` — where CSVs, logs, and the `pp-sweep` result
-//!   store live (default `<workspace root>/results`);
-//! * `PP_KERNEL` — simulation kernel selection (`auto`, `leap`, `batch`,
-//!   or `naive`; default `auto`).
+//!   store live (default `<workspace root>/results`).
+//!
+//! The simulation kernel is not among them: library code takes it as a
+//! [`pp_engine::Kernel`] value, and only the `pp-sweep` and `pp-trace`
+//! command lines read the `PP_KERNEL` knob.
 
 use std::path::PathBuf;
-
-/// The `PP_KERNEL` knob: which simulation kernel count-population runs
-/// should use.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum KernelKnob {
-    /// Let the runner pick (currently the leap kernel wherever its
-    /// observer contract suffices; trajectory capture stays naive).
-    Auto,
-    /// Force the naive one-interaction-per-step loop.
-    Naive,
-    /// Force the leap kernel.
-    Leap,
-    /// Force the tau-leap batch kernel (bounded-error bulk firing with
-    /// exact-leap fallback near convergence; see `pp_engine::batch`).
-    Batch,
-}
-
-/// Kernel selection; `PP_KERNEL` ∈ {`auto`, `naive`, `leap`, `batch`}
-/// (case-insensitive) overrides the default `auto`. Unrecognised values
-/// fall back to `auto` rather than aborting, matching the other knobs'
-/// lenient parsing.
-pub fn kernel() -> KernelKnob {
-    match std::env::var("PP_KERNEL")
-        .unwrap_or_default()
-        .to_ascii_lowercase()
-        .as_str()
-    {
-        "naive" => KernelKnob::Naive,
-        "leap" => KernelKnob::Leap,
-        "batch" => KernelKnob::Batch,
-        _ => KernelKnob::Auto,
-    }
-}
 
 /// Trials per data point; `PP_TRIALS` overrides the paper's 100.
 pub fn trials() -> usize {

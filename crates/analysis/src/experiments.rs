@@ -7,9 +7,11 @@
 //! only loop over their parameter grids.
 
 use crate::grouping::{grouping_breakdown, GroupingBreakdown};
-use crate::runner::{run_trials, run_trials_watching, TrialBatch, TrialConfig};
+use crate::runner::{run_trials, run_trials_with, TrialBatch, TrialConfig, WatchedTrial};
 use crate::stats::Summary;
+use pp_engine::observer::GroupCompletionObserver;
 use pp_engine::seeds;
+use pp_engine::simulator::{Kernel, RunError};
 use pp_protocols::kpartition::UniformKPartition;
 
 /// Result of one `(n, k)` cell.
@@ -31,12 +33,18 @@ impl KPartitionCell {
 }
 
 /// Run one cell: `trials` executions of the uniform k-partition protocol
-/// with `n` agents, stopping at the Lemma 4–6 stable signature.
+/// with `n` agents on the leap kernel, stopping at the Lemma 4–6 stable
+/// signature.
 ///
 /// The cell's master seed is derived from `(master_seed, k, n)`, so whole
 /// sweeps are reproducible from a single recorded seed and cells are
 /// independent of sweep order.
-pub fn kpartition_cell(k: usize, n: u64, trials: usize, master_seed: u64) -> KPartitionCell {
+pub fn kpartition_cell(
+    k: usize,
+    n: u64,
+    trials: usize,
+    master_seed: u64,
+) -> Result<KPartitionCell, RunError> {
     let kp = UniformKPartition::new(k);
     let proto = kp.compile();
     let cfg = TrialConfig {
@@ -44,8 +52,8 @@ pub fn kpartition_cell(k: usize, n: u64, trials: usize, master_seed: u64) -> KPa
         master_seed: seeds::derive_labelled(master_seed, k as u64, n),
         max_interactions: kp.interaction_budget(n),
     };
-    let batch = run_trials(&proto, n, &kp.stable_signature(n), cfg);
-    KPartitionCell { k, n, batch }
+    let batch = run_trials(&proto, n, &kp.stable_signature(n), cfg, Kernel::Leap)?;
+    Ok(KPartitionCell { k, n, batch })
 }
 
 /// Result of one instrumented `(n, k)` cell (Figure 4).
@@ -67,7 +75,7 @@ pub fn kpartition_grouping_cell(
     n: u64,
     trials: usize,
     master_seed: u64,
-) -> KPartitionGroupingCell {
+) -> Result<KPartitionGroupingCell, RunError> {
     let kp = UniformKPartition::new(k);
     let proto = kp.compile();
     let cfg = TrialConfig {
@@ -75,12 +83,27 @@ pub fn kpartition_grouping_cell(
         master_seed: seeds::derive_labelled(master_seed, k as u64, n),
         max_interactions: kp.interaction_budget(n),
     };
-    let watched = run_trials_watching(&proto, n, &kp.stable_signature(n), kp.g(k), cfg);
-    KPartitionGroupingCell {
+    // Leap-safe: the watched count cannot change during an identity
+    // run, so the completion times equal the naive kernel's.
+    let watched: Vec<WatchedTrial> = run_trials_with(
+        &proto,
+        n,
+        &kp.stable_signature(n),
+        cfg,
+        Kernel::Leap,
+        || GroupCompletionObserver::new(kp.g(k)),
+    )?
+    .into_iter()
+    .map(|(outcome, gc)| WatchedTrial {
+        total: outcome.interactions,
+        completions: gc.into_completions(),
+    })
+    .collect();
+    Ok(KPartitionGroupingCell {
         k,
         n,
         breakdown: grouping_breakdown(&watched),
-    }
+    })
 }
 
 #[cfg(test)]
@@ -89,7 +112,7 @@ mod tests {
 
     #[test]
     fn cell_runs_and_summarises() {
-        let cell = kpartition_cell(3, 12, 10, 42);
+        let cell = kpartition_cell(3, 12, 10, 42).unwrap();
         assert_eq!(cell.batch.censored, 0);
         assert_eq!(cell.batch.interactions.len(), 10);
         let s = cell.summary();
@@ -99,9 +122,9 @@ mod tests {
 
     #[test]
     fn cell_reproducible_and_seed_sensitive() {
-        let a = kpartition_cell(3, 9, 6, 1);
-        let b = kpartition_cell(3, 9, 6, 1);
-        let c = kpartition_cell(3, 9, 6, 2);
+        let a = kpartition_cell(3, 9, 6, 1).unwrap();
+        let b = kpartition_cell(3, 9, 6, 1).unwrap();
+        let c = kpartition_cell(3, 9, 6, 2).unwrap();
         assert_eq!(a.batch.interactions, b.batch.interactions);
         assert_ne!(a.batch.interactions, c.batch.interactions);
     }
@@ -109,7 +132,7 @@ mod tests {
     #[test]
     fn grouping_cell_matches_expected_grouping_count() {
         // n = 13, k = 4: ⌊13/4⌋ = 3 groupings, remainder 1 agent tail.
-        let cell = kpartition_grouping_cell(4, 13, 8, 7);
+        let cell = kpartition_grouping_cell(4, 13, 8, 7).unwrap();
         assert_eq!(cell.breakdown.increments.len(), 3);
         assert_eq!(cell.breakdown.trials_used, 8);
         // Mean total from the stack equals a direct cell's mean total in
@@ -122,7 +145,7 @@ mod tests {
         // The paper: NI'_1 < NI'_2 < … (later groupings are harder as
         // free agents thin out). Check on a moderate cell with generous
         // trials to keep flakiness negligible.
-        let cell = kpartition_grouping_cell(3, 24, 30, 11);
+        let cell = kpartition_grouping_cell(3, 24, 30, 11).unwrap();
         let means: Vec<f64> = cell.breakdown.increments.iter().map(|s| s.mean).collect();
         assert_eq!(means.len(), 8);
         assert!(

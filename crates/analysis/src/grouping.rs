@@ -24,8 +24,10 @@ pub struct GroupingBreakdown {
     pub trials_used: usize,
 }
 
-/// Aggregate the per-trial completion logs produced by
-/// [`crate::runner::run_trials_watching`] into mean `NI'_i` increments.
+/// Aggregate per-trial completion logs (a
+/// [`pp_engine::observer::GroupCompletionObserver`] per trial, see
+/// [`crate::experiments::kpartition_grouping_cell`]) into mean `NI'_i`
+/// increments.
 ///
 /// All non-censored trials must have completed the same number of
 /// groupings (they do for the k-partition protocol, where the count is

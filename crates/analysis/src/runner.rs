@@ -3,16 +3,21 @@
 //! [`run_trials`] reproduces the paper's methodology: `trials` independent
 //! executions of a protocol from its initial configuration under the
 //! uniform random scheduler, each stopping at the supplied stability
-//! criterion, returning the per-trial interaction counts. Trials are
+//! criterion, returning the per-trial interaction counts.
+//! [`run_trials_with`] also keeps each trial's final configuration and
+//! observer, and [`run_trial`] is the single trial both are made of.
+//! Every runner takes the [`Kernel`] to simulate on as a value. Trials are
 //! mapped over a rayon thread pool; determinism is preserved because trial
 //! `i`'s RNG seed is `seeds::derive(master_seed, i)` regardless of which
 //! thread runs it.
 
-use pp_engine::population::CountPopulation;
+use pp_engine::metrics::TelemetryObserver;
+use pp_engine::observer::{Chain, NullObserver, Observer};
+use pp_engine::population::{CountPopulation, Population};
 use pp_engine::protocol::CompiledProtocol;
 use pp_engine::scheduler::UniformRandomScheduler;
 use pp_engine::seeds;
-use pp_engine::simulator::{RunError, Simulator};
+use pp_engine::simulator::{Kernel, RunError, Simulator};
 use pp_engine::stability::StabilityCriterion;
 use rayon::prelude::*;
 
@@ -69,159 +74,126 @@ impl TrialBatch {
     }
 }
 
-/// Which simulation kernel a trial runs on. Participates in result
-/// identity wherever trials are cached (`pp-sweep` records it in the cell
-/// key): the kernels agree in distribution but consume randomness
-/// differently, so a given seed produces different — equally valid —
-/// trajectories under each.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum Kernel {
-    /// The naive one-interaction-per-step loop ([`Simulator::run`]).
-    Naive,
-    /// The leap kernel ([`Simulator::run_leap`]): identity interactions
-    /// are skipped in closed form.
-    Leap,
-    /// The tau-leap batch kernel ([`Simulator::run_batch`]): whole
-    /// batches of rule firings per step, bounded-error in the bulk and
-    /// exact near convergence (see `pp_engine::batch` for the error
-    /// model). [`run_trials`] advances batch trials through the
-    /// struct-of-arrays fleet runner ([`pp_engine::fleet`]), which is
-    /// bit-identical per seed to the scalar entry point used by
-    /// `pp-sweep`.
-    Batch,
-}
-
-impl Kernel {
-    /// Resolve the `PP_KERNEL` environment knob
-    /// ([`crate::config::kernel`]) to a concrete kernel; `auto` means
-    /// leap, which is exact for every criterion and for the observers the
-    /// batch runners use.
-    pub fn from_env() -> Kernel {
-        match crate::config::kernel() {
-            crate::config::KernelKnob::Naive => Kernel::Naive,
-            crate::config::KernelKnob::Batch => Kernel::Batch,
-            crate::config::KernelKnob::Leap | crate::config::KernelKnob::Auto => Kernel::Leap,
-        }
-    }
-}
-
-/// Run one trial with an already-derived `seed`, returning the
-/// interactions to stability or `None` if the run hit `max_interactions`
-/// (censored). This is the unit of work both the batch runners below and
+/// Run one trial with an already-derived `seed` on `kernel`, reporting
+/// to `observer`. This is the unit of work the batch runners below and
 /// `pp-sweep`'s journaled executor share: trial `i` of a batch is exactly
 /// `run_trial(.., seeds::derive(master_seed, i), ..)`, so a resumed sweep
 /// reproduces a fresh one bit for bit (per kernel — the kernel is part of
 /// a sweep cell's identity).
 ///
-/// The kernel comes from the `PP_KERNEL` knob; see [`run_trial_kernel`]
-/// for an explicit choice.
-///
-/// # Panics
-/// On any simulator error other than the interaction budget.
-pub fn run_trial<C>(
-    proto: &CompiledProtocol,
-    n: u64,
-    criterion: &C,
-    seed: u64,
-    max_interactions: u64,
-) -> Option<u64>
-where
-    C: StabilityCriterion,
-{
-    run_trial_kernel(
-        proto,
-        n,
-        criterion,
-        seed,
-        max_interactions,
-        Kernel::from_env(),
-    )
-}
-
-/// [`run_trial`] with an explicit kernel choice.
-///
-/// # Panics
-/// On any simulator error other than the interaction budget.
-pub fn run_trial_kernel<C>(
+/// A run that hits `max_interactions` is censored, not an error: its
+/// outcome has `interactions: None`. Any other [`RunError`] is returned.
+pub fn run_trial<C, O>(
     proto: &CompiledProtocol,
     n: u64,
     criterion: &C,
     seed: u64,
     max_interactions: u64,
     kernel: Kernel,
-) -> Option<u64>
+    observer: &mut O,
+) -> Result<TrialOutcome, RunError>
 where
     C: StabilityCriterion,
+    O: Observer,
 {
     let mut pop = CountPopulation::new(proto, n);
     let mut sched = UniformRandomScheduler::from_seed(seed);
     // Telemetry rides along as an observer: it never touches scheduling
     // or RNG state, so trajectories — and the sweep cache's content
     // hashes built on them — are bit-identical to an unobserved run.
-    let mut tel = pp_engine::metrics::TelemetryObserver::new();
-    let sim = Simulator::new(proto);
-    let res = match kernel {
-        Kernel::Naive => {
-            sim.run_observed(&mut pop, &mut sched, criterion, max_interactions, &mut tel)
-        }
-        Kernel::Leap => {
-            sim.run_leap_observed(&mut pop, &mut sched, criterion, max_interactions, &mut tel)
-        }
-        Kernel::Batch => {
-            sim.run_batch_observed(&mut pop, &mut sched, criterion, max_interactions, &mut tel)
-        }
-    };
-    match res {
+    let mut observers = Chain(observer, TelemetryObserver::new());
+    let res = Simulator::new(proto).run_kernel(
+        kernel,
+        &mut pop,
+        &mut sched,
+        criterion,
+        max_interactions,
+        &mut observers,
+    );
+    let interactions = match res {
         Ok(r) => Some(r.interactions),
         Err(RunError::InteractionLimit { .. }) => {
-            tel.mark_censored();
+            observers.1.mark_censored();
             None
         }
-        Err(e) => panic!("trial failed: {e}"),
-    }
+        Err(e) => return Err(e),
+    };
+    Ok(TrialOutcome {
+        interactions,
+        final_counts: pop.counts().to_vec(),
+    })
 }
 
 /// Run `cfg.trials` independent executions of `proto` with `n` agents
-/// (all starting in the initial state) and the given stability criterion,
-/// in parallel. See module docs for the determinism guarantee.
+/// (all starting in the initial state) and the given stability criterion
+/// on `kernel`, in parallel. See module docs for the determinism
+/// guarantee. Batch-kernel trials advance through the struct-of-arrays
+/// fleet ([`pp_engine::fleet`]), which is bit-identical per seed to the
+/// scalar [`run_trial`].
 pub fn run_trials<C>(
     proto: &CompiledProtocol,
     n: u64,
     criterion: &C,
     cfg: TrialConfig,
-) -> TrialBatch
+    kernel: Kernel,
+) -> Result<TrialBatch, RunError>
 where
     C: StabilityCriterion + Sync,
 {
-    let kernel = Kernel::from_env();
     if kernel == Kernel::Batch {
         return run_trials_batch_fleet(proto, n, criterion, cfg);
     }
-    let results: Vec<Option<u64>> = (0..cfg.trials as u64)
+    let trials = run_trials_with(proto, n, criterion, cfg, kernel, || NullObserver)?;
+    let mut batch = TrialBatch {
+        interactions: Vec::with_capacity(trials.len()),
+        censored: 0,
+    };
+    for (outcome, _) in trials {
+        match outcome.interactions {
+            Some(x) => batch.interactions.push(x),
+            None => batch.censored += 1,
+        }
+    }
+    Ok(batch)
+}
+
+/// Like [`run_trials`], but each trial gets a fresh observer from
+/// `observer` and keeps its final configuration: returns every trial's
+/// outcome with its observer, in trial order. Baseline comparisons use
+/// the final counts to measure the *uniformity* of the stable outcome;
+/// Figure 4 watches `g_k` with a
+/// [`pp_engine::observer::GroupCompletionObserver`]. Runs the scalar
+/// kernel on every trial, the batch kernel included.
+pub fn run_trials_with<C, O, F>(
+    proto: &CompiledProtocol,
+    n: u64,
+    criterion: &C,
+    cfg: TrialConfig,
+    kernel: Kernel,
+    observer: F,
+) -> Result<Vec<(TrialOutcome, O)>, RunError>
+where
+    C: StabilityCriterion + Sync,
+    O: Observer + Send,
+    F: Fn() -> O + Sync,
+{
+    (0..cfg.trials as u64)
         .into_par_iter()
         .map(|i| {
-            run_trial_kernel(
+            let mut obs = observer();
+            let seed = seeds::derive(cfg.master_seed, i);
+            let outcome = run_trial(
                 proto,
                 n,
                 criterion,
-                seeds::derive(cfg.master_seed, i),
+                seed,
                 cfg.max_interactions,
                 kernel,
-            )
+                &mut obs,
+            )?;
+            Ok((outcome, obs))
         })
-        .collect();
-    let mut interactions = Vec::with_capacity(results.len());
-    let mut censored = 0;
-    for r in results {
-        match r {
-            Some(x) => interactions.push(x),
-            None => censored += 1,
-        }
-    }
-    TrialBatch {
-        interactions,
-        censored,
-    }
+        .collect()
 }
 
 /// Trials per struct-of-arrays fleet: small enough that a fleet's counts
@@ -240,7 +212,7 @@ fn run_trials_batch_fleet<C>(
     n: u64,
     criterion: &C,
     cfg: TrialConfig,
-) -> TrialBatch
+) -> Result<TrialBatch, RunError>
 where
     C: StabilityCriterion + Sync,
 {
@@ -281,125 +253,14 @@ where
                     metrics.censored_runs.inc();
                     censored += 1;
                 }
-                Err(e) => panic!("trial failed: {e}"),
+                Err(e) => return Err(*e),
             }
         }
     }
-    TrialBatch {
+    Ok(TrialBatch {
         interactions,
         censored,
-    }
-}
-
-/// Like [`run_trials`] but additionally records, per trial, the
-/// interaction number at which each increment of `watched_state`
-/// occurred — the paper's Figure 4 instrumentation (watch `g_k`; its
-/// `i`-th increment marks completion of the `i`-th grouping).
-pub fn run_trials_watching<C>(
-    proto: &CompiledProtocol,
-    n: u64,
-    criterion: &C,
-    watched_state: pp_engine::protocol::StateId,
-    cfg: TrialConfig,
-) -> Vec<WatchedTrial>
-where
-    C: StabilityCriterion + Sync,
-{
-    let kernel = Kernel::from_env();
-    (0..cfg.trials as u64)
-        .into_par_iter()
-        .map(|i| {
-            run_trial_watching_kernel(
-                proto,
-                n,
-                criterion,
-                watched_state,
-                seeds::derive(cfg.master_seed, i),
-                cfg.max_interactions,
-                kernel,
-            )
-        })
-        .collect()
-}
-
-/// Single-trial form of [`run_trials_watching`] with an already-derived
-/// `seed` (see [`run_trial`]); kernel from the `PP_KERNEL` knob.
-pub fn run_trial_watching<C>(
-    proto: &CompiledProtocol,
-    n: u64,
-    criterion: &C,
-    watched_state: pp_engine::protocol::StateId,
-    seed: u64,
-    max_interactions: u64,
-) -> WatchedTrial
-where
-    C: StabilityCriterion,
-{
-    run_trial_watching_kernel(
-        proto,
-        n,
-        criterion,
-        watched_state,
-        seed,
-        max_interactions,
-        Kernel::from_env(),
-    )
-}
-
-/// [`run_trial_watching`] with an explicit kernel. The
-/// [`pp_engine::observer::GroupCompletionObserver`] is leap-safe: watched
-/// counts cannot change during an identity run, so seeing only effective
-/// interactions (with true cumulative step numbers) records the same
-/// completion times the naive kernel would for the same trajectory.
-pub fn run_trial_watching_kernel<C>(
-    proto: &CompiledProtocol,
-    n: u64,
-    criterion: &C,
-    watched_state: pp_engine::protocol::StateId,
-    seed: u64,
-    max_interactions: u64,
-    kernel: Kernel,
-) -> WatchedTrial
-where
-    C: StabilityCriterion,
-{
-    let mut pop = CountPopulation::new(proto, n);
-    let mut sched = UniformRandomScheduler::from_seed(seed);
-    let mut obs = pp_engine::observer::Chain(
-        pp_engine::observer::GroupCompletionObserver::new(watched_state),
-        pp_engine::metrics::TelemetryObserver::new(),
-    );
-    let sim = Simulator::new(proto);
-    let res = match kernel {
-        Kernel::Naive => {
-            sim.run_observed(&mut pop, &mut sched, criterion, max_interactions, &mut obs)
-        }
-        Kernel::Leap => {
-            sim.run_leap_observed(&mut pop, &mut sched, criterion, max_interactions, &mut obs)
-        }
-        // Batch: completion times are recorded at leap granularity (a
-        // completion inside a leap is attributed to the leap's last
-        // interaction) — bounded by one leap horizon, documented on
-        // `Observer::on_leap_batch`.
-        Kernel::Batch => {
-            sim.run_batch_observed(&mut pop, &mut sched, criterion, max_interactions, &mut obs)
-        }
-    };
-    let pp_engine::observer::Chain(gc, mut tel) = obs;
-    match res {
-        Ok(r) => WatchedTrial {
-            total: Some(r.interactions),
-            completions: gc.into_completions(),
-        },
-        Err(RunError::InteractionLimit { .. }) => {
-            tel.mark_censored();
-            WatchedTrial {
-                total: None,
-                completions: gc.into_completions(),
-            }
-        }
-        Err(e) => panic!("trial failed: {e}"),
-    }
+    })
 }
 
 /// One instrumented trial: completion times of each watched-state
@@ -422,97 +283,6 @@ pub struct TrialOutcome {
     pub interactions: Option<u64>,
     /// Final count vector.
     pub final_counts: Vec<u64>,
-}
-
-/// Like [`run_trials`] but returning each trial's final configuration as
-/// well — used by baseline comparisons that measure *uniformity* (group
-/// sizes) of the stable outcome, not just its cost.
-pub fn run_trials_full<C>(
-    proto: &CompiledProtocol,
-    n: u64,
-    criterion: &C,
-    cfg: TrialConfig,
-) -> Vec<TrialOutcome>
-where
-    C: StabilityCriterion + Sync,
-{
-    let kernel = Kernel::from_env();
-    (0..cfg.trials as u64)
-        .into_par_iter()
-        .map(|i| {
-            run_trial_full_kernel(
-                proto,
-                n,
-                criterion,
-                seeds::derive(cfg.master_seed, i),
-                cfg.max_interactions,
-                kernel,
-            )
-        })
-        .collect()
-}
-
-/// Single-trial form of [`run_trials_full`] with an already-derived
-/// `seed` (see [`run_trial`]); kernel from the `PP_KERNEL` knob.
-pub fn run_trial_full<C>(
-    proto: &CompiledProtocol,
-    n: u64,
-    criterion: &C,
-    seed: u64,
-    max_interactions: u64,
-) -> TrialOutcome
-where
-    C: StabilityCriterion,
-{
-    run_trial_full_kernel(
-        proto,
-        n,
-        criterion,
-        seed,
-        max_interactions,
-        Kernel::from_env(),
-    )
-}
-
-/// [`run_trial_full`] with an explicit kernel.
-pub fn run_trial_full_kernel<C>(
-    proto: &CompiledProtocol,
-    n: u64,
-    criterion: &C,
-    seed: u64,
-    max_interactions: u64,
-    kernel: Kernel,
-) -> TrialOutcome
-where
-    C: StabilityCriterion,
-{
-    let mut pop = CountPopulation::new(proto, n);
-    let mut sched = UniformRandomScheduler::from_seed(seed);
-    let mut tel = pp_engine::metrics::TelemetryObserver::new();
-    let sim = Simulator::new(proto);
-    let res = match kernel {
-        Kernel::Naive => {
-            sim.run_observed(&mut pop, &mut sched, criterion, max_interactions, &mut tel)
-        }
-        Kernel::Leap => {
-            sim.run_leap_observed(&mut pop, &mut sched, criterion, max_interactions, &mut tel)
-        }
-        Kernel::Batch => {
-            sim.run_batch_observed(&mut pop, &mut sched, criterion, max_interactions, &mut tel)
-        }
-    };
-    use pp_engine::population::Population;
-    TrialOutcome {
-        interactions: match res {
-            Ok(r) => Some(r.interactions),
-            Err(RunError::InteractionLimit { .. }) => {
-                tel.mark_censored();
-                None
-            }
-            Err(e) => panic!("trial failed: {e}"),
-        },
-        final_counts: pop.counts().to_vec(),
-    }
 }
 
 #[cfg(test)]
@@ -539,8 +309,8 @@ mod tests {
             master_seed: 99,
             max_interactions: 1_000_000,
         };
-        let a = run_trials(&p, 11, &Silent, cfg);
-        let b = run_trials(&p, 11, &Silent, cfg);
+        let a = run_trials(&p, 11, &Silent, cfg, Kernel::Leap).unwrap();
+        let b = run_trials(&p, 11, &Silent, cfg, Kernel::Leap).unwrap();
         assert_eq!(a.interactions, b.interactions);
         assert_eq!(a.censored, 0);
         assert_eq!(a.interactions.len(), 16);
@@ -553,7 +323,9 @@ mod tests {
                 master_seed: 100,
                 ..cfg
             },
-        );
+            Kernel::Leap,
+        )
+        .unwrap();
         assert_ne!(a.interactions, c.interactions);
     }
 
@@ -565,7 +337,7 @@ mod tests {
             master_seed: 1,
             max_interactions: 1, // absurdly tight: n=11 needs ≥ 5 pairings
         };
-        let batch = run_trials(&p, 11, &Silent, cfg);
+        let batch = run_trials(&p, 11, &Silent, cfg, Kernel::Leap).unwrap();
         assert_eq!(batch.censored, 8);
         assert!(batch.interactions.is_empty());
     }
@@ -578,13 +350,18 @@ mod tests {
             master_seed: 5,
             max_interactions: 1_000_000,
         };
-        let trials = run_trials_watching(&p, 10, &Silent, b, cfg);
-        for t in &trials {
-            let total = t.total.expect("not censored");
+        let trials = run_trials_with(&p, 10, &Silent, cfg, Kernel::Leap, || {
+            pp_engine::observer::GroupCompletionObserver::new(b)
+        })
+        .unwrap();
+        for (outcome, gc) in trials {
+            let total = outcome.interactions.expect("not censored");
+            let completions = gc.into_completions();
             // 10 agents -> 5 pairings -> watched count reaches 10.
-            assert_eq!(t.completions.len(), 10);
-            assert!(t.completions.windows(2).all(|w| w[0] <= w[1]));
-            assert_eq!(*t.completions.last().unwrap(), total);
+            assert_eq!(completions.len(), 10);
+            assert!(completions.windows(2).all(|w| w[0] <= w[1]));
+            assert_eq!(*completions.last().unwrap(), total);
+            assert_eq!(outcome.final_counts, vec![0, 10]);
         }
     }
 
@@ -596,17 +373,20 @@ mod tests {
             master_seed: 77,
             max_interactions: 1_000_000,
         };
-        let fleet = run_trials_batch_fleet(&p, 301, &Silent, cfg);
+        let fleet = run_trials_batch_fleet(&p, 301, &Silent, cfg).unwrap();
         let scalar: Vec<u64> = (0..cfg.trials as u64)
             .map(|i| {
-                run_trial_kernel(
+                run_trial(
                     &p,
                     301,
                     &Silent,
                     seeds::derive(cfg.master_seed, i),
                     cfg.max_interactions,
                     Kernel::Batch,
+                    &mut NullObserver,
                 )
+                .unwrap()
+                .interactions
                 .expect("uncensored")
             })
             .collect();
@@ -622,9 +402,31 @@ mod tests {
             master_seed: 1,
             max_interactions: 1,
         };
-        let batch = run_trials_batch_fleet(&p, 11, &Silent, cfg);
+        let batch = run_trials_batch_fleet(&p, 11, &Silent, cfg).unwrap();
         assert_eq!(batch.censored, 8);
         assert!(batch.interactions.is_empty());
+    }
+
+    #[test]
+    fn run_errors_are_returned_on_every_kernel() {
+        // One agent can never interact, and `Never` is never satisfied:
+        // every runner must hand the error back instead of panicking.
+        let (p, _) = two_phase();
+        let cfg = TrialConfig {
+            trials: 3,
+            master_seed: 1,
+            max_interactions: 100,
+        };
+        let never = pp_engine::stability::Never;
+        for kernel in Kernel::ALL {
+            let err = RunError::PopulationTooSmall;
+            let trial = run_trial(&p, 1, &never, 7, 100, kernel, &mut NullObserver);
+            assert_eq!(trial.unwrap_err(), err, "{kernel}");
+            let batch = run_trials(&p, 1, &never, cfg, kernel);
+            assert_eq!(batch.unwrap_err(), err, "{kernel}");
+            let with = run_trials_with(&p, 1, &never, cfg, kernel, || NullObserver);
+            assert_eq!(with.unwrap_err(), err, "{kernel}");
+        }
     }
 
     #[test]

@@ -7,11 +7,12 @@
 //! kernelbench`), not by this harness.
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
-use pp_bench::kernelbench::{measure, BenchKernel};
+use pp_bench::kernelbench::measure;
 use pp_engine::population::{AgentPopulation, CountPopulation, Population};
 use pp_engine::scheduler::{AgentScheduler, PairScheduler, UniformRandomScheduler};
 use pp_engine::simulator::Simulator;
 use pp_engine::stability::{GroupClosure, Never, Signature, Silent, StabilityCriterion};
+use pp_engine::Kernel;
 use pp_protocols::kpartition::UniformKPartition;
 use std::hint::black_box;
 
@@ -129,17 +130,17 @@ fn kernel_throughput(c: &mut Criterion) {
     g.sample_size(3);
     let budget = UniformKPartition::new(8).interaction_budget(1_000);
     g.bench_function("naive/n1000", |b| {
-        b.iter(|| black_box(measure(BenchKernel::Naive, 8, 1_000, budget, 1)))
+        b.iter(|| black_box(measure(Kernel::Naive, 8, 1_000, budget, 1)))
     });
     g.bench_function("leap/n1000", |b| {
-        b.iter(|| black_box(measure(BenchKernel::Leap, 8, 1_000, budget, 1)))
+        b.iter(|| black_box(measure(Kernel::Leap, 8, 1_000, budget, 1)))
     });
     let budget_big = UniformKPartition::new(8).interaction_budget(100_000);
     g.bench_function("leap/n100000", |b| {
-        b.iter(|| black_box(measure(BenchKernel::Leap, 8, 100_000, budget_big, 1)))
+        b.iter(|| black_box(measure(Kernel::Leap, 8, 100_000, budget_big, 1)))
     });
     g.bench_function("batch/n100000", |b| {
-        b.iter(|| black_box(measure(BenchKernel::Batch, 8, 100_000, budget_big, 1)))
+        b.iter(|| black_box(measure(Kernel::Batch, 8, 100_000, budget_big, 1)))
     });
     g.finish();
 }

@@ -9,8 +9,10 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pp_analysis::experiments::{kpartition_cell, kpartition_grouping_cell};
-use pp_analysis::runner::{run_trials_full, TrialConfig};
+use pp_analysis::runner::{run_trials_with, TrialConfig};
+use pp_engine::observer::NullObserver;
 use pp_engine::stability::Silent;
+use pp_engine::Kernel;
 use pp_protocols::hierarchical::HierarchicalPartition;
 use pp_protocols::kpartition::ablation::BasicStrategyKPartition;
 
@@ -80,7 +82,7 @@ fn ablation_and_baselines(c: &mut Criterion) {
         let bp = BasicStrategyKPartition::new(4);
         let proto = bp.compile();
         b.iter(|| {
-            run_trials_full(
+            run_trials_with(
                 &proto,
                 24,
                 &Silent,
@@ -89,6 +91,8 @@ fn ablation_and_baselines(c: &mut Criterion) {
                     master_seed: SEED,
                     max_interactions: 1_000_000_000,
                 },
+                Kernel::Leap,
+                || NullObserver,
             )
         })
     });
@@ -97,7 +101,7 @@ fn ablation_and_baselines(c: &mut Criterion) {
         let proto = hp.compile();
         let crit = hp.stability();
         b.iter(|| {
-            run_trials_full(
+            run_trials_with(
                 &proto,
                 96,
                 &crit,
@@ -106,6 +110,8 @@ fn ablation_and_baselines(c: &mut Criterion) {
                     master_seed: SEED,
                     max_interactions: 1_000_000_000,
                 },
+                Kernel::Leap,
+                || NullObserver,
             )
         })
     });

@@ -72,7 +72,7 @@ fn main() {
             })
             .expect("stable set reachable");
 
-        let cell = kpartition_cell(k, n, trials, seed);
+        let cell = kpartition_cell(k, n, trials, seed).expect("k-partition trials run");
         let s = cell.summary();
         let z = (s.mean - exact.mean) / s.sem.max(1e-12);
         table.row(vec![

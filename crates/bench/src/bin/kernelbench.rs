@@ -28,7 +28,8 @@
 
 #![forbid(unsafe_code)]
 
-use pp_bench::kernelbench::{cell_json, measure, BenchKernel};
+use pp_bench::kernelbench::{cell_json, measure};
+use pp_engine::Kernel;
 use pp_protocols::kpartition::UniformKPartition;
 use pp_sweep::json::Value;
 
@@ -72,14 +73,14 @@ fn main() {
     // n = 10³: everything runs to stability.
     let n = 1_000u64;
     let budget = UniformKPartition::new(K).interaction_budget(n);
-    let small: Vec<_> = [BenchKernel::Naive, BenchKernel::Leap, BenchKernel::Batch]
+    let small: Vec<_> = Kernel::ALL
         .into_iter()
         .map(|kern| measure(kern, K, n, budget, SEED))
         .collect();
     for m in &small {
         println!(
             "n={n}: {} {:.3e} interactions/s (stabilised={})",
-            m.kernel.label(),
+            m.kernel.name(),
             m.interactions_per_sec(),
             m.stabilised
         );
@@ -92,15 +93,15 @@ fn main() {
     let n = 100_000u64;
     let budget = UniformKPartition::new(K).interaction_budget(n);
     let mid = vec![
-        measure(BenchKernel::Naive, K, n, 20_000_000, SEED),
-        measure(BenchKernel::Leap, K, n, budget, SEED),
-        measure(BenchKernel::Batch, K, n, budget, SEED),
+        measure(Kernel::Naive, K, n, 20_000_000, SEED),
+        measure(Kernel::Leap, K, n, budget, SEED),
+        measure(Kernel::Batch, K, n, budget, SEED),
     ];
     let leap_ref = mid[1].interactions_per_sec();
     for m in &mid {
         println!(
             "n={n}: {} {:.3e} interactions/s (stabilised={})",
-            m.kernel.label(),
+            m.kernel.name(),
             m.interactions_per_sec(),
             m.stabilised
         );
@@ -109,7 +110,7 @@ fn main() {
 
     // Giant n: batch only.
     let budget = UniformKPartition::new(K).interaction_budget(giant_n);
-    let giant = measure(BenchKernel::Batch, K, giant_n, budget, SEED);
+    let giant = measure(Kernel::Batch, K, giant_n, budget, SEED);
     println!(
         "n={giant_n}: batch {:.3e} interactions/s in {:.1}s (stabilised={})",
         giant.interactions_per_sec(),

@@ -5,7 +5,8 @@
 //! default and run in release mode by the CI step
 //! `cargo test --release -p pp-bench -- --ignored`.
 
-use pp_bench::kernelbench::{measure, BenchKernel};
+use pp_bench::kernelbench::measure;
+use pp_engine::Kernel;
 use pp_protocols::kpartition::UniformKPartition;
 
 /// Giant-n batch smoke: k = 8, n = 10⁷ to stability. The wall budget is
@@ -23,12 +24,12 @@ fn batch_stabilises_ten_million_agents_within_wall_budget() {
 
     let leap_n = 100_000u64;
     let leap_budget = UniformKPartition::new(k).interaction_budget(leap_n);
-    let leap = measure(BenchKernel::Leap, k, leap_n, leap_budget, seed);
+    let leap = measure(Kernel::Leap, k, leap_n, leap_budget, seed);
     assert!(leap.stabilised, "leap reference cell must stabilise");
 
     let n = 10_000_000u64;
     let budget = UniformKPartition::new(k).interaction_budget(n);
-    let batch = measure(BenchKernel::Batch, k, n, budget, seed);
+    let batch = measure(Kernel::Batch, k, n, budget, seed);
 
     println!(
         "leap@1e5:  {:.3e} interactions/s ({} in {:.3}s)",

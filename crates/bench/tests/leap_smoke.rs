@@ -4,7 +4,8 @@
 //! `#[ignore]`d by default and run in release mode by the CI step
 //! `cargo test --release -p pp-bench -- --ignored`.
 
-use pp_bench::kernelbench::{measure, BenchKernel};
+use pp_bench::kernelbench::measure;
+use pp_engine::Kernel;
 use pp_protocols::kpartition::UniformKPartition;
 
 #[test]
@@ -14,8 +15,8 @@ fn leap_not_slower_than_naive_at_reduced_n() {
     let budget = UniformKPartition::new(k).interaction_budget(n);
     // Cap the naive run so the smoke test stays fast; per-interaction
     // cost is flat, so the censored throughput is representative.
-    let naive = measure(BenchKernel::Naive, k, n, 5_000_000, seed);
-    let leap = measure(BenchKernel::Leap, k, n, budget, seed);
+    let naive = measure(Kernel::Naive, k, n, 5_000_000, seed);
+    let leap = measure(Kernel::Leap, k, n, budget, seed);
 
     println!(
         "naive: {:.0} interactions/s ({} in {:.3}s, stabilised={})",

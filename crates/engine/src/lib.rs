@@ -33,7 +33,8 @@
 //!   one-interaction-per-step loop, a [`leap`] kernel that skips identity
 //!   interactions in closed form, and a tau-leap [`batch`] kernel that
 //!   fires whole batches of rules per step (with a [`fleet`] runner
-//!   advancing many trials in lockstep).
+//!   advancing many trials in lockstep). [`simulator::Kernel`] names the
+//!   three kernels as a value.
 //! * [`trace`] — scripted executions and human-readable configuration
 //!   pretty-printing (used to replay the paper's Figures 1 and 2).
 //! * [`seeds`] — deterministic seed derivation for reproducible experiment
@@ -95,5 +96,5 @@ pub use phase::{Phase, PhaseMap, PhaseProbe};
 pub use population::{AgentPopulation, CountPopulation, Population};
 pub use protocol::{CompiledProtocol, GroupId, RuleId, StateId};
 pub use scheduler::UniformRandomScheduler;
-pub use simulator::{FixedRunSummary, RunError, RunResult, Simulator};
+pub use simulator::{FixedRunSummary, Kernel, RunError, RunResult, Simulator};
 pub use spec::ProtocolSpec;

@@ -226,7 +226,7 @@ mod tests {
     use super::*;
     use crate::population::CountPopulation;
     use crate::scheduler::UniformRandomScheduler;
-    use crate::simulator::Simulator;
+    use crate::simulator::{Kernel, Simulator};
     use crate::spec::ProtocolSpec;
     use crate::stability::Silent;
     use pp_telemetry::{MetricData, Snapshot};
@@ -280,42 +280,40 @@ mod tests {
         // one infects exactly one agent).
         let proto = epidemic();
         let n = 64u64;
-        for (seed, leap) in [(3u64, false), (3, true), (17, false), (17, true)] {
-            let reg = Registry::new();
-            let mut obs = TelemetryObserver::in_registry(&reg);
-            let mut pop = seeded_pop(&proto, n);
-            let mut sched = UniformRandomScheduler::from_seed(seed);
-            let sim = Simulator::new(&proto);
-            let res = if leap {
-                sim.run_leap_observed(&mut pop, &mut sched, &Silent, 10_000_000, &mut obs)
-            } else {
-                sim.run_observed(&mut pop, &mut sched, &Silent, 10_000_000, &mut obs)
+        for seed in [3u64, 17] {
+            for kernel in [Kernel::Naive, Kernel::Leap] {
+                let reg = Registry::new();
+                let mut obs = TelemetryObserver::in_registry(&reg);
+                let mut pop = seeded_pop(&proto, n);
+                let mut sched = UniformRandomScheduler::from_seed(seed);
+                let res = Simulator::new(&proto)
+                    .run_kernel(kernel, &mut pop, &mut sched, &Silent, 10_000_000, &mut obs)
+                    .unwrap();
+                drop(obs); // flush via Drop
+                let snap = Snapshot::capture(&reg);
+                let ctx = format!("seed {seed}, {kernel} kernel");
+                assert_eq!(
+                    snap.value("engine.interactions"),
+                    Some(res.interactions),
+                    "{ctx}"
+                );
+                assert_eq!(
+                    snap.value("engine.effective_interactions"),
+                    Some(res.effective_interactions),
+                    "{ctx}"
+                );
+                assert_eq!(
+                    snap.value("engine.effective_interactions"),
+                    Some(n - 1),
+                    "{ctx}"
+                );
+                let MetricData::Histogram { sum, .. } =
+                    &snap.get("engine.identity_run_len").unwrap().data
+                else {
+                    panic!("expected histogram ({ctx})");
+                };
+                assert_eq!(res.effective_interactions + sum, res.interactions, "{ctx}");
             }
-            .unwrap();
-            drop(obs); // flush via Drop
-            let snap = Snapshot::capture(&reg);
-            let ctx = format!("seed {seed}, leap {leap}");
-            assert_eq!(
-                snap.value("engine.interactions"),
-                Some(res.interactions),
-                "{ctx}"
-            );
-            assert_eq!(
-                snap.value("engine.effective_interactions"),
-                Some(res.effective_interactions),
-                "{ctx}"
-            );
-            assert_eq!(
-                snap.value("engine.effective_interactions"),
-                Some(n - 1),
-                "{ctx}"
-            );
-            let MetricData::Histogram { sum, .. } =
-                &snap.get("engine.identity_run_len").unwrap().data
-            else {
-                panic!("expected histogram ({ctx})");
-            };
-            assert_eq!(res.effective_interactions + sum, res.interactions, "{ctx}");
         }
     }
 

@@ -144,6 +144,43 @@ pub trait Observer {
     }
 }
 
+/// A borrowed observer observes on its owner's behalf, so a caller can
+/// lend one it keeps (into a [`Chain`], say) and read it afterwards.
+impl<O: Observer + ?Sized> Observer for &mut O {
+    #[inline]
+    fn on_interaction(
+        &mut self,
+        step: u64,
+        p: StateId,
+        q: StateId,
+        p2: StateId,
+        q2: StateId,
+        counts: &[u64],
+    ) {
+        (**self).on_interaction(step, p, q, p2, q2, counts);
+    }
+
+    #[inline]
+    fn on_identity_run(&mut self, last_step: u64, skipped: u64, counts: &[u64]) {
+        (**self).on_identity_run(last_step, skipped, counts);
+    }
+
+    #[inline]
+    fn on_leap_batch(&mut self, last_step: u64, tau: u64, effective: u64, counts: &[u64]) {
+        (**self).on_leap_batch(last_step, tau, effective, counts);
+    }
+
+    #[inline]
+    fn on_batch_fallback(&mut self, reason: FallbackReason) {
+        (**self).on_batch_fallback(reason);
+    }
+
+    #[inline]
+    fn on_lifecycle(&mut self, step: u64, kind: LifecycleKind, state: StateId, counts: &[u64]) {
+        (**self).on_lifecycle(step, kind, state, counts);
+    }
+}
+
 /// Observer that does nothing; compiles away.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct NullObserver;

@@ -25,6 +25,9 @@
 //!   and exact-leap fallback near convergence (see [`crate::batch`]).
 //!   Bounded-error in the bulk, exact in the endgame; the giant-`n`
 //!   workhorse.
+//!
+//! [`Kernel`] names the three as a value, and [`Simulator::run_kernel`]
+//! is the one place that dispatches on it.
 
 use crate::batch::{BatchConfig, BatchCore, BatchTrial, Scratch, StepOutcome};
 use crate::leap::{sample_identity_run, IdentityWeights};
@@ -74,6 +77,64 @@ impl fmt::Display for RunError {
 
 impl std::error::Error for RunError {}
 
+/// Which kernel drives a count-vector population under the uniform
+/// random scheduler; see [`Simulator::run_kernel`].
+///
+/// The kernels agree in distribution (the batch kernel up to its
+/// bounded tau-leap error) but consume randomness differently, so one
+/// seed yields a different, equally valid run under each. Anything that
+/// caches runs by seed must therefore key on the kernel too.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub enum Kernel {
+    /// The naive loop: one scheduler draw per interaction
+    /// ([`Simulator::run_observed`]).
+    Naive,
+    /// The leap kernel: identity runs skipped in closed form
+    /// ([`Simulator::run_leap_observed`]).
+    Leap,
+    /// The tau-leap batch kernel: whole batches of rule firings per
+    /// step, exact fallback near convergence
+    /// ([`Simulator::run_batch_observed`]).
+    Batch,
+}
+
+impl Kernel {
+    /// Every kernel.
+    pub const ALL: [Kernel; 3] = [Kernel::Naive, Kernel::Leap, Kernel::Batch];
+
+    /// The kernel's name. It is persisted: sweep cache keys, pp-serve's
+    /// wire JSON and the `PP_KERNEL` knob all spell kernels this way.
+    pub fn name(self) -> &'static str {
+        match self {
+            Kernel::Naive => "naive",
+            Kernel::Leap => "leap",
+            Kernel::Batch => "batch",
+        }
+    }
+
+    /// The kernel named `name` (exact match), if any.
+    pub fn parse(name: &str) -> Option<Kernel> {
+        Kernel::ALL.into_iter().find(|k| k.name() == name)
+    }
+
+    /// The kernel to run when an observer must see every interaction
+    /// (traces, phase probes, trajectory samples). The batch kernel
+    /// reports each tau-leap only in bulk, so the exact leap kernel
+    /// stands in for it; the other kernels run as themselves.
+    pub fn per_interaction(self) -> Kernel {
+        match self {
+            Kernel::Batch => Kernel::Leap,
+            exact => exact,
+        }
+    }
+}
+
+impl fmt::Display for Kernel {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.name())
+    }
+}
+
 /// Drives executions of one compiled protocol.
 #[derive(Clone, Copy, Debug)]
 pub struct Simulator<'a> {
@@ -89,6 +150,37 @@ impl<'a> Simulator<'a> {
     /// The protocol being simulated.
     pub fn protocol(&self) -> &'a CompiledProtocol {
         self.proto
+    }
+
+    /// Run a count-vector population until stability on `kernel`,
+    /// reporting to `observer`. This is the only dispatch from a
+    /// [`Kernel`] value to [`Simulator::run_observed`],
+    /// [`Simulator::run_leap_observed`] or
+    /// [`Simulator::run_batch_observed`], whose contract it shares.
+    pub fn run_kernel<C, O>(
+        &self,
+        kernel: Kernel,
+        pop: &mut CountPopulation,
+        scheduler: &mut UniformRandomScheduler,
+        criterion: &C,
+        max_interactions: u64,
+        observer: &mut O,
+    ) -> Result<RunResult, RunError>
+    where
+        C: StabilityCriterion,
+        O: Observer,
+    {
+        match kernel {
+            Kernel::Naive => {
+                self.run_observed(pop, scheduler, criterion, max_interactions, observer)
+            }
+            Kernel::Leap => {
+                self.run_leap_observed(pop, scheduler, criterion, max_interactions, observer)
+            }
+            Kernel::Batch => {
+                self.run_batch_observed(pop, scheduler, criterion, max_interactions, observer)
+            }
+        }
     }
 
     /// Run a count-vector population until `criterion` reports stability,
@@ -530,7 +622,7 @@ mod tests {
     use super::*;
     use crate::scheduler::UniformRandomScheduler;
     use crate::spec::ProtocolSpec;
-    use crate::stability::{Never, Silent};
+    use crate::stability::{Never, Signature, Silent};
 
     fn epidemic() -> CompiledProtocol {
         let mut spec = ProtocolSpec::new("epidemic");
@@ -861,5 +953,86 @@ mod tests {
             z.abs() < 4.0,
             "kernel means diverge: z = {z:.2} (naive {mn:.0}, leap {ml:.0})"
         );
+    }
+
+    #[test]
+    fn kernel_names_round_trip() {
+        for k in Kernel::ALL {
+            assert_eq!(Kernel::parse(k.name()), Some(k));
+            assert_eq!(k.to_string(), k.name());
+        }
+        assert_eq!(Kernel::parse("auto"), None);
+        assert_eq!(Kernel::parse("Leap"), None);
+        assert_eq!(Kernel::Naive.per_interaction(), Kernel::Naive);
+        assert_eq!(Kernel::Leap.per_interaction(), Kernel::Leap);
+        assert_eq!(Kernel::Batch.per_interaction(), Kernel::Leap);
+    }
+
+    #[test]
+    fn run_kernel_matches_the_method_it_dispatches_to() {
+        let p = epidemic();
+        let sim = Simulator::new(&p);
+        type Method<'m> = &'m dyn Fn(
+            &mut CountPopulation,
+            &mut UniformRandomScheduler,
+            &Signature,
+            u64,
+        ) -> Result<RunResult, RunError>;
+        // Each kernel next to the method it must reach, spelled out
+        // independently of `run_kernel`.
+        let methods: [(Kernel, Method<'_>); 3] = [
+            (Kernel::Naive, &|pop, sched, c, b| {
+                sim.run_observed(pop, sched, c, b, &mut NullObserver)
+            }),
+            (Kernel::Leap, &|pop, sched, c, b| {
+                sim.run_leap_observed(pop, sched, c, b, &mut NullObserver)
+            }),
+            (Kernel::Batch, &|pop, sched, c, b| {
+                sim.run_batch_observed(pop, sched, c, b, &mut NullObserver)
+            }),
+        ];
+        // (initial [S, I] counts, stable target, budget, expected outcome)
+        let cases = [
+            (vec![199, 1], vec![0, 200], u64::MAX, None),
+            (
+                vec![199, 1],
+                vec![0, 200],
+                5,
+                Some(RunError::InteractionLimit { limit: 5 }),
+            ),
+            (
+                vec![1, 0],
+                vec![0, 1],
+                5,
+                Some(RunError::PopulationTooSmall),
+            ),
+        ];
+        for (kernel, method) in methods {
+            for (initial, target, budget, expected) in &cases {
+                let target = Signature::exact(target.clone());
+                for seed in 0..4 {
+                    let mut a = CountPopulation::from_counts(initial.clone());
+                    let mut b = CountPopulation::from_counts(initial.clone());
+                    let got = sim.run_kernel(
+                        kernel,
+                        &mut a,
+                        &mut UniformRandomScheduler::from_seed(seed),
+                        &target,
+                        *budget,
+                        &mut NullObserver,
+                    );
+                    let want = method(
+                        &mut b,
+                        &mut UniformRandomScheduler::from_seed(seed),
+                        &target,
+                        *budget,
+                    );
+                    let ctx = format!("{kernel}, seed {seed}, budget {budget}");
+                    assert_eq!(got, want, "{ctx}");
+                    assert_eq!(got.err(), *expected, "{ctx}");
+                    assert_eq!(a.counts(), b.counts(), "{ctx}");
+                }
+            }
+        }
     }
 }

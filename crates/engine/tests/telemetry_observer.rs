@@ -11,7 +11,7 @@ use pp_engine::observer::{Chain, GroupCompletionObserver, Observer};
 use pp_engine::population::CountPopulation;
 use pp_engine::protocol::{CompiledProtocol, StateId};
 use pp_engine::scheduler::UniformRandomScheduler;
-use pp_engine::simulator::Simulator;
+use pp_engine::simulator::{Kernel, Simulator};
 use pp_engine::spec::ProtocolSpec;
 use pp_engine::stability::Silent;
 use pp_telemetry::{Registry, Snapshot};
@@ -103,7 +103,7 @@ fn telemetry_observer_is_invisible_to_chained_measurement() {
     let proto = epidemic();
     let watched = proto.state_by_name("I").unwrap();
     let n = 48u64;
-    for leap in [false, true] {
+    for kernel in [Kernel::Naive, Kernel::Leap] {
         let seed = 77u64;
 
         // Alone.
@@ -111,12 +111,11 @@ fn telemetry_observer_is_invisible_to_chained_measurement() {
         let mut pop = seeded_pop(&proto, n);
         let mut sched = UniformRandomScheduler::from_seed(seed);
         let sim = Simulator::new(&proto);
-        let res_alone = if leap {
-            sim.run_leap_observed(&mut pop, &mut sched, &Silent, 10_000_000, &mut alone)
-        } else {
-            sim.run_observed(&mut pop, &mut sched, &Silent, 10_000_000, &mut alone)
-        }
-        .unwrap();
+        let res_alone = sim
+            .run_kernel(
+                kernel, &mut pop, &mut sched, &Silent, 10_000_000, &mut alone,
+            )
+            .unwrap();
 
         // Chained with telemetry.
         let reg = Registry::new();
@@ -126,24 +125,28 @@ fn telemetry_observer_is_invisible_to_chained_measurement() {
         );
         let mut pop = seeded_pop(&proto, n);
         let mut sched = UniformRandomScheduler::from_seed(seed);
-        let res_chained = if leap {
-            sim.run_leap_observed(&mut pop, &mut sched, &Silent, 10_000_000, &mut chained)
-        } else {
-            sim.run_observed(&mut pop, &mut sched, &Silent, 10_000_000, &mut chained)
-        }
-        .unwrap();
+        let res_chained = sim
+            .run_kernel(
+                kernel,
+                &mut pop,
+                &mut sched,
+                &Silent,
+                10_000_000,
+                &mut chained,
+            )
+            .unwrap();
 
         // Observers never touch RNG or dynamics: bit-identical runs.
-        assert_eq!(res_alone, res_chained, "leap = {leap}");
+        assert_eq!(res_alone, res_chained, "{kernel} kernel");
         assert_eq!(
             alone.completions(),
             chained.0.completions(),
-            "completions diverged with telemetry chained (leap = {leap})"
+            "completions diverged with telemetry chained ({kernel} kernel)"
         );
         assert_eq!(
             chained.0.completions().len() as u64,
             n, // watched count goes 1 → n; max starts at 0 so n new maxima
-            "epidemic ends fully infected (leap = {leap})"
+            "epidemic ends fully infected ({kernel} kernel)"
         );
 
         // And the telemetry side tallied the whole run.
@@ -153,12 +156,12 @@ fn telemetry_observer_is_invisible_to_chained_measurement() {
         assert_eq!(
             snap.value("engine.interactions"),
             Some(res_chained.interactions),
-            "leap = {leap}"
+            "{kernel} kernel"
         );
         assert_eq!(
             snap.value("engine.effective_interactions"),
             Some(res_chained.effective_interactions),
-            "leap = {leap}"
+            "{kernel} kernel"
         );
     }
 }

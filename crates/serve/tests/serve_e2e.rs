@@ -205,6 +205,16 @@ fn malformed_requests_get_4xx_not_hangs() {
     let bad_spec = client::post_cells(addr, "{\"protocol\":\"ukp\"}\n", "").unwrap();
     assert_eq!(bad_spec.status, 400);
 
+    // A trajectory sampled every 0 interactions is refused when the spec
+    // is parsed, with an `error` event, instead of panicking a worker.
+    let zero = "{\"protocol\":\"ukp\",\"k\":3,\"n\":12,\"trials\":1,\"seed\":1,\
+                \"budget\":1000,\"mode\":\"trajectory\",\"sample_every\":0}\n";
+    let zero = client::post_cells(addr, zero, "").unwrap();
+    assert_eq!(zero.status, 400);
+    let errors = zero.events_of("error").unwrap();
+    let message = errors[0].get("message").and_then(Value::as_str).unwrap();
+    assert!(message.contains("sample_every"), "{message}");
+
     let missing = client::request(addr, "GET", "/nope", "").unwrap();
     assert_eq!(missing.status, 404);
 

@@ -19,9 +19,12 @@
 //! convergence phases and writes `<store>/<stem>.timeline.json` (see
 //! [`crate::timeline`]).
 //!
-//! Environment: `PP_TRIALS`, `PP_SEED`, `PP_RESULTS_DIR`, `PP_FIG6_KMAX`
-//! — all participate in cell identity, so changing them addresses
-//! different store entries rather than corrupting existing ones.
+//! Environment: `PP_TRIALS`, `PP_SEED`, `PP_RESULTS_DIR`, `PP_FIG6_KMAX`,
+//! `PP_KERNEL` — all participate in cell identity, so changing them
+//! addresses different store entries rather than corrupting existing
+//! ones. `PP_KERNEL` (`naive`, `leap` or `batch`; `auto` or unset means
+//! leap) moves every cell the plans leave on the default leap kernel onto
+//! the named kernel; trajectory and dynamics cells stay pinned to naive.
 
 use std::collections::HashSet;
 
@@ -29,6 +32,7 @@ use crate::exec::ExecOptions;
 use crate::observer::ConsoleProgress;
 use crate::plan::{self, Plan, PlanConfig};
 use crate::runner;
+use crate::spec::{CellSpec, KernelChoice};
 use crate::store::ResultStore;
 
 /// Entry point; returns the process exit code.
@@ -110,13 +114,13 @@ pub fn main_with_args(args: &[String]) -> i32 {
             timelines_glob.as_deref(),
         ),
         [cmd] if *cmd == "status" => {
-            for p in plan::plans(cfg) {
+            for p in plans(cfg) {
                 status(&p, &store);
             }
             status_telemetry(&store);
             0
         }
-        [cmd, name] if *cmd == "status" => match plan::find(name, cfg) {
+        [cmd, name] if *cmd == "status" => match find(name, cfg) {
             Some(p) => {
                 status(&p, &store);
                 status_telemetry(&store);
@@ -131,6 +135,59 @@ pub fn main_with_args(args: &[String]) -> i32 {
             eprintln!("{USAGE}");
             2
         }
+    }
+}
+
+/// The registered plans with the `PP_KERNEL` knob applied — the only
+/// place pp-sweep reads it, so `run`, `status` and `gc` agree on the
+/// cells. Unrecognised values keep the plans' kernels, like the other
+/// knobs' lenient parsing.
+fn plans(cfg: PlanConfig) -> Vec<Plan> {
+    let knob = std::env::var("PP_KERNEL").unwrap_or_default();
+    match KernelChoice::parse(&knob.to_ascii_lowercase()) {
+        Some(kernel) if kernel != KernelChoice::Leap => plan::plans(cfg)
+            .into_iter()
+            .map(|p| on_kernel(p, kernel))
+            .collect(),
+        _ => plan::plans(cfg),
+    }
+}
+
+/// Find a plan by name among [`plans`].
+fn find(name: &str, cfg: PlanConfig) -> Option<Plan> {
+    plans(cfg).into_iter().find(|p| p.name == name)
+}
+
+/// Move a plan's leap cells onto `kernel`. Leap is every cell's default
+/// kernel except where a plan pins naive (trajectory and dynamics cells),
+/// and pinned cells stay put. The reporter still derives the default
+/// specs, so it renders from an in-memory view holding each moved cell's
+/// result under the spec the reporter asks for.
+fn on_kernel(plan: Plan, kernel: KernelChoice) -> Plan {
+    let moved: Vec<(CellSpec, CellSpec)> = plan
+        .cells
+        .iter()
+        .map(|asked| {
+            let mut ran = asked.clone();
+            if ran.kernel == KernelChoice::Leap {
+                ran.kernel = kernel;
+            }
+            (asked.clone(), ran)
+        })
+        .collect();
+    let report = plan.report;
+    Plan {
+        cells: moved.iter().map(|(_, ran)| ran.clone()).collect(),
+        report: Box::new(move |store| {
+            let view = ResultStore::in_memory();
+            for (asked, ran) in &moved {
+                if let Some(result) = store.load(ran) {
+                    view.save(asked, result.records)?;
+                }
+            }
+            report(&view)
+        }),
+        ..plan
     }
 }
 
@@ -165,7 +222,7 @@ fn list(cfg: PlanConfig) {
         "registered plans (PP_TRIALS={}, PP_SEED={}):",
         cfg.trials, cfg.master_seed
     );
-    for p in plan::plans(cfg) {
+    for p in plans(cfg) {
         println!(
             "  {:<18} {:>4} cells  {:>7} trials  — {}",
             p.name,
@@ -195,9 +252,9 @@ fn run(
     timelines_glob: Option<&str>,
 ) -> i32 {
     let selected: Vec<Plan> = if name == "all" {
-        plan::plans(cfg)
+        plans(cfg)
     } else {
-        match plan::find(name, cfg) {
+        match find(name, cfg) {
             Some(p) => vec![p],
             None => return unknown_plan(name, cfg),
         }
@@ -500,7 +557,7 @@ fn gc(cfg: PlanConfig, store: &ResultStore) -> i32 {
     // store drops dead index entries and compacts, the memory store
     // forgets.
     let mut live: HashSet<String> = HashSet::new();
-    for p in plan::plans(cfg) {
+    for p in plans(cfg) {
         for c in &p.cells {
             live.insert(c.file_stem());
         }
@@ -527,7 +584,7 @@ fn gc(cfg: PlanConfig, store: &ResultStore) -> i32 {
 
 fn unknown_plan(name: &str, cfg: PlanConfig) -> i32 {
     eprintln!("pp-sweep: unknown plan '{name}'; available:");
-    for p in plan::plans(cfg) {
+    for p in plans(cfg) {
         eprintln!("  {}", p.name);
     }
     2
@@ -583,6 +640,42 @@ mod tests {
         );
         let snap = pp_telemetry::Snapshot::from_jsonl(&text).unwrap();
         assert_eq!(stale_export_warning(&snap), None);
+    }
+
+    #[test]
+    fn kernel_knob_moves_leap_cells_and_reports_them() {
+        use crate::exec::ExecOptions;
+        use crate::observer::NullObserver;
+        use crate::spec::CellMode;
+        let cfg = PlanConfig {
+            trials: 2,
+            master_seed: 5,
+        };
+        let summary = plan::ukp_cell(3, 12, cfg, CellMode::Summary);
+        let trajectory = plan::ukp_cell(3, 12, cfg, CellMode::Trajectory { sample_every: 16 });
+        let asked = summary.clone();
+        let test_plan = Plan {
+            name: "test",
+            title: "Test",
+            description: "test plan",
+            cells: vec![summary.clone(), trajectory.clone()],
+            report: Box::new(move |store| {
+                let c = plan::must_load(store, &asked);
+                Ok(format!("trials={}", c.records.len()))
+            }),
+        };
+        let moved = on_kernel(test_plan, KernelChoice::Batch);
+        let on_batch = CellSpec {
+            kernel: KernelChoice::Batch,
+            ..summary.clone()
+        };
+        assert_eq!(moved.cells, vec![on_batch.clone(), trajectory]);
+
+        let store = ResultStore::in_memory();
+        let text = runner::run_plan(&moved, &store, &NullObserver, &ExecOptions::default());
+        assert_eq!(text.unwrap(), "trials=2");
+        assert!(store.load(&on_batch).is_some());
+        assert!(store.load(&summary).is_none(), "the leap cell never ran");
     }
 
     #[test]

@@ -9,14 +9,12 @@
 //! bit, as an uninterrupted run — the property the
 //! `resume_equals_fresh` proptest pins down.
 
-use pp_engine::observer::TrajectorySampler;
-use pp_engine::population::CountPopulation;
-use pp_engine::scheduler::UniformRandomScheduler;
+use pp_analysis::runner::{run_trial, TrialOutcome};
+use pp_engine::observer::{GroupCompletionObserver, NullObserver, Observer, TrajectorySampler};
 use pp_engine::seeds;
-use pp_engine::simulator::{RunError, Simulator};
 
 use crate::observer::SweepObserver;
-use crate::spec::{CellMode, CellSpec, MaterializedCell};
+use crate::spec::{CellMode, CellSpec, KernelChoice, MaterializedCell};
 use crate::store::{CellResult, ResultStore, TrialRecord};
 use crate::telemetry::{record_cell, sweep_metrics, CellAccounting};
 
@@ -58,119 +56,46 @@ impl CellOutcome {
     }
 }
 
-/// Run one trial of a materialized cell. Pure in `(spec, trial)` — this
-/// is the replayable unit the journal checkpoints.
-pub fn run_one_trial(spec: &CellSpec, cell: &MaterializedCell, trial: u64) -> TrialRecord {
-    let seed = match spec.mode {
+/// The seed trial `trial` of a cell runs with.
+pub(crate) fn trial_seed(spec: &CellSpec, trial: u64) -> u64 {
+    match spec.mode {
         // Trajectory cells are single seeded runs; the legacy binary fed
         // the scheduler its seed undirected, so keep that byte-for-byte.
         CellMode::Trajectory { .. } => spec.seed,
         _ => seeds::derive(spec.seed, trial),
-    };
-    if !spec.dynamics.is_default() {
-        return run_dynamics_trial(spec, cell, trial, seed);
-    }
-    let kernel = spec.kernel.runner_kernel();
-    match spec.mode {
-        CellMode::Summary => TrialRecord::summary(
-            trial,
-            pp_analysis::runner::run_trial_kernel(
-                &cell.proto,
-                spec.n,
-                &cell.criterion,
-                seed,
-                spec.budget,
-                kernel,
-            ),
-        ),
-        CellMode::Watched => {
-            let w = pp_analysis::runner::run_trial_watching_kernel(
-                &cell.proto,
-                spec.n,
-                &cell.criterion,
-                spec.watched_state(),
-                seed,
-                spec.budget,
-                kernel,
-            );
-            TrialRecord {
-                trial,
-                interactions: w.total,
-                completions: Some(w.completions),
-                final_counts: None,
-                samples: None,
-            }
-        }
-        CellMode::Full => {
-            let o = pp_analysis::runner::run_trial_full_kernel(
-                &cell.proto,
-                spec.n,
-                &cell.criterion,
-                seed,
-                spec.budget,
-                kernel,
-            );
-            TrialRecord {
-                trial,
-                interactions: o.interactions,
-                completions: None,
-                final_counts: Some(o.final_counts),
-                samples: None,
-            }
-        }
-        CellMode::Trajectory { sample_every } => {
-            // TrajectorySampler now reconstructs identity runs in closed
-            // form and works on either kernel, but `KernelChoice::auto_for`
-            // still pins trajectory cells to Naive so cached trajectory
-            // results (keyed on the kernel) keep reproducing bit for bit.
-            debug_assert_eq!(kernel, pp_analysis::runner::Kernel::Naive);
-            let mut pop = CountPopulation::new(&cell.proto, spec.n);
-            let mut sched = UniformRandomScheduler::from_seed(seed);
-            let mut sampler = TrajectorySampler::every(sample_every);
-            let res = Simulator::new(&cell.proto).run_observed(
-                &mut pop,
-                &mut sched,
-                &cell.criterion,
-                spec.budget,
-                &mut sampler,
-            );
-            let interactions = match res {
-                Ok(r) => Some(r.interactions),
-                Err(RunError::InteractionLimit { .. }) => None,
-                Err(e) => panic!("trajectory trial failed: {e}"),
-            };
-            let samples = sampler
-                .samples()
-                .iter()
-                .map(|(t, counts)| {
-                    let mut row = Vec::with_capacity(1 + counts.len());
-                    row.push(*t);
-                    row.extend_from_slice(counts);
-                    row
-                })
-                .collect();
-            TrialRecord {
-                trial,
-                interactions,
-                completions: None,
-                final_counts: None,
-                samples: Some(samples),
-            }
-        }
     }
 }
 
-/// Run one trial under non-default dynamics: the general topology /
-/// scheduler / churn loop in `pp_topo` (always the naive kernel —
-/// [`CellSpec::validate_dynamics`] rejects any other before we get
-/// here). `Summary` records interactions-to-stability; `Full` also keeps
-/// the final configuration, whose total reflects net churn.
-fn run_dynamics_trial(
+/// Run trial `trial` of a materialized cell on `kernel` with `observer`
+/// attached — the one trial path of every cell mode, and of the trace
+/// and timeline re-runs of trial 0. Default dynamics run through
+/// [`pp_analysis::runner::run_trial`]; any other dynamics through the
+/// topology / scheduler / churn loop in `pp_topo` (always the naive
+/// kernel — [`CellSpec::validate_dynamics`] rejects any other before we
+/// get here). A trial that hits its budget is censored; any other run
+/// error is returned.
+pub(crate) fn observe_trial<O: Observer>(
     spec: &CellSpec,
     cell: &MaterializedCell,
     trial: u64,
-    seed: u64,
-) -> TrialRecord {
+    kernel: KernelChoice,
+    observer: &mut O,
+) -> Result<TrialOutcome, String> {
+    let seed = trial_seed(spec, trial);
+    let failed =
+        |e: &dyn std::fmt::Display| format!("trial {trial} of {} failed: {e}", spec.file_stem());
+    if spec.dynamics.is_default() {
+        return run_trial(
+            &cell.proto,
+            spec.n,
+            &cell.criterion,
+            seed,
+            spec.budget,
+            kernel,
+            observer,
+        )
+        .map_err(|e| failed(&e));
+    }
     let outcome = pp_topo::run_dynamics(
         &cell.proto,
         spec.n as usize,
@@ -178,16 +103,56 @@ fn run_dynamics_trial(
         &cell.criterion,
         spec.budget,
         seed,
-        &mut pp_engine::observer::NullObserver,
+        observer,
     )
-    .unwrap_or_else(|e| panic!("dynamics trial {trial} of {} failed: {e}", spec.file_stem()));
-    TrialRecord {
-        trial,
+    .map_err(|e| failed(&e))?;
+    Ok(TrialOutcome {
         interactions: outcome.interactions,
-        completions: None,
-        final_counts: matches!(spec.mode, CellMode::Full).then_some(outcome.final_counts),
-        samples: None,
+        final_counts: outcome.final_counts,
+    })
+}
+
+/// Run one trial of a materialized cell. Pure in `(spec, trial)` — this
+/// is the replayable unit the journal checkpoints.
+pub fn run_one_trial(
+    spec: &CellSpec,
+    cell: &MaterializedCell,
+    trial: u64,
+) -> std::io::Result<TrialRecord> {
+    let failed = std::io::Error::other;
+    let mut record = TrialRecord::summary(trial, None);
+    match spec.mode {
+        CellMode::Summary | CellMode::Full => {
+            let o =
+                observe_trial(spec, cell, trial, spec.kernel, &mut NullObserver).map_err(failed)?;
+            record.interactions = o.interactions;
+            if spec.mode == CellMode::Full {
+                record.final_counts = Some(o.final_counts);
+            }
+        }
+        CellMode::Watched => {
+            let mut watch = GroupCompletionObserver::new(spec.watched_state());
+            let o = observe_trial(spec, cell, trial, spec.kernel, &mut watch).map_err(failed)?;
+            record.interactions = o.interactions;
+            record.completions = Some(watch.into_completions());
+        }
+        CellMode::Trajectory { sample_every } => {
+            // The sampler needs every interaction, so a batch cell samples
+            // on the kernel's per-interaction stand-in.
+            let mut sampler = TrajectorySampler::every(sample_every);
+            let kernel = spec.kernel.per_interaction();
+            let o = observe_trial(spec, cell, trial, kernel, &mut sampler).map_err(failed)?;
+            record.interactions = o.interactions;
+            let rows = sampler.samples().iter().map(|(t, counts)| {
+                let mut row = Vec::with_capacity(1 + counts.len());
+                row.push(*t);
+                row.extend_from_slice(counts);
+                row
+            });
+            record.samples = Some(rows.collect());
+        }
     }
+    Ok(record)
 }
 
 /// Execute a cell against the store: return the cached result if
@@ -245,31 +210,26 @@ pub fn run_cell(
     if !to_run.is_empty() {
         let cell = spec.materialize();
         let writer = store.journal_sink(spec)?;
-        let io_err = std::sync::Mutex::new(None::<std::io::Error>);
-        let fresh: Vec<TrialRecord> = {
+        let fresh: Vec<std::io::Result<TrialRecord>> = {
             use rayon::prelude::*;
             to_run
                 .to_vec()
                 .into_par_iter()
                 .map(|t| {
-                    let rec = run_one_trial(spec, &cell, t);
-                    if let Err(e) = writer.append(&rec) {
-                        io_err.lock().unwrap().get_or_insert(e);
-                    }
+                    let rec = run_one_trial(spec, &cell, t)?;
+                    let journaled = writer.append(&rec);
                     let m = sweep_metrics();
                     m.trials_simulated.inc();
                     if rec.interactions.is_none() {
                         m.trials_censored.inc();
                     }
                     obs.trial_finished(spec, rec.interactions.is_none());
-                    rec
+                    journaled.map(|()| rec)
                 })
                 .collect()
         };
-        if let Some(e) = io_err.into_inner().unwrap() {
-            return Err(e);
-        }
         for rec in fresh {
+            let rec = rec?;
             records.insert(rec.trial, rec);
         }
     }
@@ -312,7 +272,7 @@ mod tests {
     }
 
     fn spec(mode: CellMode) -> CellSpec {
-        let kernel = crate::spec::KernelChoice::auto_for(mode);
+        let kernel = mode.default_kernel();
         CellSpec {
             protocol: ProtocolId::UniformKPartition { k: 3 },
             n: 12,
@@ -537,7 +497,9 @@ mod tests {
                 master_seed: 41,
                 max_interactions: 10_000_000,
             },
-        );
+            s.kernel,
+        )
+        .unwrap();
         assert_eq!(r.interactions(), batch.interactions);
         assert_eq!(r.censored(), batch.censored);
     }

@@ -74,7 +74,7 @@ pub fn ukp_cell(k: usize, n: u64, cfg: PlanConfig, mode: CellMode) -> CellSpec {
         criterion: CriterionKind::Stable,
         budget: kp.interaction_budget(n),
         mode,
-        kernel: KernelChoice::auto_for(mode),
+        kernel: mode.default_kernel(),
         dynamics: pp_topo::Dynamics::default_dynamics(),
     }
 }
@@ -91,7 +91,7 @@ pub fn baseline_cell(protocol: ProtocolId, n: u64, cfg: PlanConfig) -> CellSpec 
         criterion: CriterionKind::Stable,
         budget: 1_000_000_000_000,
         mode: CellMode::Full,
-        kernel: KernelChoice::auto_for(CellMode::Full),
+        kernel: KernelChoice::Leap,
         dynamics: pp_topo::Dynamics::default_dynamics(),
     }
 }

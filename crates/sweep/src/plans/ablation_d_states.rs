@@ -28,7 +28,7 @@ fn basic_cell(k: usize, n: u64, cfg: PlanConfig) -> CellSpec {
         criterion: CriterionKind::Silent,
         budget: 1_000_000_000,
         mode: CellMode::Full,
-        kernel: KernelChoice::auto_for(CellMode::Full),
+        kernel: KernelChoice::Leap,
         dynamics: pp_topo::Dynamics::default_dynamics(),
     }
 }

@@ -112,6 +112,18 @@ pub enum CellMode {
 }
 
 impl CellMode {
+    /// The kernel a cell of this mode runs on unless it names one: leap,
+    /// except for trajectory cells, which stay on naive. The trajectory
+    /// sampler would run on leap just as well, but the kernel is part of
+    /// the content address, so the pin keeps cached trajectory cells
+    /// addressable.
+    pub fn default_kernel(self) -> KernelChoice {
+        match self {
+            CellMode::Trajectory { .. } => KernelChoice::Naive,
+            _ => KernelChoice::Leap,
+        }
+    }
+
     fn key_fragment(&self) -> String {
         match *self {
             CellMode::Summary => "summary".into(),
@@ -124,61 +136,12 @@ impl CellMode {
 
 /// Which simulation kernel a cell's trials run on.
 ///
-/// Recorded in the spec — and hence in the canonical key — because the
-/// kernels agree in distribution but consume randomness differently: the
-/// same cell seed yields different (equally valid) trial records under
-/// each, so a cached naive cell must not satisfy a leap request or vice
-/// versa.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum KernelChoice {
-    /// The naive one-interaction-per-step loop.
-    Naive,
-    /// The leap kernel (identity interactions skipped in closed form).
-    Leap,
-    /// The tau-leap batch kernel (bounded-error bulk firing in the giant-n
-    /// regime, exact-leap fallback near convergence; see
-    /// `pp_engine::batch` for the error model).
-    Batch,
-}
-
-impl KernelChoice {
-    /// The kernel a cell of the given mode should run on, honouring the
-    /// `PP_KERNEL` knob. Trajectory cells pin naive regardless of the
-    /// knob — not a correctness requirement any more (the sampler
-    /// reconstructs identity runs in closed form on the leap kernel),
-    /// but the kernel is part of the content address, so the pin keeps
-    /// existing cached trajectories addressable; every other mode
-    /// resolves `auto` to leap.
-    pub fn auto_for(mode: CellMode) -> KernelChoice {
-        if matches!(mode, CellMode::Trajectory { .. }) {
-            return KernelChoice::Naive;
-        }
-        match pp_analysis::config::kernel() {
-            pp_analysis::config::KernelKnob::Naive => KernelChoice::Naive,
-            pp_analysis::config::KernelKnob::Batch => KernelChoice::Batch,
-            pp_analysis::config::KernelKnob::Leap | pp_analysis::config::KernelKnob::Auto => {
-                KernelChoice::Leap
-            }
-        }
-    }
-
-    /// The equivalent [`pp_analysis::runner::Kernel`].
-    pub fn runner_kernel(self) -> pp_analysis::runner::Kernel {
-        match self {
-            KernelChoice::Naive => pp_analysis::runner::Kernel::Naive,
-            KernelChoice::Leap => pp_analysis::runner::Kernel::Leap,
-            KernelChoice::Batch => pp_analysis::runner::Kernel::Batch,
-        }
-    }
-
-    fn key_fragment(&self) -> &'static str {
-        match self {
-            KernelChoice::Naive => "naive",
-            KernelChoice::Leap => "leap",
-            KernelChoice::Batch => "batch",
-        }
-    }
-}
+/// Recorded in the spec — and hence in the canonical key, under the
+/// kernel's [name](pp_engine::Kernel::name) — because the kernels agree
+/// in distribution but consume randomness differently: the same cell
+/// seed yields different (equally valid) trial records under each, so a
+/// cached naive cell must not satisfy a leap request or vice versa.
+pub use pp_engine::Kernel as KernelChoice;
 
 /// One cell: a batch of trials at fixed parameters.
 ///
@@ -263,7 +226,7 @@ impl CellSpec {
             self.seed,
             self.budget,
             self.mode.key_fragment(),
-            self.kernel.key_fragment(),
+            self.kernel.name(),
         );
         if !self.dynamics.is_default() {
             key.push_str(&format!("|dyn={}", self.dynamics.key_fragment()));
@@ -315,7 +278,7 @@ impl CellSpec {
         self.dynamics
             .validate(self.n as usize)
             .map_err(|e| e.to_string())?;
-        pp_topo::ensure_kernel_compatible(self.kernel.key_fragment(), &self.dynamics)
+        pp_topo::ensure_kernel_compatible(self.kernel, &self.dynamics)
             .map_err(|e| e.to_string())?;
         if !matches!(self.mode, CellMode::Summary | CellMode::Full) {
             return Err("watched/trajectory modes require default dynamics".into());
@@ -418,7 +381,7 @@ impl CellSpec {
                 pairs.push(("sample_every", Value::U64(sample_every)));
             }
         }
-        pairs.push(("kernel", Value::Str(self.kernel.key_fragment().to_string())));
+        pairs.push(("kernel", Value::Str(self.kernel.name().to_string())));
         if !self.dynamics.is_default() {
             pairs.push(("dynamics", Value::Str(self.dynamics.key_fragment())));
         }
@@ -429,7 +392,7 @@ impl CellSpec {
     /// `seed`, and `budget` are required (they all enter the content
     /// address, so there are no silent defaults for them); `criterion`
     /// defaults to `stable`, `mode` to `summary`, and `kernel` to the
-    /// mode's [`KernelChoice::auto_for`] resolution.
+    /// mode's [default kernel](CellMode::default_kernel).
     pub fn from_json(v: &Value) -> Result<CellSpec, String> {
         let req_u64 = |field: &str| -> Result<u64, String> {
             v.get(field)
@@ -460,17 +423,17 @@ impl CellSpec {
             None | Some("summary") => CellMode::Summary,
             Some("watched") => CellMode::Watched,
             Some("full") => CellMode::Full,
-            Some("trajectory") => CellMode::Trajectory {
-                sample_every: req_u64("sample_every")?,
+            Some("trajectory") => match req_u64("sample_every")? {
+                0 => return Err("sample_every must be at least 1".into()),
+                sample_every => CellMode::Trajectory { sample_every },
             },
             Some(other) => return Err(format!("unknown mode '{other}'")),
         };
         let kernel = match v.get("kernel").and_then(Value::as_str) {
-            None => KernelChoice::auto_for(mode),
-            Some("naive") => KernelChoice::Naive,
-            Some("leap") => KernelChoice::Leap,
-            Some("batch") => KernelChoice::Batch,
-            Some(other) => return Err(format!("unknown kernel '{other}'")),
+            None => mode.default_kernel(),
+            Some(name) => {
+                KernelChoice::parse(name).ok_or_else(|| format!("unknown kernel '{name}'"))?
+            }
         };
         let dynamics = match v.get("dynamics").and_then(Value::as_str) {
             None => Dynamics::default_dynamics(),
@@ -745,19 +708,45 @@ mod tests {
     }
 
     #[test]
-    fn trajectory_mode_pins_naive_kernel() {
-        assert_eq!(
-            KernelChoice::auto_for(CellMode::Trajectory { sample_every: 10 }),
-            KernelChoice::Naive
-        );
-        // Non-trajectory modes resolve via the env knob; with PP_KERNEL
-        // unset (the test default) auto means leap.
-        if std::env::var("PP_KERNEL").is_err() {
+    fn every_kernel_keys_and_encodes_under_its_persisted_name() {
+        // The names are persisted in store keys and wire JSON: a renamed
+        // kernel would orphan every cached cell that ran on it.
+        for (kernel, name) in [
+            (KernelChoice::Naive, "naive"),
+            (KernelChoice::Leap, "leap"),
+            (KernelChoice::Batch, "batch"),
+        ] {
+            let spec = CellSpec {
+                kernel,
+                ..ukp_cell()
+            };
             assert_eq!(
-                KernelChoice::auto_for(CellMode::Summary),
-                KernelChoice::Leap
+                spec.canonical_key(),
+                format!(
+                    "v3|ukp:k=4|n=96|trials=100|seed=12345|crit=stable|budget=1000000|mode=summary|kernel={name}"
+                )
             );
+            let wire = spec.to_json();
+            assert_eq!(wire.get("kernel").and_then(Value::as_str), Some(name));
         }
+    }
+
+    #[test]
+    fn trajectory_mode_pins_naive_kernel() {
+        let traj = CellMode::Trajectory { sample_every: 10 };
+        assert_eq!(traj.default_kernel(), KernelChoice::Naive);
+        for mode in [CellMode::Summary, CellMode::Watched, CellMode::Full] {
+            assert_eq!(mode.default_kernel(), KernelChoice::Leap);
+        }
+        // A spec that names no kernel gets its mode's default.
+        let line = |mode: &str| {
+            let text = format!(
+                "{{\"protocol\":\"ukp\",\"k\":4,\"n\":12,\"trials\":1,\"seed\":1,\"budget\":10,\"mode\":\"{mode}\",\"sample_every\":8}}"
+            );
+            CellSpec::from_json(&Value::parse(&text).unwrap()).unwrap()
+        };
+        assert_eq!(line("trajectory").kernel, KernelChoice::Naive);
+        assert_eq!(line("summary").kernel, KernelChoice::Leap);
     }
 
     #[test]
@@ -848,6 +837,8 @@ mod tests {
             "{\"protocol\":\"ukp\",\"k\":4,\"n\":12,\"trials\":0,\"seed\":1,\"budget\":10}",
             "{\"protocol\":\"basic\",\"k\":4,\"n\":12,\"trials\":1,\"seed\":1,\"budget\":10,\"mode\":\"watched\"}",
             "{\"protocol\":\"ukp\",\"k\":4,\"n\":12,\"trials\":1,\"seed\":1,\"budget\":10,\"mode\":\"trajectory\"}",
+            "{\"protocol\":\"ukp\",\"k\":4,\"n\":12,\"trials\":1,\"seed\":1,\"budget\":10,\"mode\":\"trajectory\",\"sample_every\":0}",
+            "{\"protocol\":\"ukp\",\"k\":4,\"n\":12,\"trials\":1,\"seed\":1,\"budget\":10,\"kernel\":\"auto\"}",
         ];
         for text in bad {
             let v = crate::json::Value::parse(text).unwrap();
@@ -861,6 +852,7 @@ mod tests {
         let s = CellSpec::from_json(&v).unwrap();
         assert_eq!(s.criterion, CriterionKind::Stable);
         assert_eq!(s.mode, CellMode::Summary);
+        assert_eq!(s.kernel, KernelChoice::Leap);
     }
 
     #[test]

@@ -22,14 +22,11 @@
 
 use std::path::PathBuf;
 
-use pp_engine::population::{CountPopulation, Population};
-use pp_engine::scheduler::UniformRandomScheduler;
-use pp_engine::seeds;
-use pp_engine::simulator::{RunError, Simulator};
 use pp_engine::{Phase, PhaseProbe};
 use pp_telemetry::json::Value;
 
-use crate::spec::{CellMode, CellSpec, KernelChoice};
+use crate::exec::observe_trial;
+use crate::spec::CellSpec;
 use crate::store::ResultStore;
 use crate::trace::glob_match;
 
@@ -119,14 +116,6 @@ impl CellTimeline {
     }
 }
 
-/// The seed trial 0 runs with (same derivation as `exec::run_one_trial`).
-fn trial0_seed(spec: &CellSpec) -> u64 {
-    match spec.mode {
-        CellMode::Trajectory { .. } => spec.seed,
-        _ => seeds::derive(spec.seed, 0),
-    }
-}
-
 /// What one probed trial yields: the phase segments plus run totals.
 struct ProbedTrial {
     segments: Vec<(u64, Phase)>,
@@ -135,74 +124,29 @@ struct ProbedTrial {
     stable: bool,
 }
 
-/// Re-run trial 0 of `spec` under a phase probe. Returns `None` when the
-/// protocol's states don't follow the k-partition naming convention.
-fn record_trial0(spec: &CellSpec) -> Option<ProbedTrial> {
+/// Re-run trial 0 of `spec` under a phase probe, through the same trial
+/// path and seed as [`crate::exec::run_one_trial`]. Returns `None` when
+/// the protocol's states don't follow the k-partition naming convention.
+///
+/// Batch cells are probed on the exact leap kernel, the same stand-in
+/// the trace layer uses: the batch kernel has no interaction-granular
+/// checkpoint stream, and the leap run is a faithful exact execution of
+/// the same cell seed.
+fn record_trial0(spec: &CellSpec) -> Result<Option<ProbedTrial>, String> {
     let cell = spec.materialize();
-    let mut probe = PhaseProbe::for_protocol(&cell.proto)?;
-    let seed = trial0_seed(spec);
-    if !spec.dynamics.is_default() {
-        let outcome = pp_topo::run_dynamics(
-            &cell.proto,
-            spec.n as usize,
-            &spec.dynamics,
-            &cell.criterion,
-            spec.budget,
-            seed,
-            &mut probe,
-        )
-        .unwrap_or_else(|e| panic!("timeline trial of {} failed: {e}", spec.file_stem()));
-        let interactions = outcome.interactions.unwrap_or(spec.budget);
-        probe.finish(interactions, &outcome.final_counts);
-        return Some(ProbedTrial {
-            segments: probe.segments().to_vec(),
-            checkpoints: probe.checkpoints(),
-            interactions,
-            stable: outcome.stabilised(),
-        });
-    }
-    let mut pop = CountPopulation::new(&cell.proto, spec.n);
-    let mut sched = UniformRandomScheduler::from_seed(seed);
-    let sim = Simulator::new(&cell.proto);
-    // Batch cells are probed on the exact leap kernel, the same stand-in
-    // the trace layer uses: the batch kernel has no interaction-granular
-    // checkpoint stream, and the leap run is a faithful exact execution
-    // of the same cell seed.
-    let (interactions, stable) = match spec.kernel {
-        KernelChoice::Naive => {
-            match sim.run_observed(
-                &mut pop,
-                &mut sched,
-                &cell.criterion,
-                spec.budget,
-                &mut probe,
-            ) {
-                Ok(r) => (r.interactions, true),
-                Err(RunError::InteractionLimit { .. }) => (spec.budget, false),
-                Err(e) => panic!("timeline trial failed: {e}"),
-            }
-        }
-        KernelChoice::Leap | KernelChoice::Batch => {
-            match sim.run_leap_observed(
-                &mut pop,
-                &mut sched,
-                &cell.criterion,
-                spec.budget,
-                &mut probe,
-            ) {
-                Ok(r) => (r.interactions, true),
-                Err(RunError::InteractionLimit { .. }) => (spec.budget, false),
-                Err(e) => panic!("timeline trial failed: {e}"),
-            }
-        }
+    let Some(mut probe) = PhaseProbe::for_protocol(&cell.proto) else {
+        return Ok(None);
     };
-    probe.finish(interactions, pop.counts());
-    Some(ProbedTrial {
+    let kernel = spec.kernel.per_interaction();
+    let outcome = observe_trial(spec, &cell, 0, kernel, &mut probe)?;
+    let interactions = outcome.interactions.unwrap_or(spec.budget);
+    probe.finish(interactions, &outcome.final_counts);
+    Ok(Some(ProbedTrial {
         segments: probe.segments().to_vec(),
         checkpoints: probe.checkpoints(),
         interactions,
-        stable,
-    })
+        stable: outcome.interactions.is_some(),
+    }))
 }
 
 /// Capture (or reload) the timeline of one cell. `Ok(None)` means the
@@ -216,7 +160,7 @@ pub fn timeline_cell(spec: &CellSpec, store: &ResultStore) -> Result<Option<Cell
         pp_telemetry::counter("timeline.cells.reused").inc();
         return Ok(Some(t));
     }
-    let Some(probed) = record_trial0(spec) else {
+    let Some(probed) = record_trial0(spec)? else {
         return Ok(None);
     };
     pp_telemetry::counter("timeline.cells.recorded").inc();
@@ -261,7 +205,8 @@ pub fn timeline_matching(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::{CriterionKind, ProtocolId};
+    use crate::spec::{CellMode, CriterionKind, KernelChoice, ProtocolId};
+    use pp_engine::population::{CountPopulation, Population};
     use pp_engine::PhaseMap;
     use pp_trace::Trace;
 

@@ -8,9 +8,9 @@
 //! be (re)captured at any time, including on a cache hit, and always
 //! describes the exact run whose record sits in `<stem>.json`. Cells
 //! with a non-default `dynamics` block are recorded through the same
-//! agent-based loop their trials execute on (see
-//! [`record_dynamics_trial0`]), lifecycle events included — never
-//! silently re-simulated on the complete-graph kernels.
+//! agent-based loop their trials execute on (see `record_trial0`),
+//! lifecycle events included — never silently re-simulated on the
+//! complete-graph kernels.
 //!
 //! Captured traces feed the telemetry export: record/byte totals for
 //! every traced cell, plus per-rule firings and chain-lifecycle totals
@@ -19,13 +19,11 @@
 
 use std::path::PathBuf;
 
-use pp_engine::population::{CountPopulation, Population};
-use pp_engine::scheduler::UniformRandomScheduler;
-use pp_engine::seeds;
-use pp_engine::simulator::{RunError, Simulator};
+use pp_engine::population::CountPopulation;
 use pp_trace::{Trace, TraceKernel, TraceRecorder};
 
-use crate::spec::{CellMode, CellSpec, KernelChoice, MaterializedCell, ProtocolId};
+use crate::exec::{observe_trial, trial_seed};
+use crate::spec::{CellSpec, ProtocolId};
 use crate::store::ResultStore;
 
 /// Match a shell-style glob (`*` = any run, `?` = any one char) against a
@@ -81,77 +79,29 @@ pub struct CellTrace {
     pub effective: u64,
 }
 
-/// The seed trial 0 of a cell runs with — the same derivation
-/// [`crate::exec::run_one_trial`] uses, so the trace describes exactly
-/// the trial the store holds.
-fn trial0_seed(spec: &CellSpec) -> u64 {
-    match spec.mode {
-        CellMode::Trajectory { .. } => spec.seed,
-        _ => seeds::derive(spec.seed, 0),
-    }
-}
-
-/// Record trial 0 of a cell whose `dynamics` block is non-default
-/// (restricted topology, skewed/adversarial edge scheduler, or churn).
-/// Those trials execute through the agent-based loop in [`pp_topo`], not
-/// the count-vector kernels, so the trace is captured through the same
-/// loop with the same seed — lifecycle events included — and describes
-/// exactly the run the store holds. The header is tagged
-/// [`TraceKernel::Naive`]: the dynamics loop is interaction-granular
-/// like the naive kernel, and the trace decodes, replays, and
-/// classifies like any other. (Only `pp-trace verify`'s live re-run,
-/// which assumes the complete-graph kernels, does not apply here.)
-fn record_dynamics_trial0(spec: &CellSpec, cell: &MaterializedCell, seed: u64) -> Vec<u8> {
-    let pop = CountPopulation::new(&cell.proto, spec.n);
-    let mut rec = TraceRecorder::for_run(&cell.proto, &pop, seed, TraceKernel::Naive);
-    let outcome = pp_topo::run_dynamics(
-        &cell.proto,
-        spec.n as usize,
-        &spec.dynamics,
-        &cell.criterion,
-        spec.budget,
-        seed,
-        &mut rec,
-    )
-    .unwrap_or_else(|e| panic!("dynamics trace of {} failed: {e}", spec.file_stem()));
-    rec.finish(&outcome.final_counts)
-}
-
-/// Record trial 0 of `spec` and return the sealed trace bytes.
-fn record_trial0(spec: &CellSpec) -> Vec<u8> {
+/// Record trial 0 of `spec` — through the same trial path and seed as
+/// [`crate::exec::run_one_trial`], so the trace describes exactly the
+/// trial the store holds — and return the sealed trace bytes.
+///
+/// The batch kernel fires whole leaps in bulk and so has no
+/// interaction-granular event stream to record. A batch cell's trial 0
+/// is traced on the exact leap kernel instead: a faithful exact
+/// execution of the same cell seed, a diagnostic stand-in rather than a
+/// replay of the stored (bounded-error) batch trial. Cells with
+/// non-default dynamics run pp_topo's agent-based loop, which is
+/// interaction-granular like the naive kernel their header names; the
+/// trace decodes, replays, and classifies like any other. (Only
+/// `pp-trace verify`'s live re-run, which assumes the complete-graph
+/// kernels, does not apply to them.)
+fn record_trial0(spec: &CellSpec) -> Result<Vec<u8>, String> {
     let cell = spec.materialize();
-    let seed = trial0_seed(spec);
-    if !spec.dynamics.is_default() {
-        return record_dynamics_trial0(spec, &cell, seed);
-    }
-    let kernel = match spec.kernel {
-        KernelChoice::Naive => TraceKernel::Naive,
-        KernelChoice::Leap => TraceKernel::Leap,
-        // The batch kernel fires whole leaps in bulk and so has no
-        // interaction-granular event stream to record. Trace trial 0 of a
-        // batch cell on the exact leap kernel instead: the trace is then a
-        // faithful exact execution of the same cell seed, a diagnostic
-        // stand-in rather than a replay of the stored (bounded-error)
-        // batch trial.
-        KernelChoice::Batch => TraceKernel::Leap,
-    };
-    let mut pop = CountPopulation::new(&cell.proto, spec.n);
-    let mut sched = UniformRandomScheduler::from_seed(seed);
-    let mut rec = TraceRecorder::for_run(&cell.proto, &pop, seed, kernel);
-    let sim = Simulator::new(&cell.proto);
-    let outcome = match kernel {
-        TraceKernel::Naive => {
-            sim.run_observed(&mut pop, &mut sched, &cell.criterion, spec.budget, &mut rec)
-        }
-        TraceKernel::Leap => {
-            sim.run_leap_observed(&mut pop, &mut sched, &cell.criterion, spec.budget, &mut rec)
-        }
-    };
-    match outcome {
-        Ok(_) | Err(RunError::InteractionLimit { .. }) => {}
-        Err(e) => panic!("trace trial failed: {e}"),
-    }
-    rec.finish(pop.counts())
+    let kernel = spec.kernel.per_interaction();
+    let initial = CountPopulation::new(&cell.proto, spec.n);
+    let seed = trial_seed(spec, 0);
+    let mut rec =
+        TraceRecorder::for_run(&cell.proto, &initial, seed, TraceKernel::recording(kernel));
+    let outcome = observe_trial(spec, &cell, 0, kernel, &mut rec)?;
+    Ok(rec.finish(&outcome.final_counts))
 }
 
 /// Trace one cell: reuse `<stem>.trace` if present (it is content-addressed
@@ -164,7 +114,7 @@ pub fn trace_cell(spec: &CellSpec, store: &ResultStore) -> Result<CellTrace, Str
     let (bytes, fresh) = match std::fs::read(&path) {
         Ok(b) => (b, false),
         Err(_) => {
-            let b = record_trial0(spec);
+            let b = record_trial0(spec)?;
             pp_trace::cli::write_atomic(&path, &b)
                 .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
             (b, true)
@@ -207,7 +157,7 @@ pub fn trace_matching(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::CriterionKind;
+    use crate::spec::{CellMode, CriterionKind, KernelChoice};
 
     fn temp_store(tag: &str) -> ResultStore {
         let dir = std::env::temp_dir().join(format!("pp_sweep_trace_{tag}_{}", std::process::id()));
@@ -308,7 +258,7 @@ mod tests {
                 &spec.dynamics,
                 &cell.criterion,
                 spec.budget,
-                trial0_seed(&spec),
+                trial_seed(&spec, 0),
                 &mut pp_engine::observer::NullObserver,
             )
             .unwrap();

@@ -9,7 +9,6 @@
 //! - [`Counter`] / [`Gauge`] — single `AtomicU64`s, relaxed ordering.
 //! - [`Histogram`] — 65 fixed log₂ buckets covering all of `u64`;
 //!   [`LocalHistogram`] batches hot-path samples without atomics.
-//! - [`SpanTimer`] — RAII wall-clock spans in microseconds.
 //! - [`Registry`] — named handles; [`global()`] is the process-wide
 //!   instance, tests build their own for isolation.
 //! - [`Snapshot`] — JSONL export/import and a terminal summary table.
@@ -39,10 +38,10 @@ pub mod registry;
 pub use export::{MetricData, MetricSnapshot, Snapshot};
 pub use metrics::{
     bucket_hi, bucket_lo, bucket_of, quantile_from_buckets, Counter, Gauge, Histogram,
-    LocalHistogram, SpanTimer, HISTOGRAM_BUCKETS,
+    LocalHistogram, HISTOGRAM_BUCKETS,
 };
 pub use prom::{to_prometheus, validate_exposition};
-pub use registry::{counter, gauge, global, histogram, span, Entry, Metric, Registry};
+pub use registry::{counter, gauge, global, histogram, Entry, Metric, Registry};
 
 #[cfg(test)]
 mod tests {
@@ -54,15 +53,12 @@ mod tests {
         // series even though the global registry is shared across tests.
         counter("test.lib.events").add(2);
         gauge("test.lib.level").set_max(7);
-        {
-            let _t = span("test.lib.span_micros");
-        }
+        histogram("test.lib.micros").record(3);
         let snap = Snapshot::capture_global();
         assert!(snap.value("test.lib.events").unwrap() >= 2);
         assert!(snap.value("test.lib.level").unwrap() >= 7);
-        let MetricData::Histogram { count, .. } = &snap.get("test.lib.span_micros").unwrap().data
-        else {
-            panic!("span should register a histogram");
+        let MetricData::Histogram { count, .. } = &snap.get("test.lib.micros").unwrap().data else {
+            panic!("histogram should register");
         };
         assert!(*count >= 1);
         let back = Snapshot::from_jsonl(&snap.to_jsonl()).unwrap();

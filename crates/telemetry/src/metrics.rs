@@ -1,5 +1,6 @@
-//! Metric primitives: atomic counters, gauges, log₂-bucketed histograms,
-//! and RAII span timers.
+//! Metric primitives: atomic counters, gauges, and log₂-bucketed
+//! histograms. Timing is pp-obs's job: its spans record
+//! `obs.span.micros{span=…}` into these histograms.
 //!
 //! Everything here is plain `std::sync::atomic` — no locks on the record
 //! path, no allocation after construction, no floats. All exported
@@ -8,7 +9,6 @@
 //! used across the workspace.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Instant;
 
 /// Number of histogram buckets: bucket 0 holds zeros, bucket `b ≥ 1`
 /// holds values in `[2^(b-1), 2^b - 1]`, up to bucket 64 for
@@ -321,48 +321,6 @@ impl LocalHistogram {
     }
 }
 
-/// RAII wall-clock timer: records elapsed microseconds into a histogram
-/// when dropped.
-///
-/// ```
-/// use pp_telemetry::{Histogram, SpanTimer};
-/// use std::sync::Arc;
-///
-/// let hist = Arc::new(Histogram::new());
-/// {
-///     let _span = SpanTimer::new(Arc::clone(&hist));
-///     // ... timed work ...
-/// }
-/// assert_eq!(hist.count(), 1);
-/// ```
-#[derive(Debug)]
-pub struct SpanTimer {
-    hist: std::sync::Arc<Histogram>,
-    start: Instant,
-}
-
-impl SpanTimer {
-    /// Start timing; the sample lands in `hist` on drop.
-    pub fn new(hist: std::sync::Arc<Histogram>) -> Self {
-        SpanTimer {
-            hist,
-            start: Instant::now(),
-        }
-    }
-
-    /// Microseconds elapsed so far (the value that will be recorded).
-    pub fn elapsed_micros(&self) -> u64 {
-        self.start.elapsed().as_micros().min(u128::from(u64::MAX)) as u64
-    }
-}
-
-impl Drop for SpanTimer {
-    fn drop(&mut self) {
-        let elapsed = self.elapsed_micros();
-        self.hist.record(elapsed);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -483,18 +441,6 @@ mod tests {
         assert_eq!(g.get(), 20);
         g.set(3);
         assert_eq!(g.get(), 3);
-    }
-
-    #[test]
-    fn span_timer_records_on_drop() {
-        let h = Arc::new(Histogram::new());
-        {
-            let t = SpanTimer::new(Arc::clone(&h));
-            std::thread::sleep(std::time::Duration::from_millis(2));
-            assert!(t.elapsed_micros() >= 1000);
-        }
-        assert_eq!(h.count(), 1);
-        assert!(h.max() >= 1000, "slept 2ms, recorded {}µs", h.max());
     }
 
     #[test]

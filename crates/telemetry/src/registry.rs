@@ -205,11 +205,6 @@ pub fn histogram(name: &str) -> Arc<Histogram> {
     global().histogram(name)
 }
 
-/// Shorthand: RAII timer recording into a global-registry histogram.
-pub fn span(name: &str) -> crate::metrics::SpanTimer {
-    crate::metrics::SpanTimer::new(histogram(name))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

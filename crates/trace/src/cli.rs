@@ -1,7 +1,7 @@
 //! The `pp-trace` command-line interface.
 //!
 //! ```text
-//! pp-trace record --k K --n N --seed S [--kernel naive|leap] [--budget B] --out FILE
+//! pp-trace record --k K --n N --seed S [--kernel naive|leap|batch] [--budget B] --out FILE
 //! pp-trace info FILE            header + size summary
 //! pp-trace events FILE [--limit L]   lifecycle events + per-rule firings
 //! pp-trace replay FILE [--at STEP]   deterministic replay (and config at a step)
@@ -10,13 +10,16 @@
 //! ```
 //!
 //! `record` honours the `PP_KERNEL` knob when `--kernel` is not given
-//! (`auto` resolves to the leap kernel, like the analysis runner does
-//! for count populations).
+//! (`auto` resolves to the leap kernel, the default). The batch kernel
+//! reports tau-leaps only in bulk, so a batch request records on its
+//! stand-in, the exact leap kernel — as `pp-sweep run --trace` does —
+//! and the header says `leap`.
 
 use crate::classify::{check_lemma1, classify, Event, Lemma1Report};
 use crate::format::{TraceError, TraceKernel};
 use crate::live::{record_kpartition, verify_against_live};
 use crate::replay::Trace;
+use pp_engine::simulator::Kernel;
 use std::path::Path;
 
 /// Entry point; returns the process exit code.
@@ -56,7 +59,7 @@ fn print_usage() {
         "pp-trace: record, replay, and diagnose population-protocol executions
 
 usage:
-  pp-trace record --k K --n N --seed S [--kernel naive|leap] [--budget B] --out FILE
+  pp-trace record --k K --n N --seed S [--kernel naive|leap|batch] [--budget B] --out FILE
   pp-trace info FILE
   pp-trace events FILE [--limit L]
   pp-trace replay FILE [--at STEP]
@@ -102,15 +105,23 @@ fn parse_u64(opts: &[(String, String)], name: &str) -> Result<Option<u64>, Strin
         .transpose()
 }
 
+/// The kernel `record` runs on: `--kernel`, else the `PP_KERNEL` knob.
 fn kernel_from(opts: &[(String, String)]) -> Result<TraceKernel, String> {
     let chosen = opt(opts, "kernel")
         .map(str::to_string)
         .or_else(|| std::env::var("PP_KERNEL").ok());
-    match chosen.as_deref().map(str::to_ascii_lowercase).as_deref() {
-        Some("naive") => Ok(TraceKernel::Naive),
-        Some("leap") | Some("auto") | None => Ok(TraceKernel::Leap),
-        Some(other) => Err(format!("unknown kernel `{other}` (naive|leap)")),
-    }
+    resolve_kernel(chosen.as_deref())
+}
+
+/// Resolve a kernel name (case-insensitive; absent or `auto` means leap)
+/// to the trace kernel that records it.
+fn resolve_kernel(name: Option<&str>) -> Result<TraceKernel, String> {
+    let kernel = match name.unwrap_or("auto").to_ascii_lowercase().as_str() {
+        "auto" => Kernel::Leap,
+        name => Kernel::parse(name)
+            .ok_or_else(|| format!("unknown kernel `{name}` (naive|leap|batch|auto)"))?,
+    };
+    Ok(TraceKernel::recording(kernel))
 }
 
 fn load(path: &str) -> Result<Trace, String> {
@@ -327,6 +338,17 @@ mod tests {
     }
 
     #[test]
+    fn kernel_names_resolve_to_their_recording_kernel() {
+        assert_eq!(resolve_kernel(Some("naive")), Ok(TraceKernel::Naive));
+        assert_eq!(resolve_kernel(Some("leap")), Ok(TraceKernel::Leap));
+        assert_eq!(resolve_kernel(Some("batch")), Ok(TraceKernel::Leap));
+        assert_eq!(resolve_kernel(Some("BATCH")), Ok(TraceKernel::Leap));
+        assert_eq!(resolve_kernel(Some("auto")), Ok(TraceKernel::Leap));
+        assert_eq!(resolve_kernel(None), Ok(TraceKernel::Leap));
+        assert!(resolve_kernel(Some("fleet")).is_err());
+    }
+
+    #[test]
     fn record_verify_lemma1_end_to_end() {
         let dir = std::env::temp_dir().join("pp-trace-cli-test");
         let path = dir.join("cell.trace");
@@ -343,6 +365,26 @@ mod tests {
             let args = vec![cmd.to_string(), path.to_string_lossy().into_owned()];
             assert_eq!(main_with_args(&args), 0, "pp-trace {cmd} failed");
         }
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn batch_records_on_the_leap_stand_in() {
+        let dir = std::env::temp_dir().join("pp-trace-cli-test");
+        let path = dir.join("batch.trace");
+        let _ = std::fs::remove_file(&path);
+        let args: Vec<String> = [
+            "record", "--k", "3", "--n", "9", "--seed", "1", "--kernel", "batch", "--out",
+        ]
+        .iter()
+        .map(|s| s.to_string())
+        .chain([path.to_string_lossy().into_owned()])
+        .collect();
+        assert_eq!(main_with_args(&args), 0);
+        let trace = load(&path.to_string_lossy()).unwrap();
+        assert_eq!(trace.header.kernel, TraceKernel::Leap);
+        let args = vec!["verify".to_string(), path.to_string_lossy().into_owned()];
+        assert_eq!(main_with_args(&args), 0);
         let _ = std::fs::remove_file(&path);
     }
 }

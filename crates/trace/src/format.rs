@@ -30,6 +30,7 @@
 //! than a recoverable prefix.
 
 use pp_engine::observer::LifecycleKind;
+use pp_engine::simulator::Kernel;
 use std::fmt;
 
 /// Magic bytes opening every trace file (format version 1).
@@ -45,7 +46,9 @@ pub const TAG_FOOTER: u64 = 2;
 /// layer between interactions.
 pub const TAG_LIFECYCLE: u64 = 3;
 
-/// Which simulation kernel produced a trace.
+/// Which simulation kernel produced a trace: the wire tag of the
+/// kernels that report every interaction. A batch-kernel run is
+/// recorded on its stand-in ([`TraceKernel::recording`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TraceKernel {
     /// One interaction per loop iteration (`Simulator::run`).
@@ -55,6 +58,16 @@ pub enum TraceKernel {
 }
 
 impl TraceKernel {
+    /// The trace kernel that records a run of `kernel`: the kernel
+    /// itself, or for the batch kernel its
+    /// [per-interaction stand-in](Kernel::per_interaction).
+    pub fn recording(kernel: Kernel) -> TraceKernel {
+        match kernel.per_interaction() {
+            Kernel::Naive => TraceKernel::Naive,
+            _ => TraceKernel::Leap,
+        }
+    }
+
     /// Wire encoding of the kernel tag.
     pub fn code(self) -> u64 {
         match self {
@@ -72,11 +85,17 @@ impl TraceKernel {
         }
     }
 
-    /// Lower-case name, as used by the `PP_KERNEL` knob.
+    /// The kernel's [name](Kernel::name).
     pub fn name(self) -> &'static str {
-        match self {
-            TraceKernel::Naive => "naive",
-            TraceKernel::Leap => "leap",
+        Kernel::from(self).name()
+    }
+}
+
+impl From<TraceKernel> for Kernel {
+    fn from(k: TraceKernel) -> Kernel {
+        match k {
+            TraceKernel::Naive => Kernel::Naive,
+            TraceKernel::Leap => Kernel::Leap,
         }
     }
 }

@@ -756,40 +756,4 @@ mod tests {
         assert_eq!(g.to_counts(0), vec![2, 1]);
         assert_eq!(g.population_size(), 3);
     }
-
-    /// Exploration and SCC analysis accrue into the global telemetry
-    /// registry — deltas only, since other tests share the registry.
-    #[test]
-    fn telemetry_counts_explorations_and_sccs() {
-        let snap = |name: &str| {
-            pp_telemetry::Snapshot::capture_global()
-                .value(name)
-                .unwrap_or(0)
-        };
-        let explorations0 = snap("verify.explorations");
-        let configs0 = snap("verify.configs_explored");
-        let sccs0 = snap("verify.sccs");
-        let terminals0 = snap("verify.terminal_sccs");
-
-        let p = epidemic();
-        let g = ConfigGraph::explore_from(&p, vec![4, 1], 1000).unwrap();
-        let t = g.terminal_sccs();
-        assert_eq!(t.len(), 1);
-
-        assert_eq!(snap("verify.explorations"), explorations0 + 1);
-        // The epidemic chain has 5 reachable configurations, each its own
-        // SCC (all transitions strictly increase the infected count).
-        assert_eq!(snap("verify.configs_explored"), configs0 + 5);
-        assert_eq!(snap("verify.sccs"), sccs0 + 5);
-        assert_eq!(snap("verify.terminal_sccs"), terminals0 + 1);
-        assert!(snap("verify.frontier_peak") >= 1);
-
-        // The budget-abort path still flushes its partial tally.
-        let before_abort = snap("verify.configs_explored");
-        let Err(err) = ConfigGraph::explore_from(&p, vec![4, 1], 2) else {
-            panic!("budget of 2 must abort a 5-config space");
-        };
-        assert_eq!(err, ExploreError::TooManyConfigs { limit: 2 });
-        assert!(snap("verify.configs_explored") >= before_abort + 2);
-    }
 }

@@ -2,18 +2,35 @@
 //! on random executions with measurable probability, while the full
 //! protocol succeeds on every one — the quantitative form of §3.2.
 
-use pp_analysis::runner::{run_trials_full, TrialConfig};
+use pp_analysis::runner::{run_trials_with, TrialConfig, TrialOutcome};
+use pp_engine::observer::NullObserver;
 use pp_engine::population::{CountPopulation, Population};
-use pp_engine::stability::Silent;
+use pp_engine::stability::{Silent, StabilityCriterion};
+use pp_engine::Kernel;
 use uniform_k_partition::prelude::*;
 use uniform_k_partition::protocols::kpartition::ablation::BasicStrategyKPartition;
+
+/// Every trial's outcome, final configuration included, on the leap
+/// kernel.
+fn full_outcomes<C: StabilityCriterion + Sync>(
+    proto: &CompiledProtocol,
+    n: u64,
+    criterion: &C,
+    cfg: TrialConfig,
+) -> Vec<TrialOutcome> {
+    run_trials_with(proto, n, criterion, cfg, Kernel::Leap, || NullObserver)
+        .expect("no trial fails")
+        .into_iter()
+        .map(|(outcome, _)| outcome)
+        .collect()
+}
 
 #[test]
 fn basic_strategy_deadlocks_with_positive_probability() {
     let bp = BasicStrategyKPartition::new(4);
     let proto = bp.compile();
     let n = 12u64;
-    let outcomes = run_trials_full(
+    let outcomes = full_outcomes(
         &proto,
         n,
         &Silent,
@@ -53,7 +70,7 @@ fn full_protocol_never_deadlocks_on_same_cells() {
     for (k, n) in [(4usize, 12u64), (5, 20), (6, 24)] {
         let kp = UniformKPartition::new(k);
         let proto = kp.compile();
-        let outcomes = run_trials_full(
+        let outcomes = full_outcomes(
             &proto,
             n,
             &kp.stable_signature(n),
@@ -85,7 +102,7 @@ fn ablation_costs_are_comparable() {
     let kp = UniformKPartition::new(4);
     let full = {
         let proto = kp.compile();
-        let out = run_trials_full(
+        let out = full_outcomes(
             &proto,
             12,
             &kp.stable_signature(12),
@@ -100,7 +117,7 @@ fn ablation_costs_are_comparable() {
     let bp = BasicStrategyKPartition::new(4);
     let basic = {
         let proto = bp.compile();
-        let out = run_trials_full(
+        let out = full_outcomes(
             &proto,
             12,
             &Silent,

@@ -12,8 +12,8 @@ use pp_analysis::fit;
 fn cost_grows_quickly_in_k() {
     let n = 120u64;
     let trials = 12;
-    let mean3 = kpartition_cell(3, n, trials, 7).summary().mean;
-    let mean6 = kpartition_cell(6, n, trials, 7).summary().mean;
+    let mean3 = kpartition_cell(3, n, trials, 7).unwrap().summary().mean;
+    let mean6 = kpartition_cell(6, n, trials, 7).unwrap().summary().mean;
     assert!(
         mean6 > 2.0 * mean3,
         "k=6 ({mean6}) should cost well over 2x k=3 ({mean3})"
@@ -30,7 +30,12 @@ fn cost_superlinear_subexponential_in_n() {
     let ns = [60u64, 120, 240, 480];
     let pts: Vec<(f64, f64)> = ns
         .iter()
-        .map(|&n| (n as f64, kpartition_cell(4, n, trials, 11).summary().mean))
+        .map(|&n| {
+            (
+                n as f64,
+                kpartition_cell(4, n, trials, 11).unwrap().summary().mean,
+            )
+        })
         .collect();
     let (b, r2) = fit::power_law_exponent(&pts);
     assert!(b > 1.1, "expected superlinear growth, got exponent {b}");
@@ -47,7 +52,7 @@ fn cost_superlinear_subexponential_in_n() {
 fn final_grouping_dominates() {
     let k = 4usize;
     let n = 24u64; // c·k with c = 6
-    let cell = kpartition_grouping_cell(k, n, 16, 3);
+    let cell = kpartition_grouping_cell(k, n, 16, 3).unwrap();
     let first = cell.breakdown.increments.first().unwrap().mean;
     let last = cell.breakdown.increments.last().unwrap().mean;
     assert!(
@@ -64,8 +69,8 @@ fn final_grouping_dominates() {
 #[test]
 fn remainder_effect_visible() {
     let trials = 24;
-    let just_past = kpartition_cell(4, 25, trials, 19).summary().mean;
-    let just_before = kpartition_cell(4, 23, trials, 19).summary().mean;
+    let just_past = kpartition_cell(4, 25, trials, 19).unwrap().summary().mean;
+    let just_before = kpartition_cell(4, 23, trials, 19).unwrap().summary().mean;
     assert!(
         just_past > just_before,
         "n=25 (r=1, {just_past}) should cost more than n=23 (r=3, {just_before})"
