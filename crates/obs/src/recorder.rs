@@ -1,13 +1,18 @@
 //! The flight recorder: a fixed-size, lock-free ring of recent records.
 //!
 //! Each write claims one global index with a single `fetch_add` and then
-//! publishes into slot `index % capacity` under a per-slot seqlock, so a
-//! write is O(1) atomic stores and never blocks another writer or a
-//! reader. Readers ([`FlightRecorder::snapshot`]) never block writers
-//! either: a slot caught mid-write fails its sequence re-check and is
-//! skipped. The ring therefore always holds (a consistent view of) the
-//! most recent `capacity` records, which is exactly the "what just
-//! happened" evidence wanted after a panic or SIGTERM.
+//! publishes into slot `index % capacity` under a per-slot seqlock. The
+//! slot is claimed with a `compare_exchange` from a published sequence
+//! older than the write's own, so two writes never fill one slot at once.
+//! A write that finds a newer write in its slot (it fell a whole lap
+//! behind) drops its record. A write that finds an older write still in
+//! progress waits for it; that happens only after `capacity` writes have
+//! raced past a stalled one.
+//! Readers ([`FlightRecorder::snapshot`]) never block writers: a slot
+//! caught mid-write fails its sequence re-check and is skipped. The ring
+//! therefore always holds (a consistent view of) the most recent
+//! `capacity` records, which is exactly the "what just happened" evidence
+//! wanted after a panic or SIGTERM.
 //!
 //! The only lock in the module guards the name/label interner, taken when
 //! a record is written (names come from a small fixed set, labels from
@@ -242,23 +247,65 @@ impl FlightRecorder {
             (interner.intern(name), interner.intern(label))
         };
         let index = self.next.fetch_add(1, Ordering::Relaxed);
+        self.publish(index, |slot| {
+            slot.kind.store(kind.code(), Ordering::Relaxed);
+            slot.id.store(id, Ordering::Relaxed);
+            slot.parent.store(parent, Ordering::Relaxed);
+            slot.name.store(name_idx, Ordering::Relaxed);
+            slot.label.store(label_idx, Ordering::Relaxed);
+            slot.start.store(start_micros, Ordering::Relaxed);
+            slot.end.store(end_micros, Ordering::Relaxed);
+            slot.value.store(value, Ordering::Relaxed);
+        });
+    }
+
+    /// Publish write `index` into slot `index % capacity` under the
+    /// seqlock, `fill` storing the fields (Relaxed). Returns false, having
+    /// written nothing, when a newer write owns the slot.
+    fn publish(&self, index: u64, fill: impl FnOnce(&Slot)) -> bool {
         let slot = &self.slots[(index % self.slots.len() as u64) as usize];
-        // Per-slot seqlock publish: mark the slot as mid-write, store the
-        // fields, then publish with the even sequence. The release fence
-        // orders the odd mark before the field stores, so a reader that
-        // observes any new field and then re-reads the sequence is
-        // guaranteed to see the odd mark (or a later value) and discard.
-        slot.seq.store(2 * index + 1, Ordering::Relaxed);
+        let writing = 2 * index + 1;
+        // Claim the slot: move it from a published (even) sequence older
+        // than ours to our odd mark. The claim's Acquire pairs with the
+        // previous writer's Release publish, so that writer's field
+        // stores happen before ours and cannot land on top of them.
+        let mut seq = slot.seq.load(Ordering::Relaxed);
+        let mut spins = 0u32;
+        loop {
+            if seq > writing {
+                // A newer write owns or has published the slot.
+                return false;
+            }
+            if seq % 2 == 1 {
+                // An older write, a lap behind, is mid-write: wait.
+                if spins < 64 {
+                    std::hint::spin_loop();
+                    spins += 1;
+                } else {
+                    std::thread::yield_now();
+                }
+                seq = slot.seq.load(Ordering::Relaxed);
+                continue;
+            }
+            match slot
+                .seq
+                .compare_exchange_weak(seq, writing, Ordering::Acquire, Ordering::Relaxed)
+            {
+                Ok(_) => break,
+                Err(current) => seq = current,
+            }
+        }
+        // Seqlock publish: the odd mark is in place; store the fields,
+        // then publish the even sequence with Release, which pairs with
+        // the reader's Acquire load of it. The release fence orders the
+        // odd mark before the field stores and pairs with the reader's
+        // acquire fence: a reader that observes any new field and then
+        // re-reads the sequence is guaranteed to see the odd mark (or a
+        // later value) and discard.
         fence(Ordering::Release);
-        slot.kind.store(kind.code(), Ordering::Relaxed);
-        slot.id.store(id, Ordering::Relaxed);
-        slot.parent.store(parent, Ordering::Relaxed);
-        slot.name.store(name_idx, Ordering::Relaxed);
-        slot.label.store(label_idx, Ordering::Relaxed);
-        slot.start.store(start_micros, Ordering::Relaxed);
-        slot.end.store(end_micros, Ordering::Relaxed);
-        slot.value.store(value, Ordering::Relaxed);
-        slot.seq.store(2 * index + 2, Ordering::Release);
+        fill(slot);
+        slot.seq.store(writing + 1, Ordering::Release);
+        true
     }
 
     /// Consistent snapshot of every published record, oldest first.
@@ -266,9 +313,8 @@ impl FlightRecorder {
     /// Non-destructive: the ring keeps recording. Slots caught mid-write
     /// (or overwritten between the two sequence reads) are skipped.
     pub fn snapshot(&self) -> Vec<Record> {
-        let names: Vec<String> = self.interner.lock().unwrap().names.clone();
-        let resolve = |idx: u64| -> String { names.get(idx as usize).cloned().unwrap_or_default() };
-        let mut out = Vec::new();
+        // (record, name index, label index); strings resolved below.
+        let mut raw = Vec::new();
         for slot in self.slots.iter() {
             let seq1 = slot.seq.load(Ordering::Acquire);
             if seq1 == EMPTY || seq1 % 2 == 1 {
@@ -292,18 +338,36 @@ impl FlightRecorder {
             let Some(kind) = RecordKind::from_code(kind) else {
                 continue;
             };
-            out.push(Record {
+            let record = Record {
                 seq: (seq1 - 2) / 2,
                 kind,
                 id,
                 parent,
-                name: resolve(name),
-                label: resolve(label),
+                name: String::new(),
+                label: String::new(),
                 start_micros: start,
                 end_micros: end,
                 value,
-            });
+            };
+            raw.push((record, name, label));
         }
+        // A writer interns its strings before it publishes its slot, so a
+        // table cloned after reading the slots resolves every index read.
+        let names: Vec<String> = self
+            .interner
+            .lock()
+            .expect("interner lock poisoned by a panicking writer")
+            .names
+            .clone();
+        let resolve = |idx: u64| -> String { names.get(idx as usize).cloned().unwrap_or_default() };
+        let mut out: Vec<Record> = raw
+            .into_iter()
+            .map(|(mut record, name, label)| {
+                record.name = resolve(name);
+                record.label = resolve(label);
+                record
+            })
+            .collect();
         out.sort_by_key(|r| r.seq);
         out
     }
@@ -419,6 +483,32 @@ mod tests {
             vec![7, 8, 9, 10]
         );
         assert_eq!(rec.written(), 11);
+    }
+
+    /// A write that fell a lap behind finds its slot already holding a
+    /// newer record and drops its own instead of overwriting it.
+    #[test]
+    fn a_write_a_lap_behind_keeps_the_newer_record() {
+        let rec = FlightRecorder::with_capacity(4);
+        let event = |value: u64| {
+            move |slot: &Slot| {
+                slot.kind.store(RecordKind::Event.code(), Ordering::Relaxed);
+                slot.value.store(value, Ordering::Relaxed);
+            }
+        };
+        // Writes 1 and 5 share slot 1; write 5 publishes first.
+        assert!(rec.publish(5, event(5)));
+        assert!(!rec.publish(1, event(1)));
+        let snap = rec.snapshot();
+        assert_eq!(
+            snap.iter().map(|r| (r.seq, r.value)).collect::<Vec<_>>(),
+            vec![(5, 5)]
+        );
+        // An older write published first is overwritten as usual.
+        assert!(rec.publish(2, event(2)));
+        assert!(rec.publish(6, event(6)));
+        let seqs: Vec<u64> = rec.snapshot().iter().map(|r| r.seq).collect();
+        assert_eq!(seqs, vec![5, 6]);
     }
 
     #[test]

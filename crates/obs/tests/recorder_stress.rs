@@ -6,7 +6,7 @@
 use pp_obs::{FlightRecorder, RecordKind};
 use pp_telemetry::json::Value;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 
 #[test]
 fn concurrent_writers_vs_drain_yields_consistent_snapshots() {
@@ -14,11 +14,16 @@ fn concurrent_writers_vs_drain_yields_consistent_snapshots() {
     let stop = Arc::new(AtomicBool::new(false));
     let writers = 4;
     let per_writer = 2_000u64;
+    // Writers start after the drainer's first snapshot, so the drainer
+    // drains at least once however the threads are scheduled.
+    let start = Arc::new(Barrier::new(writers as usize + 1));
     std::thread::scope(|scope| {
         let mut handles = Vec::new();
         for w in 0..writers {
             let rec = Arc::clone(&rec);
+            let start = Arc::clone(&start);
             handles.push(scope.spawn(move || {
+                start.wait();
                 for i in 0..per_writer {
                     // Payload encodes (writer, i) so a torn slot that
                     // slipped past the seqlock would be detectable.
@@ -38,6 +43,7 @@ fn concurrent_writers_vs_drain_yields_consistent_snapshots() {
         let drainer = {
             let rec = Arc::clone(&rec);
             let stop = Arc::clone(&stop);
+            let start = Arc::clone(&start);
             scope.spawn(move || {
                 let mut drains = 0u64;
                 while !stop.load(Ordering::Relaxed) {
@@ -53,6 +59,9 @@ fn concurrent_writers_vs_drain_yields_consistent_snapshots() {
                         assert_eq!(r.start_micros, r.value % per_writer);
                     }
                     drains += 1;
+                    if drains == 1 {
+                        start.wait();
+                    }
                 }
                 drains
             })

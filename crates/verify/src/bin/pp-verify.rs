@@ -26,8 +26,11 @@
 //! Budgets: `--max-configs` bounds one exploration (the cell is
 //! censored past it), `--wall-budget-secs` bounds the whole report
 //! (remaining ladder rungs are censored), and `--hitting-cap` bounds
-//! the graphs on which the Gauss–Seidel hitting-time solve is
-//! attempted (bigger graphs simply omit the gap fields).
+//! the graphs on which the hitting-time solve is attempted. A
+//! non-censored cell without the gap fields says why in `gap_omitted`:
+//! `"hitting_cap"`, or the solver's error kind
+//! ([`HittingError::kind`](pp_verify::hitting::HittingError::kind)) when
+//! the shortest schedule or the solve failed.
 
 #![forbid(unsafe_code)]
 #![deny(clippy::dbg_macro, clippy::todo)]
@@ -36,8 +39,8 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use pp_protocols::kpartition::UniformKPartition;
-use pp_verify::hitting::{expected_interactions, SolverOptions};
-use pp_verify::{ConfigGraph, ExploreError};
+use pp_verify::hitting::{expected_interactions, HittingError, SolverOptions};
+use pp_verify::ConfigGraph;
 
 fn usage() -> ! {
     eprintln!(
@@ -87,7 +90,13 @@ fn parse_opts(args: &[String]) -> Opts {
         };
         match flag.as_str() {
             "--k-max" => opts.k_max = parse_num("--k-max", val("--k-max")) as usize,
-            "--n-cap" => opts.n_cap = parse_num("--n-cap", val("--n-cap")),
+            "--n-cap" => {
+                opts.n_cap = parse_num("--n-cap", val("--n-cap"));
+                if u32::try_from(opts.n_cap).is_err() {
+                    eprintln!("--n-cap: at most {} agents", u32::MAX);
+                    usage()
+                }
+            }
             "--max-configs" => {
                 opts.max_configs = parse_num("--max-configs", val("--max-configs")) as usize
             }
@@ -124,6 +133,9 @@ struct Cell {
     /// (shortest stabilising schedule, exact E[interactions] under the
     /// uniform random scheduler, their rounded ratio).
     gap: Option<(u64, u64, u64)>,
+    /// Why a non-censored cell has no gap: `"hitting_cap"` or the
+    /// solver's error kind.
+    gap_omitted: Option<&'static str>,
 }
 
 /// Checked-envelope row: how far the ladder got for one `k`.
@@ -139,6 +151,9 @@ fn cell_json(c: &Cell) -> String {
     let mut s = format!("{{\"censored\":{},\"configs\":{}", c.censored, c.configs);
     if let Some((_, expected, _)) = c.gap {
         s.push_str(&format!(",\"expected_interactions\":{expected}"));
+    }
+    if let Some(why) = c.gap_omitted {
+        s.push_str(&format!(",\"gap_omitted\":\"{why}\""));
     }
     s.push_str(&format!(",\"k\":{},\"micros\":{}", c.k, c.micros));
     if let Some((min, _, _)) = c.gap {
@@ -201,7 +216,8 @@ fn verify_cell(kp: &UniformKPartition, n: u64, opts: &Opts) -> Cell {
     let t0 = Instant::now();
     let graph = match ConfigGraph::explore(&proto, n, opts.max_configs) {
         Ok(g) => g,
-        Err(ExploreError::TooManyConfigs { .. }) => {
+        // `--n-cap` fits u32 counts, so the budget is the only error.
+        Err(_) => {
             return Cell {
                 k,
                 n,
@@ -211,15 +227,19 @@ fn verify_cell(kp: &UniformKPartition, n: u64, opts: &Opts) -> Cell {
                 censored: true,
                 verified: false,
                 gap: None,
+                gap_omitted: None,
             };
         }
     };
     let expected = kp.expected_group_sizes(n);
     let report = graph.verify_stable_partition(|groups| groups == expected);
-    let gap = if graph.num_configs() <= opts.hitting_cap {
-        scheduler_gap(kp, &graph, n)
+    let (gap, gap_omitted) = if graph.num_configs() > opts.hitting_cap {
+        (None, Some("hitting_cap"))
     } else {
-        None
+        match scheduler_gap(kp, &graph, n) {
+            Ok(gap) => (Some(gap), None),
+            Err(e) => (None, Some(e.kind())),
+        }
     };
     Cell {
         k,
@@ -230,6 +250,7 @@ fn verify_cell(kp: &UniformKPartition, n: u64, opts: &Opts) -> Cell {
         censored: false,
         verified: report.verified(),
         gap,
+        gap_omitted,
     }
 }
 
@@ -239,17 +260,21 @@ fn scheduler_gap(
     kp: &UniformKPartition,
     graph: &ConfigGraph<'_>,
     n: u64,
-) -> Option<(u64, u64, u64)> {
+) -> Result<(u64, u64, u64), HittingError> {
     let sig = kp.stable_signature(n);
     let stable = |cfg: &[u32]| {
         let counts: Vec<u64> = cfg.iter().map(|&c| u64::from(c)).collect();
         sig.matches(&counts)
     };
-    let optimal = graph.min_interactions_to(stable)?;
-    let exact = expected_interactions(graph, stable, SolverOptions::default()).ok()?;
+    // The graph holds exactly the configurations reachable from its
+    // root, so no shortest schedule means no stable configuration.
+    let optimal = graph
+        .min_interactions_to(stable)
+        .ok_or(HittingError::NoStableConfigs)?;
+    let exact = expected_interactions(graph, stable, SolverOptions::default())?;
     let expected = exact.expected_from_initial.round() as u64;
     let speedup = (exact.expected_from_initial / optimal.max(1) as f64).round() as u64;
-    Some((optimal, expected, speedup))
+    Ok((optimal, expected, speedup))
 }
 
 fn run_report(opts: &Opts) -> ExitCode {
@@ -283,9 +308,10 @@ fn run_report(opts: &Opts) -> ExitCode {
                 } else {
                     ", VERIFICATION FAILED"
                 },
-                match cell.gap {
-                    Some((min, exp, gap)) => format!(", scheduler gap {exp}/{min} = {gap}×"),
-                    None => String::new(),
+                match (cell.gap, cell.gap_omitted) {
+                    (Some((min, exp, gap)), _) => format!(", scheduler gap {exp}/{min} = {gap}×"),
+                    (None, Some(why)) => format!(", no scheduler gap ({why})"),
+                    (None, None) => String::new(),
                 },
             );
             let censored = cell.censored;
@@ -387,6 +413,7 @@ mod tests {
             censored: false,
             verified: true,
             gap: Some((4, 9, 2)),
+            gap_omitted: None,
         };
         assert_eq!(
             cell_json(&cell),
@@ -406,5 +433,39 @@ mod tests {
         assert!(json.contains("\"configs_total\":10"));
         assert!(json.contains("\"envelope\":[{\"censored\":false,\"k\":2,\"n_max\":4}]"));
         assert!(json.ends_with("\"micros\":456}"));
+
+        // A verified cell over the hitting cap says why it has no gap,
+        // with the reason in its alphabetical place.
+        let capped = Cell {
+            k: 4,
+            n: 28,
+            configs: 20115,
+            terminal_sccs: 1,
+            micros: 789,
+            censored: false,
+            verified: true,
+            gap: None,
+            gap_omitted: Some("hitting_cap"),
+        };
+        assert_eq!(
+            cell_json(&capped),
+            "{\"censored\":false,\"configs\":20115,\"gap_omitted\":\"hitting_cap\",\
+             \"k\":4,\"micros\":789,\"n\":28,\"terminal_sccs\":1,\"verified\":true}"
+        );
+    }
+
+    #[test]
+    fn gap_omission_names_its_reason() {
+        let kp = UniformKPartition::new(3);
+        let opts = Opts {
+            hitting_cap: 3,
+            ..Opts::default()
+        };
+        let cell = verify_cell(&kp, 6, &opts);
+        assert!(cell.verified && cell.gap.is_none());
+        assert_eq!(cell.gap_omitted, Some("hitting_cap"));
+        let cell = verify_cell(&kp, 6, &Opts::default());
+        assert!(cell.gap.is_some());
+        assert_eq!(cell.gap_omitted, None);
     }
 }

@@ -13,17 +13,40 @@
 //! ```
 //!
 //! where identity interactions contribute a self-loop `P(c → c)`. The
-//! solver runs Gauss–Seidel sweeps with the self-loop factored out
-//! analytically (`T(c) = (1 + Σ_{c'≠c} P·T(c')) / (1 − P_self)`), which
-//! converges geometrically for absorbing chains.
+//! graph's integer edge weights `w` (ordered agent pairs per edge) give
+//! the same equations with the self-loop factored out analytically:
+//!
+//! ```text
+//! T(c) = (n(n − 1) + Σ_{c' ≠ c} w(c → c') · T(c')) / Σ_{c' ≠ c} w(c → c')
+//! ```
+//!
+//! **Solve order.** The solver works through the strongly connected
+//! components of the configuration graph in the order Tarjan's algorithm
+//! emits them, sinks first, so every edge that leaves a block points to a
+//! block already solved. A single-configuration block needs one update
+//! (its self-edges are factored out). A larger block runs Gauss–Seidel
+//! passes, visiting its configurations in order of backward-BFS distance
+//! to the stable set (the same BFS proves the stable set reachable).
+//! Once the contraction between passes has settled, the block jumps to
+//! the limit of its slowest mode (Aitken extrapolation, at most once per
+//! tenfold drop of the update). It stops once a pass moves no value by
+//! `tolerance` (relative) and the error left, estimated from the last
+//! update and the contraction, is below `tolerance` divided by the number
+//! of such blocks, since the errors of the blocks on a path add up. A
+//! whole-graph Gauss–Seidel loop over every non-stable configuration then
+//! runs until one full sweep moves no value by `tolerance`: that is the
+//! stopping rule [`SolverOptions`] documents. [`HittingTime::sweeps`]
+//! counts the slowest block's passes plus the whole-graph sweeps, so an
+//! all-stable graph takes one sweep. The graph's SCC pass runs once per
+//! solve and counts into `verify.sccs`.
 //!
 //! This gives an *exact* (up to solver tolerance) reference value for the
 //! paper's §5 metric, against which the simulation harness is
 //! cross-validated in `exact_vs_sim` and the test suite.
 
 use crate::ConfigGraph;
-use pp_engine::protocol::StateId;
-use std::collections::HashMap;
+use std::collections::VecDeque;
+use std::ops::Range;
 
 /// Result of an exact hitting-time computation.
 #[derive(Clone, Debug)]
@@ -34,7 +57,8 @@ pub struct HittingTime {
     /// Expected interactions from every configuration (indexed by
     /// configuration id; 0 for stable configurations).
     pub expected: Vec<f64>,
-    /// Gauss–Seidel sweeps performed.
+    /// Gauss–Seidel passes: the slowest SCC block's plus the whole-graph
+    /// sweeps (see the [module docs](self)).
     pub sweeps: usize,
     /// Final maximum relative update (convergence residual).
     pub residual: f64,
@@ -44,7 +68,7 @@ pub struct HittingTime {
 ///
 /// The second moment satisfies its own first-step equations
 /// `M₂(c) = Σ P(c→c')·E[(1 + T_{c'})²] = 1 + 2·Σ P·T(c') + Σ P·M₂(c')`,
-/// solved by the same Gauss–Seidel machinery once `T` is known. The
+/// solved by the same block-ordered Gauss–Seidel once `T` is known. The
 /// standard deviation lets `exact_vs_sim` check the simulator's *spread*,
 /// not just its mean.
 #[derive(Clone, Debug)]
@@ -70,6 +94,25 @@ pub enum HittingError {
         /// Residual at the last sweep.
         residual: f64,
     },
+    /// Fewer than two agents: no interaction can ever happen, so the
+    /// scheduler is undefined.
+    TooFewAgents {
+        /// The graph's population size.
+        n: u64,
+    },
+}
+
+impl HittingError {
+    /// A stable snake-case name for the variant, for machine-readable
+    /// reports (e.g. `BENCH_verify.json`'s `gap_omitted`).
+    pub fn kind(&self) -> &'static str {
+        match self {
+            HittingError::NoStableConfigs => "no_stable_configs",
+            HittingError::StableSetUnreachable(_) => "stable_set_unreachable",
+            HittingError::NotConverged { .. } => "not_converged",
+            HittingError::TooFewAgents { .. } => "too_few_agents",
+        }
+    }
 }
 
 impl std::fmt::Display for HittingError {
@@ -81,6 +124,9 @@ impl std::fmt::Display for HittingError {
             }
             HittingError::NotConverged { residual } => {
                 write!(f, "solver did not converge (residual {residual:e})")
+            }
+            HittingError::TooFewAgents { n } => {
+                write!(f, "hitting times need at least two agents, got {n}")
             }
         }
     }
@@ -106,18 +152,9 @@ impl Default for SolverOptions {
     }
 }
 
-/// The probabilistic structure of the chain: stability mask, self-loop
-/// mass, and weighted out-edges per configuration.
-struct ChainStructure {
-    is_stable: Vec<bool>,
-    self_loop: Vec<f64>,
-    edges: Vec<Vec<(u32, f64)>>,
-}
-
-/// Compute the expected number of interactions from the graph's root
-/// configuration (index 0, the all-`initial` one) until the first
-/// configuration satisfying `stable`, under the uniform random
-/// scheduler.
+/// Expected interactions from the graph's root configuration (index 0,
+/// the all-`initial` one) until the first configuration satisfying
+/// `stable`, under the uniform random scheduler.
 pub fn expected_interactions<F>(
     graph: &ConfigGraph<'_>,
     stable: F,
@@ -126,8 +163,16 @@ pub fn expected_interactions<F>(
 where
     F: FnMut(&[u32]) -> bool,
 {
-    let chain = build_chain(graph, stable)?;
-    solve_first_moment(&chain, opts)
+    let chain = Chain::new(graph, stable)?;
+    let pairs = chain.pairs;
+    let solved = chain.solve(|_| pairs, opts)?;
+    let expected = chain.by_id(&solved.x);
+    Ok(HittingTime {
+        expected_from_initial: expected[0],
+        expected,
+        sweeps: solved.sweeps,
+        residual: solved.residual,
+    })
 }
 
 /// Compute the exact mean *and standard deviation* of the hitting time
@@ -140,198 +185,299 @@ pub fn hitting_moments<F>(
 where
     F: FnMut(&[u32]) -> bool,
 {
-    let chain = build_chain(graph, stable)?;
-    let first = solve_first_moment(&chain, opts)?;
-    // Second-moment sweep: M2(c) = (1 + 2·Σ P·T' + Σ_{c'≠c} P·M2(c')
-    //                               + 2·P_self·T(c)) / (1 − P_self)
-    // — derived by expanding E[(1 + T_next)²] with the self-loop term
-    // moved to the left (T(c) appears because a self-loop re-enters c).
-    let num = chain.is_stable.len();
-    let t = &first.expected;
-    let mut m2 = vec![0.0f64; num];
-    let mut sweeps = 0;
-    let mut residual;
-    loop {
-        sweeps += 1;
-        residual = 0.0f64;
-        for id in 0..num {
-            if chain.is_stable[id] {
-                continue;
-            }
-            let mut sum = 1.0;
-            for &(nid, p) in &chain.edges[id] {
-                sum += p * (2.0 * t[nid as usize] + m2[nid as usize]);
-            }
-            sum += chain.self_loop[id] * 2.0 * t[id];
-            let new = sum / (1.0 - chain.self_loop[id]);
-            let delta = (new - m2[id]).abs() / new.max(1.0);
-            if delta > residual {
-                residual = delta;
-            }
-            m2[id] = new;
-        }
-        if residual < opts.tolerance {
-            break;
-        }
-        if sweeps >= opts.max_sweeps {
-            return Err(HittingError::NotConverged { residual });
-        }
-    }
-    let mean = first.expected_from_initial;
-    let var = (m2[0] - mean * mean).max(0.0);
+    let chain = Chain::new(graph, stable)?;
+    let pairs = chain.pairs;
+    let t = chain.solve(|_| pairs, opts)?.x;
+    // Second moment, in pair weights: W_out(c)·M2(c) = n(n − 1)
+    //   + Σ_{c'≠c} w·(2·T(c') + M2(c')) + 2·W_self(c)·T(c),
+    // with W_self = n(n − 1) − W_out the identity and self-edge pairs —
+    // E[(1 + T_next)²] expanded, the self-loop term moved to the left
+    // (T(c) appears because a self-loop re-enters c).
+    let rhs: Vec<f64> = (0..t.len())
+        .map(|i| {
+            let (to, w) = chain.edges(i);
+            let others: f64 = to.iter().zip(w).map(|(&j, &w)| w * t[j as usize]).sum();
+            pairs + 2.0 * others + 2.0 * (pairs - chain.leave[i]) * t[i]
+        })
+        .collect();
+    let m2 = chain.solve(|i| rhs[i], opts)?.x;
+    let (mean, second) = match chain.root {
+        Some(root) => (t[root], m2[root]),
+        None => (0.0, 0.0),
+    };
+    let var = (second - mean * mean).max(0.0);
     Ok(HittingMoments {
         mean,
         std_dev: var.sqrt(),
     })
 }
 
-fn build_chain<F>(graph: &ConfigGraph<'_>, mut stable: F) -> Result<ChainStructure, HittingError>
-where
-    F: FnMut(&[u32]) -> bool,
-{
-    let proto = graph.protocol();
-    let num = graph.num_configs();
-    let n = graph.population_size();
-    assert!(n >= 2, "hitting times need at least two agents");
-    let denom = (n * (n - 1)) as f64;
-
-    // Index configurations for successor lookup.
-    let mut index: HashMap<&[u32], u32> = HashMap::with_capacity(num);
-    for id in 0..num as u32 {
-        index.insert(graph.config(id), id);
-    }
-
-    let is_stable: Vec<bool> = (0..num as u32).map(|id| stable(graph.config(id))).collect();
-    if !is_stable.iter().any(|&s| s) {
-        return Err(HittingError::NoStableConfigs);
-    }
-
-    // Build the probabilistic transition structure: for each non-stable
-    // config, the self-loop mass and the out-edges with probabilities.
-    // (The ConfigGraph's successor lists are deduplicated and unweighted,
-    // so probabilities are re-derived from the counts.)
-    let mut self_loop = vec![0.0f64; num];
-    let mut edges: Vec<Vec<(u32, f64)>> = vec![Vec::new(); num];
-    let mut scratch: Vec<u32> = Vec::new();
-    for id in 0..num as u32 {
-        if is_stable[id as usize] {
-            continue;
-        }
-        let cfg = graph.config(id);
-        let mut acc: HashMap<u32, f64> = HashMap::new();
-        let mut p_self = 0.0;
-        for (pi, &cp) in cfg.iter().enumerate() {
-            if cp == 0 {
-                continue;
-            }
-            for (qi, &cq) in cfg.iter().enumerate() {
-                let avail = if pi == qi { cq.saturating_sub(1) } else { cq };
-                if avail == 0 {
-                    continue;
-                }
-                let prob = (u64::from(cp) * u64::from(avail)) as f64 / denom;
-                let (p, q) = (StateId(pi as u16), StateId(qi as u16));
-                if proto.is_identity(p, q) {
-                    p_self += prob;
-                    continue;
-                }
-                let (p2, q2) = proto.delta(p, q);
-                scratch.clear();
-                scratch.extend_from_slice(cfg);
-                scratch[p.index()] -= 1;
-                scratch[q.index()] -= 1;
-                scratch[p2.index()] += 1;
-                scratch[q2.index()] += 1;
-                let nid = *index
-                    .get(scratch.as_slice())
-                    .expect("successor must be in the reachable graph");
-                if nid == id {
-                    p_self += prob;
-                } else {
-                    *acc.entry(nid).or_insert(0.0) += prob;
-                }
-            }
-        }
-        self_loop[id as usize] = p_self;
-        edges[id as usize] = acc.into_iter().collect();
-        // A non-stable configuration with no outgoing probability mass to
-        // other configurations and self-loop 1 can never leave itself.
-        if edges[id as usize].is_empty() && p_self >= 1.0 - 1e-12 {
-            return Err(HittingError::StableSetUnreachable(id));
-        }
-    }
-
-    // Quick reachability check: every non-stable config must reach the
-    // stable set (otherwise its expectation is infinite and Gauss–Seidel
-    // would diverge silently). Backward BFS from the stable set over the
-    // unweighted successor lists.
-    {
-        let mut preds: Vec<Vec<u32>> = vec![Vec::new(); num];
-        for id in 0..num as u32 {
-            for &s in graph.successors(id) {
-                preds[s as usize].push(id);
-            }
-        }
-        let mut can_reach = is_stable.clone();
-        let mut stack: Vec<u32> = (0..num as u32)
-            .filter(|&id| is_stable[id as usize])
-            .collect();
-        while let Some(v) = stack.pop() {
-            for &p in &preds[v as usize] {
-                if !can_reach[p as usize] {
-                    can_reach[p as usize] = true;
-                    stack.push(p);
-                }
-            }
-        }
-        if let Some(bad) = (0..num as u32).find(|&id| !can_reach[id as usize]) {
-            return Err(HittingError::StableSetUnreachable(bad));
-        }
-    }
-
-    Ok(ChainStructure {
-        is_stable,
-        self_loop,
-        edges,
-    })
+/// The absorbing chain the solver iterates: the non-stable
+/// configurations, renumbered in solve order, with their edges to each
+/// other as `f64` weights read off the graph. Edges into the stable set
+/// (where `T = 0`) count only towards `leave`.
+struct Chain {
+    /// `n(n − 1)`: every configuration's total pair weight.
+    pairs: f64,
+    /// Graph id per solve index: SCC blocks, sinks first, each block in
+    /// backward-BFS order from the stable set.
+    order: Vec<u32>,
+    /// Solve-index range of each SCC block.
+    blocks: Vec<Range<usize>>,
+    /// Solve index of the graph's root, if it is not stable.
+    root: Option<usize>,
+    /// Graph size, for [`Chain::by_id`].
+    num_configs: usize,
+    /// Solve index `i`'s edges are `to[start[i]..start[i + 1]]`, weighted
+    /// by the same range of `w`.
+    start: Vec<usize>,
+    to: Vec<u32>,
+    w: Vec<f64>,
+    /// Weight of the edges leaving each configuration for another one.
+    leave: Vec<f64>,
 }
 
-fn solve_first_moment(
-    chain: &ChainStructure,
-    opts: SolverOptions,
-) -> Result<HittingTime, HittingError> {
-    let num = chain.is_stable.len();
-    let mut t = vec![0.0f64; num];
-    let mut residual = f64::INFINITY;
-    let mut sweeps = 0;
-    while sweeps < opts.max_sweeps {
-        sweeps += 1;
-        residual = 0.0;
-        for id in 0..num {
-            if chain.is_stable[id] {
+/// A solved linear system, indexed by solve index, and its sweep count.
+struct Solved {
+    x: Vec<f64>,
+    sweeps: usize,
+    residual: f64,
+}
+
+impl Chain {
+    fn new<F>(graph: &ConfigGraph<'_>, mut stable: F) -> Result<Self, HittingError>
+    where
+        F: FnMut(&[u32]) -> bool,
+    {
+        let n = graph.population_size();
+        if n < 2 {
+            return Err(HittingError::TooFewAgents { n });
+        }
+        let num = graph.num_configs();
+        let is_stable: Vec<bool> = (0..num as u32).map(|id| stable(graph.config(id))).collect();
+        if !is_stable.iter().any(|&s| s) {
+            return Err(HittingError::NoStableConfigs);
+        }
+
+        // Backward BFS from the stable set over the predecessor lists
+        // (CSR, self-edges dropped): proves every configuration can reach
+        // it (otherwise its expectation is infinite and Gauss–Seidel
+        // would diverge silently), and yields the in-block update order.
+        let mut pred_start = vec![0usize; num + 1];
+        for v in 0..num as u32 {
+            for &s in graph.successors(v) {
+                if s != v {
+                    pred_start[s as usize + 1] += 1;
+                }
+            }
+        }
+        for i in 0..num {
+            pred_start[i + 1] += pred_start[i];
+        }
+        let mut fill = pred_start.clone();
+        let mut preds = vec![0u32; pred_start[num]];
+        for v in 0..num as u32 {
+            for &s in graph.successors(v) {
+                if s != v {
+                    preds[fill[s as usize]] = v;
+                    fill[s as usize] += 1;
+                }
+            }
+        }
+        let mut reached = is_stable.clone();
+        let mut queue: VecDeque<u32> = (0..num as u32).filter(|&v| is_stable[v as usize]).collect();
+        let mut bfs: Vec<u32> = Vec::with_capacity(num);
+        while let Some(v) = queue.pop_front() {
+            bfs.push(v);
+            for &p in &preds[pred_start[v as usize]..pred_start[v as usize + 1]] {
+                if !reached[p as usize] {
+                    reached[p as usize] = true;
+                    queue.push_back(p);
+                }
+            }
+        }
+        if let Some(bad) = reached.iter().position(|&r| !r) {
+            return Err(HittingError::StableSetUnreachable(bad as u32));
+        }
+
+        // Group the non-stable configurations by SCC; the stable sort
+        // keeps BFS order inside each group. Tarjan numbers SCCs in
+        // emission order, sinks first, so an edge leaving a block points
+        // into a block sorted before it.
+        let (scc_of, _) = graph.sccs();
+        let mut order: Vec<u32> = bfs
+            .into_iter()
+            .filter(|&v| !is_stable[v as usize])
+            .collect();
+        order.sort_by_key(|&v| scc_of[v as usize]);
+        let mut blocks = Vec::new();
+        let mut begin = 0;
+        for end in 1..=order.len() {
+            if end == order.len() || scc_of[order[end] as usize] != scc_of[order[begin] as usize] {
+                blocks.push(begin..end);
+                begin = end;
+            }
+        }
+
+        let mut index = vec![u32::MAX; num];
+        for (i, &v) in order.iter().enumerate() {
+            index[v as usize] = i as u32;
+        }
+        let mut start = Vec::with_capacity(order.len() + 1);
+        start.push(0);
+        let (mut to, mut w) = (Vec::new(), Vec::new());
+        let mut leave = Vec::with_capacity(order.len());
+        for &v in &order {
+            let mut out = 0.0;
+            for (&s, &weight) in graph.successors(v).iter().zip(graph.weights(v)) {
+                if s == v {
+                    continue;
+                }
+                let weight = weight as f64;
+                out += weight;
+                if !is_stable[s as usize] {
+                    to.push(index[s as usize]);
+                    w.push(weight);
+                }
+            }
+            leave.push(out);
+            start.push(to.len());
+        }
+        Ok(Chain {
+            pairs: (n * (n - 1)) as f64,
+            root: (!is_stable[0]).then(|| index[0] as usize),
+            order,
+            blocks,
+            num_configs: num,
+            start,
+            to,
+            w,
+            leave,
+        })
+    }
+
+    /// Solve index `i`'s edges: target solve indices and weights.
+    fn edges(&self, i: usize) -> (&[u32], &[f64]) {
+        let range = self.start[i]..self.start[i + 1];
+        (&self.to[range.clone()], &self.w[range])
+    }
+
+    /// Values per graph id, 0 on stable configurations.
+    fn by_id(&self, x: &[f64]) -> Vec<f64> {
+        let mut out = vec![0.0; self.num_configs];
+        for (&v, &value) in self.order.iter().zip(x) {
+            out[v as usize] = value;
+        }
+        out
+    }
+
+    /// Gauss–Seidel update of solve index `i`; returns its relative change.
+    fn update(&self, i: usize, rhs: f64, x: &mut [f64]) -> f64 {
+        let (to, w) = self.edges(i);
+        let mut sum = rhs;
+        for (&j, &w) in to.iter().zip(w) {
+            sum += w * x[j as usize];
+        }
+        let new = sum / self.leave[i];
+        let delta = (new - x[i]).abs() / new.max(1.0);
+        x[i] = new;
+        delta
+    }
+
+    /// Solve `leave(c)·x(c) = rhs(c) + Σ_{c'≠c} w·x(c')` over the
+    /// non-stable configurations (`x = 0` on stable ones): block by block,
+    /// then whole-graph sweeps until one moves no value by `tolerance`.
+    fn solve<R: Fn(usize) -> f64>(
+        &self,
+        rhs: R,
+        opts: SolverOptions,
+    ) -> Result<Solved, HittingError> {
+        let mut x = vec![0.0f64; self.order.len()];
+        // Each pass's change per configuration, for extrapolation.
+        let mut step = vec![0.0f64; self.order.len()];
+        let mut block_sweeps = 0;
+        // Each block's error reaches the blocks upstream of it, so the
+        // errors of the cyclic blocks on a path add up: give each a share.
+        let cyclic = self.blocks.iter().filter(|block| block.len() > 1).count();
+        let target = opts.tolerance / cyclic.max(1) as f64;
+        for block in &self.blocks {
+            if block.len() == 1 {
+                // No edge inside a one-configuration block (self-edges
+                // are factored out), so one update is final.
+                self.update(block.start, rhs(block.start), &mut x);
+                block_sweeps = block_sweeps.max(1);
                 continue;
             }
-            let mut sum = 1.0;
-            for &(nid, p) in &chain.edges[id] {
-                sum += p * t[nid as usize];
+            let mut passes = 0;
+            // The previous pass's residual and contraction; `None` after
+            // the start and after an extrapolation.
+            let (mut last, mut last_rho): (Option<f64>, Option<f64>) = (None, None);
+            let mut extrapolated_at = f64::INFINITY;
+            loop {
+                passes += 1;
+                let mut residual = 0.0f64;
+                for i in block.clone() {
+                    let before = x[i];
+                    residual = residual.max(self.update(i, rhs(i), &mut x));
+                    step[i] = x[i] - before;
+                }
+                if residual == 0.0 {
+                    // An exact fixed point (extrapolation can land on one).
+                    break;
+                }
+                let rho = last.map(|last| residual / last);
+                // With the observed contraction `rho` per pass, the
+                // remaining error is about residual·rho/(1 − rho): stop
+                // when that, not only the last update, is below target.
+                if rho.is_some_and(|rho| {
+                    residual < opts.tolerance && rho < 1.0 && residual * rho < target * (1.0 - rho)
+                }) {
+                    break;
+                }
+                if passes >= opts.max_sweeps {
+                    return Err(HittingError::NotConverged { residual });
+                }
+                // Once `rho` has settled, the error is mostly the slowest
+                // mode, which shrinks by `rho` per pass along the last
+                // step: jump to its limit (Aitken extrapolation). Only
+                // after a tenfold drop of the residual since the last jump,
+                // so a poor jump cannot stall convergence.
+                match (rho, last_rho) {
+                    (Some(rho), Some(prev))
+                        if rho < 1.0
+                            && (rho - prev).abs() < 0.01 * (1.0 - rho)
+                            && residual < 0.1 * extrapolated_at =>
+                    {
+                        let f = rho / (1.0 - rho);
+                        for i in block.clone() {
+                            x[i] += f * step[i];
+                        }
+                        extrapolated_at = residual;
+                        (last, last_rho) = (None, None);
+                    }
+                    _ => (last, last_rho) = (Some(residual), rho),
+                }
             }
-            let new = sum / (1.0 - chain.self_loop[id]);
-            let delta = (new - t[id]).abs() / new.max(1.0);
-            if delta > residual {
-                residual = delta;
+            block_sweeps = block_sweeps.max(passes);
+        }
+        let mut sweeps = block_sweeps;
+        let mut residual = f64::INFINITY;
+        while sweeps < opts.max_sweeps {
+            sweeps += 1;
+            residual = 0.0;
+            for i in 0..x.len() {
+                residual = residual.max(self.update(i, rhs(i), &mut x));
             }
-            t[id] = new;
+            if residual < opts.tolerance {
+                return Ok(Solved {
+                    x,
+                    sweeps,
+                    residual,
+                });
+            }
         }
-        if residual < opts.tolerance {
-            return Ok(HittingTime {
-                expected_from_initial: t[0],
-                expected: t,
-                sweeps,
-                residual,
-            });
-        }
+        Err(HittingError::NotConverged { residual })
     }
-    Err(HittingError::NotConverged { residual })
 }
 
 #[cfg(test)]
@@ -487,6 +633,24 @@ mod tests {
             "{err:?}"
         );
         let _ = b;
+    }
+
+    /// One agent never interacts: a typed error, not a panic.
+    #[test]
+    fn fewer_than_two_agents_is_an_error() {
+        let mut spec = ProtocolSpec::new("epidemic");
+        let s = spec.add_state("S", 1);
+        let i = spec.add_state("I", 2);
+        spec.set_initial(s);
+        spec.add_rule_symmetric(i, s, i, i);
+        let proto = spec.compile().unwrap();
+        let graph = ConfigGraph::explore_from(&proto, vec![1, 0], 10).unwrap();
+        let opts = SolverOptions::default();
+        let err = expected_interactions(&graph, |cfg| cfg[0] == 0, opts).unwrap_err();
+        assert_eq!(err, HittingError::TooFewAgents { n: 1 });
+        let err = hitting_moments(&graph, |cfg| cfg[0] == 0, opts).unwrap_err();
+        assert_eq!(err, HittingError::TooFewAgents { n: 1 });
+        assert_eq!(err.kind(), "too_few_agents");
     }
 
     #[test]

@@ -47,7 +47,7 @@ use std::sync::{Arc, OnceLock};
 /// | `verify.explorations`     | counter | configuration-space explorations started |
 /// | `verify.configs_explored` | counter | configurations discovered (incl. aborted runs) |
 /// | `verify.frontier_peak`    | gauge   | max BFS/DFS frontier length seen (high-water) |
-/// | `verify.sccs`             | counter | strongly connected components found |
+/// | `verify.sccs`             | counter | strongly connected components found (by terminal-SCC checks, `max_reachable` and every hitting-time solve) |
 /// | `verify.terminal_sccs`    | counter | of those, terminal |
 struct VerifyMetrics {
     explorations: Arc<pp_telemetry::Counter>,
@@ -79,6 +79,11 @@ pub enum ExploreError {
         /// The budget that was exceeded.
         limit: usize,
     },
+    /// The population does not fit the graph's `u32` state counts.
+    PopulationTooLarge {
+        /// The requested population size.
+        n: u64,
+    },
 }
 
 impl fmt::Display for ExploreError {
@@ -87,21 +92,62 @@ impl fmt::Display for ExploreError {
             ExploreError::TooManyConfigs { limit } => {
                 write!(f, "more than {limit} reachable configurations")
             }
+            ExploreError::PopulationTooLarge { n } => {
+                write!(f, "population of {n} agents exceeds u32 counts")
+            }
         }
     }
 }
 
 impl std::error::Error for ExploreError {}
 
+/// End of a same-key chain.
+const NO_CONFIG: u32 = u32::MAX;
+
 /// The reachable-configuration digraph of `(protocol, n)`.
+///
+/// Storage is flat. Configuration `i`'s count vector is the `i`-th
+/// stride-`|Q|` row of one `Vec<u32>`. Its successors sit in one
+/// compressed sparse row array, sorted and deduplicated, each with an
+/// integer weight: the number of ordered agent pairs, `c_p·(c_q − [p = q])`
+/// summed over the pairs `(p, q)` whose rule leads there. Identity rules
+/// produce no edge; a non-identity rule that maps a configuration onto
+/// itself produces a self-edge. A configuration's edge weights plus its
+/// identity pairs therefore sum to `n(n − 1)`.
+///
+/// Every SCC analysis ([`terminal_sccs`](Self::terminal_sccs),
+/// [`max_reachable`](Self::max_reachable) and each solve in
+/// [`hitting`]) runs one Tarjan pass and adds the components it finds
+/// to the `verify.sccs` counter.
 pub struct ConfigGraph<'a> {
     // (Debug intentionally omitted: graphs can hold 10^5+ configs; use
     // `num_configs`/`config` for inspection.)
     proto: &'a CompiledProtocol,
     n: u64,
-    configs: Vec<Box<[u32]>>,
-    /// `succs[i]` — successor config ids of config `i`, sorted, deduped.
-    succs: Vec<Vec<u32>>,
+    /// `|Q|`, the row length of `counts`.
+    stride: usize,
+    /// Row `i` is configuration `i`'s count vector.
+    counts: Vec<u32>,
+    /// Configuration `i`'s edges are `succ[edges[i].0..edges[i].1]`. Rows
+    /// are laid out in expansion order, which is not id order.
+    edges: Vec<(usize, usize)>,
+    succ: Vec<u32>,
+    /// `weight[e]`: ordered agent pairs producing edge `succ[e]`.
+    weight: Vec<u64>,
+}
+
+/// The fixed per-state key constants `z_s` of [`ConfigGraph`]'s
+/// incremental key `Σ c_s·z_s`.
+fn key_constants(states: usize) -> Vec<u64> {
+    (0..states as u64)
+        .map(pp_engine::seeds::splitmix64)
+        .collect()
+}
+
+fn key_of(cfg: &[u32], z: &[u64]) -> u64 {
+    cfg.iter().zip(z).fold(0, |key, (&c, &z)| {
+        key.wrapping_add(u64::from(c).wrapping_mul(z))
+    })
 }
 
 impl<'a> ConfigGraph<'a> {
@@ -117,8 +163,9 @@ impl<'a> ConfigGraph<'a> {
         n: u64,
         max_configs: usize,
     ) -> Result<Self, ExploreError> {
+        let count = u32::try_from(n).map_err(|_| ExploreError::PopulationTooLarge { n })?;
         let mut init = vec![0u32; proto.num_states()];
-        init[proto.initial_state().index()] = u32::try_from(n).expect("n fits in u32");
+        init[proto.initial_state().index()] = count;
         Self::explore_from(proto, init, max_configs)
     }
 
@@ -128,32 +175,60 @@ impl<'a> ConfigGraph<'a> {
         start: Vec<u32>,
         max_configs: usize,
     ) -> Result<Self, ExploreError> {
-        assert_eq!(start.len(), proto.num_states());
-        let n = start.iter().map(|&c| u64::from(c)).sum();
+        let z = key_constants(proto.num_states());
+        Self::explore_keyed(proto, start, max_configs, &z)
+    }
+
+    /// Depth-first exploration with the key constants `z`. Ids are
+    /// assigned in discovery order and configurations are expanded in
+    /// stack (LIFO) order.
+    ///
+    /// A configuration is found by its key `Σ c_s·z_s`, updated in O(1)
+    /// per candidate successor. Configurations sharing a key form a chain
+    /// (`same_key`), and a candidate matches only on equal counts, so a
+    /// key collision costs time but never merges two configurations.
+    fn explore_keyed(
+        proto: &'a CompiledProtocol,
+        start: Vec<u32>,
+        max_configs: usize,
+        z: &[u64],
+    ) -> Result<Self, ExploreError> {
+        let stride = proto.num_states();
+        assert_eq!(start.len(), stride);
+        let n: u64 = start.iter().map(|&c| u64::from(c)).sum();
+        if u32::try_from(n).is_err() {
+            return Err(ExploreError::PopulationTooLarge { n });
+        }
         let metrics = verify_metrics();
         metrics.explorations.inc();
-        let mut configs: Vec<Box<[u32]>> = Vec::new();
-        let mut index: HashMap<Box<[u32]>, u32> = HashMap::new();
-        let mut succs: Vec<Vec<u32>> = Vec::new();
-        let mut frontier: Vec<u32> = Vec::new();
-
-        let start: Box<[u32]> = start.into();
-        index.insert(start.clone(), 0);
-        configs.push(start);
-        succs.push(Vec::new());
-        frontier.push(0);
+        let mut index: HashMap<u64, u32> = HashMap::new();
+        let mut same_key: Vec<u32> = vec![NO_CONFIG];
+        let mut edges: Vec<(usize, usize)> = vec![(0, 0)];
+        let mut succ: Vec<u32> = Vec::new();
+        let mut weight: Vec<u64> = Vec::new();
+        index.insert(key_of(&start, z), 0);
+        let mut counts = start;
+        let mut frontier: Vec<u32> = vec![0];
         let mut frontier_peak = frontier.len();
+        // The configuration being expanded; each candidate successor is
+        // formed in place and undone after its lookup.
+        let mut cfg = vec![0u32; stride];
+        let mut out: Vec<(u32, u64)> = Vec::new();
 
         while let Some(id) = frontier.pop() {
-            let cfg = configs[id as usize].clone();
-            let mut out: Vec<u32> = Vec::new();
-            for (pi, &cp) in cfg.iter().enumerate() {
+            let row = id as usize * stride;
+            cfg.copy_from_slice(&counts[row..row + stride]);
+            let key = key_of(&cfg, z);
+            out.clear();
+            for pi in 0..stride {
+                let cp = cfg[pi];
                 if cp == 0 {
                     continue;
                 }
                 let p = StateId(pi as u16);
-                for (qi, &cq) in cfg.iter().enumerate() {
-                    if cq < if pi == qi { 2 } else { 1 } {
+                for qi in 0..stride {
+                    let partners = cfg[qi] - u32::from(pi == qi);
+                    if partners == 0 {
                         continue;
                     }
                     let q = StateId(qi as u16);
@@ -161,45 +236,81 @@ impl<'a> ConfigGraph<'a> {
                         continue;
                     }
                     let (p2, q2) = proto.delta(p, q);
-                    let mut next: Box<[u32]> = cfg.clone();
-                    next[p.index()] -= 1;
-                    next[q.index()] -= 1;
-                    next[p2.index()] += 1;
-                    next[q2.index()] += 1;
-                    let nid = match index.get(&next) {
-                        Some(&nid) => nid,
-                        None => {
-                            if configs.len() >= max_configs {
-                                // Account for the aborted run too, so an
-                                // export after TooManyConfigs still shows
-                                // how far exploration got.
-                                metrics.configs_explored.add(configs.len() as u64);
-                                metrics.frontier_peak.set_max(frontier_peak as u64);
-                                return Err(ExploreError::TooManyConfigs { limit: max_configs });
-                            }
-                            let nid = configs.len() as u32;
-                            index.insert(next.clone(), nid);
-                            configs.push(next);
-                            succs.push(Vec::new());
-                            frontier.push(nid);
-                            frontier_peak = frontier_peak.max(frontier.len());
-                            nid
+                    let (p2, q2) = (p2.index(), q2.index());
+                    let next_key = key
+                        .wrapping_sub(z[pi])
+                        .wrapping_sub(z[qi])
+                        .wrapping_add(z[p2])
+                        .wrapping_add(z[q2]);
+                    cfg[pi] -= 1;
+                    cfg[qi] -= 1;
+                    cfg[p2] += 1;
+                    cfg[q2] += 1;
+                    let head = index.get(&next_key).copied();
+                    let mut found = head.unwrap_or(NO_CONFIG);
+                    while found != NO_CONFIG {
+                        let at = found as usize * stride;
+                        if counts[at..at + stride] == cfg[..] {
+                            break;
                         }
+                        found = same_key[found as usize];
+                    }
+                    let nid = if found != NO_CONFIG {
+                        found
+                    } else {
+                        if same_key.len() >= max_configs {
+                            // Account for the aborted run too, so an
+                            // export after TooManyConfigs still shows
+                            // how far exploration got.
+                            metrics.configs_explored.add(same_key.len() as u64);
+                            metrics.frontier_peak.set_max(frontier_peak as u64);
+                            return Err(ExploreError::TooManyConfigs { limit: max_configs });
+                        }
+                        let nid = same_key.len() as u32;
+                        index.insert(next_key, nid);
+                        same_key.push(head.unwrap_or(NO_CONFIG));
+                        counts.extend_from_slice(&cfg);
+                        edges.push((0, 0));
+                        frontier.push(nid);
+                        frontier_peak = frontier_peak.max(frontier.len());
+                        nid
                     };
-                    out.push(nid);
+                    cfg[p2] -= 1;
+                    cfg[q2] -= 1;
+                    cfg[pi] += 1;
+                    cfg[qi] += 1;
+                    out.push((nid, u64::from(cp) * u64::from(partners)));
                 }
             }
-            out.sort_unstable();
-            out.dedup();
-            succs[id as usize] = out;
+            out.sort_unstable_by_key(|&(nid, _)| nid);
+            let first = succ.len();
+            for &(nid, w) in &out {
+                if succ[first..].last() == Some(&nid) {
+                    *weight.last_mut().expect("one weight per edge") += w;
+                } else {
+                    succ.push(nid);
+                    weight.push(w);
+                }
+            }
+            edges[id as usize] = (first, succ.len());
         }
-        metrics.configs_explored.add(configs.len() as u64);
+        metrics.configs_explored.add(same_key.len() as u64);
         metrics.frontier_peak.set_max(frontier_peak as u64);
+        // Free the lookup state and the growth slack before handing the
+        // graph out: it lives on while later phases allocate.
+        drop((index, same_key, frontier));
+        counts.shrink_to_fit();
+        edges.shrink_to_fit();
+        succ.shrink_to_fit();
+        weight.shrink_to_fit();
         Ok(ConfigGraph {
             proto,
             n,
-            configs,
-            succs,
+            stride,
+            counts,
+            edges,
+            succ,
+            weight,
         })
     }
 
@@ -215,30 +326,40 @@ impl<'a> ConfigGraph<'a> {
 
     /// Number of reachable configurations.
     pub fn num_configs(&self) -> usize {
-        self.configs.len()
+        self.edges.len()
     }
 
     /// The count vector of configuration `id`.
     pub fn config(&self, id: u32) -> &[u32] {
-        &self.configs[id as usize]
+        let row = id as usize * self.stride;
+        &self.counts[row..row + self.stride]
     }
 
-    /// Successor ids of configuration `id`.
+    /// Successor ids of configuration `id`, sorted.
     pub fn successors(&self, id: u32) -> &[u32] {
-        &self.succs[id as usize]
+        let (lo, hi) = self.edges[id as usize];
+        &self.succ[lo..hi]
+    }
+
+    /// Edge weights of configuration `id`, parallel to
+    /// [`successors`](Self::successors): `weights(id)[i]` ordered agent
+    /// pairs turn `id` into `successors(id)[i]`.
+    pub fn weights(&self, id: u32) -> &[u64] {
+        let (lo, hi) = self.edges[id as usize];
+        &self.weight[lo..hi]
     }
 
     /// Check a predicate over every reachable configuration; returns the
     /// id of the first violating configuration, or `None` if the
     /// invariant holds everywhere.
     pub fn check_invariant<F: FnMut(&[u32]) -> bool>(&self, mut inv: F) -> Option<u32> {
-        (0..self.configs.len() as u32).find(|&id| !inv(self.config(id)))
+        (0..self.num_configs() as u32).find(|&id| !inv(self.config(id)))
     }
 
     /// Strongly connected components (Tarjan, iterative), returned as
     /// `(scc_id_of_config, number_of_sccs)`.
     fn sccs(&self) -> (Vec<u32>, usize) {
-        let n = self.configs.len();
+        let n = self.num_configs();
         const UNVISITED: u32 = u32::MAX;
         let mut idx = vec![UNVISITED; n]; // discovery index
         let mut low = vec![0u32; n];
@@ -262,8 +383,9 @@ impl<'a> ConfigGraph<'a> {
             on_stack[root as usize] = true;
 
             while let Some(&mut (v, ref mut pos)) = dfs.last_mut() {
-                if *pos < self.succs[v as usize].len() {
-                    let w = self.succs[v as usize][*pos];
+                let out = self.successors(v);
+                if *pos < out.len() {
+                    let w = out[*pos];
                     *pos += 1;
                     if idx[w as usize] == UNVISITED {
                         idx[w as usize] = counter;
@@ -316,15 +438,15 @@ impl<'a> ConfigGraph<'a> {
     pub fn terminal_sccs(&self) -> Vec<Vec<u32>> {
         let (scc_of, scc_count) = self.sccs();
         let mut terminal = vec![true; scc_count];
-        for (v, out) in self.succs.iter().enumerate() {
-            for &w in out {
-                if scc_of[v] != scc_of[w as usize] {
-                    terminal[scc_of[v] as usize] = false;
+        for v in 0..self.num_configs() as u32 {
+            for &w in self.successors(v) {
+                if scc_of[v as usize] != scc_of[w as usize] {
+                    terminal[scc_of[v as usize] as usize] = false;
                 }
             }
         }
         let mut groups: Vec<Vec<u32>> = vec![Vec::new(); scc_count];
-        for v in 0..self.configs.len() as u32 {
+        for v in 0..self.num_configs() as u32 {
             let s = scc_of[v as usize];
             if terminal[s as usize] {
                 groups[s as usize].push(v);
@@ -394,7 +516,7 @@ impl<'a> ConfigGraph<'a> {
 
     /// Ids of configurations satisfying a predicate.
     pub fn matching_configs<F: FnMut(&[u32]) -> bool>(&self, mut pred: F) -> Vec<u32> {
-        (0..self.configs.len() as u32)
+        (0..self.num_configs() as u32)
             .filter(|&id| pred(self.config(id)))
             .collect()
     }
@@ -423,7 +545,7 @@ impl<'a> ConfigGraph<'a> {
         // completed only after everything reachable from it), so
         // scc id 0, 1, … is already a valid processing order.
         let mut best = vec![0u64; scc_count];
-        for v in 0..self.configs.len() as u32 {
+        for v in 0..self.num_configs() as u32 {
             let s = scc_of[v as usize] as usize;
             best[s] = best[s].max(score(self.config(v)));
         }
@@ -431,13 +553,13 @@ impl<'a> ConfigGraph<'a> {
         // cross edges always point to strictly smaller SCC ids and one
         // ascending-id pass propagates successor maxima correctly.
         let mut scc_members: Vec<Vec<u32>> = vec![Vec::new(); scc_count];
-        for v in 0..self.configs.len() as u32 {
+        for v in 0..self.num_configs() as u32 {
             scc_members[scc_of[v as usize] as usize].push(v);
         }
         for s in 0..scc_count {
             let mut b = best[s];
             for &v in &scc_members[s] {
-                for &w in &self.succs[v as usize] {
+                for &w in self.successors(v) {
                     let sw = scc_of[w as usize] as usize;
                     if sw != s {
                         debug_assert!(sw < s, "tarjan emission order violated");
@@ -447,7 +569,7 @@ impl<'a> ConfigGraph<'a> {
             }
             best[s] = b;
         }
-        (0..self.configs.len())
+        (0..self.num_configs())
             .map(|v| best[scc_of[v] as usize])
             .collect()
     }
@@ -747,6 +869,45 @@ mod tests {
         assert!(dot.contains("lightgreen"));
         // Three configurations, two infection edges.
         assert_eq!(dot.matches("->").count(), 2);
+    }
+
+    /// With every key constant equal, all configurations share one key:
+    /// the same-key chains and the exact count comparison alone must
+    /// still give the identical graph.
+    #[test]
+    fn colliding_keys_yield_the_identical_graph() {
+        for k in 2..=4 {
+            let proto = pp_protocols::kpartition::UniformKPartition::new(k).compile();
+            let states = proto.num_states();
+            for n in [k as u32 + 1, 9] {
+                let mut start = vec![0u32; states];
+                start[proto.initial_state().index()] = n;
+                let keyed = ConfigGraph::explore_from(&proto, start.clone(), 10_000).unwrap();
+                let colliding =
+                    ConfigGraph::explore_keyed(&proto, start, 10_000, &vec![7; states]).unwrap();
+                assert_eq!(colliding.num_configs(), keyed.num_configs());
+                for id in 0..keyed.num_configs() as u32 {
+                    assert_eq!(colliding.config(id), keyed.config(id));
+                    assert_eq!(colliding.successors(id), keyed.successors(id));
+                    assert_eq!(colliding.weights(id), keyed.weights(id));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn population_beyond_u32_is_an_error() {
+        let p = epidemic();
+        let n = u64::from(u32::MAX) + 1;
+        assert_eq!(
+            ConfigGraph::explore(&p, n, 10).err(),
+            Some(ExploreError::PopulationTooLarge { n })
+        );
+        // A start whose counts each fit but whose total does not.
+        assert_eq!(
+            ConfigGraph::explore_from(&p, vec![u32::MAX, 1], 10).err(),
+            Some(ExploreError::PopulationTooLarge { n })
+        );
     }
 
     #[test]
