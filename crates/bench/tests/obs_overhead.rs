@@ -11,8 +11,7 @@
 use pp_engine::population::{CountPopulation, Population};
 use pp_engine::scheduler::UniformRandomScheduler;
 use pp_engine::simulator::Simulator;
-use pp_engine::PhaseProbe;
-use pp_protocols::kpartition::UniformKPartition;
+use pp_protocols::kpartition::{PhaseProbe, UniformKPartition};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -35,7 +34,7 @@ fn best_leap_seconds(
         let mut sched = UniformRandomScheduler::from_seed(seed);
         let t0 = Instant::now();
         let interactions = if with_probe {
-            let mut probe = PhaseProbe::for_protocol(&proto).expect("ukp classifies");
+            let mut probe = PhaseProbe::new(kp.phase_map());
             let r = Simulator::new(&proto)
                 .run_leap_observed(&mut pop, &mut sched, &criterion, budget, &mut probe)
                 .expect("cell stabilises");

@@ -37,8 +37,10 @@
 //!   three kernels as a value.
 //! * [`trace`] — scripted executions and human-readable configuration
 //!   pretty-printing (used to replay the paper's Figures 1 and 2).
+//! * [`functional`] — linear functionals over state counts and their
+//!   per-rule drift, the shared currency of invariant checks.
 //! * [`seeds`] — deterministic seed derivation for reproducible experiment
-//!   fan-out.
+//!   fan-out, and the FNV-1a hash behind persisted content addresses.
 //!
 //! ## Quick example
 //!
@@ -76,10 +78,10 @@
 pub mod batch;
 pub mod dot;
 pub mod fleet;
+pub mod functional;
 pub mod leap;
 pub mod metrics;
 pub mod observer;
-pub mod phase;
 pub mod population;
 pub mod protocol;
 pub mod scheduler;
@@ -91,8 +93,8 @@ pub mod trace;
 
 pub use batch::{BatchConfig, BatchCore, BatchTrial, Scratch, StepOutcome};
 pub use fleet::{run_batch_fleet, FleetSummary};
+pub use functional::Functional;
 pub use metrics::{engine_metrics, EngineMetrics, TelemetryObserver};
-pub use phase::{Phase, PhaseMap, PhaseProbe};
 pub use population::{AgentPopulation, CountPopulation, Population};
 pub use protocol::{CompiledProtocol, GroupId, RuleId, StateId};
 pub use scheduler::UniformRandomScheduler;

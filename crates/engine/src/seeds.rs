@@ -5,7 +5,9 @@
 //! stream, and the whole experiment must be reproducible from one recorded
 //! master seed. [`derive()`] maps `(master, index)` to a trial seed with a
 //! SplitMix64 finaliser — the standard well-mixed 64-bit permutation — so
-//! trial seeds are decorrelated even for adjacent indices.
+//! trial seeds are decorrelated even for adjacent indices. [`fnv1a64`]
+//! is the repository's one persisted byte hash (store content addresses,
+//! trace checksums).
 
 /// SplitMix64 finalisation step: a bijective avalanche mix on 64 bits.
 #[inline]
@@ -14,6 +16,18 @@ pub fn splitmix64(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
+}
+
+/// FNV-1a, 64-bit: the persisted hash of store content addresses and
+/// trace checksums, spelled out because `DefaultHasher` may change
+/// between Rust releases.
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
 }
 
 /// Derive the seed for trial `index` of an experiment with the given

@@ -18,51 +18,7 @@
 //! breaking a declared invariant, anchored for the findings model.
 
 use pp_engine::protocol::{CompiledProtocol, StateId};
-
-/// A linear functional over state counts: `value(c) = Σ coeffs[s] · c[s]`.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Functional {
-    /// Optional human name (e.g. `"lemma1[x=2]"`).
-    pub name: String,
-    /// One coefficient per state, indexed by `StateId`.
-    pub coeffs: Vec<i64>,
-}
-
-impl Functional {
-    /// Build a named functional.
-    pub fn new(name: impl Into<String>, coeffs: Vec<i64>) -> Self {
-        Functional {
-            name: name.into(),
-            coeffs,
-        }
-    }
-
-    /// Evaluate at a count vector.
-    pub fn value_at(&self, counts: &[u64]) -> i64 {
-        assert_eq!(counts.len(), self.coeffs.len());
-        self.coeffs
-            .iter()
-            .zip(counts)
-            .map(|(&y, &c)| y * c as i64)
-            .sum()
-    }
-
-    /// The conserved value on executions from all-`s0` with `n` agents:
-    /// `n · coeffs[s0]`.
-    pub fn initial_value(&self, proto: &CompiledProtocol, n: u64) -> i64 {
-        self.coeffs[proto.initial_state().index()] * n as i64
-    }
-
-    /// Dot product with a displacement vector.
-    fn dot(&self, d: &[i64]) -> i64 {
-        self.coeffs.iter().zip(d).map(|(&y, &x)| y * x).sum()
-    }
-
-    /// Whether the functional is the zero map.
-    pub fn is_zero(&self) -> bool {
-        self.coeffs.iter().all(|&c| c == 0)
-    }
-}
+pub use pp_engine::Functional;
 
 /// An integer basis of the protocol's P-invariant space.
 #[derive(Clone, Debug)]
@@ -217,7 +173,10 @@ pub fn extract(proto: &CompiledProtocol) -> InvariantBasis {
         num_states: s,
         num_displacements: m,
     };
-    debug_assert!(out.basis.iter().all(|y| cols.iter().all(|d| y.dot(d) == 0)));
+    debug_assert!(out
+        .basis
+        .iter()
+        .all(|y| conservation_violations(proto, y).is_empty()));
     out
 }
 
@@ -230,7 +189,7 @@ pub fn conservation_violations(
     proto
         .rule_entries()
         .filter_map(|e| {
-            let drift = target.dot(&proto.displacement(e.p, e.q));
+            let drift = target.drift(proto, e.p, e.q);
             (drift != 0).then_some((e.p, e.q, drift))
         })
         .collect()
@@ -354,13 +313,5 @@ mod tests {
         let total = Functional::new("total", vec![1, 1]);
         assert!(conservation_violations(&p, &total).is_empty());
         let _ = (s, i);
-    }
-
-    #[test]
-    fn functional_evaluation() {
-        let f = Functional::new("f", vec![2, -1, 0]);
-        assert_eq!(f.value_at(&[3, 4, 5]), 2);
-        assert!(!f.is_zero());
-        assert!(Functional::new("z", vec![0, 0]).is_zero());
     }
 }

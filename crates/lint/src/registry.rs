@@ -6,8 +6,10 @@
 //! and — centrally — the Lemma 1 residual functionals as conserved
 //! invariants, which the lint pass then *proves* from the rule table
 //! (inductive conservation plus membership in the derived P-invariant
-//! basis). Every other family declares its own weaker contract, so the
-//! whole zoo lints clean under `--deny warnings` without suppressions.
+//! basis). The labels and functionals come from `UniformKPartition`
+//! itself, which owns Algorithm 1's layout. Every other family declares
+//! its own weaker contract, so the whole zoo lints clean under
+//! `--deny warnings` without suppressions.
 
 use crate::checks::Expectations;
 use crate::invariant::Functional;
@@ -40,67 +42,23 @@ impl Entry {
     }
 }
 
-/// The Lemma 1 residual functionals of the `k`-partition state layout,
-/// as linear maps over counts: for each `x ∈ {1, .., k−1}`,
-///
-/// ```text
-/// residual_x(c) = Σ_{p > x} c[m_p] + Σ_{q ≥ x} c[d_q] + c[g_k] − c[g_x]
-/// ```
-///
-/// (`x = k` is identically zero and omitted). The paper proves these are
-/// `0` on all reachable configurations (Lemma 1); pp-lint re-derives
-/// that statically: each residual has value 0 at the all-`initial`
-/// configuration and is conserved by every rule, hence zero on every
-/// reachable configuration — for *any* population size.
-pub fn lemma1_functionals(kp: &UniformKPartition) -> Vec<Functional> {
-    let k = kp.k();
-    let s = 3 * k - 2;
-    (1..k)
-        .map(|x| {
-            let mut y = vec![0i64; s];
-            if k >= 3 {
-                for p in (x + 1).max(2)..=k - 1 {
-                    y[kp.m(p).index()] += 1;
-                }
-                for q in x.max(1)..=k - 2 {
-                    y[kp.d(q).index()] += 1;
-                }
-            }
-            y[kp.g(k).index()] += 1;
-            y[kp.g(x).index()] -= 1;
-            Functional::new(format!("lemma1[x={x}]"), y)
-        })
-        .collect()
-}
-
 /// Total-population functional — conserved by every population protocol.
 fn population(num_states: usize) -> Functional {
     Functional::new("population", vec![1; num_states])
-}
-
-/// Expected compiled rule labels of Algorithm 1 at a given `k`.
-fn ukp_labels(k: usize) -> Vec<String> {
-    let mut labels: Vec<&str> = match k {
-        2 => vec!["r1", "r2", "r3", "r5"],
-        3 => vec!["r1", "r2", "r3", "r4", "r5", "r7", "r8", "r10"],
-        _ => vec!["r1", "r2", "r3", "r4", "r5", "r6", "r7", "r8", "r9", "r10"],
-    };
-    labels.sort_unstable();
-    labels.into_iter().map(String::from).collect()
 }
 
 /// The paper's protocol at a given `k`.
 pub fn ukp(k: usize) -> Entry {
     let kp = UniformKPartition::new(k);
     let proto = kp.compile();
-    let mut declared = lemma1_functionals(&kp);
+    let mut declared = kp.lemma1_functionals();
     declared.push(population(proto.num_states()));
     Entry::new(
         format!("ukp-k{k}"),
         proto,
         Expectations {
             labelled: true,
-            expected_labels: Some(ukp_labels(k)),
+            expected_labels: Some(kp.rule_labels()),
             state_budget: Some(3 * k - 2),
             declared_invariants: declared,
             ..Expectations::default()
@@ -129,7 +87,7 @@ pub fn basic(k: usize) -> Entry {
 pub fn oneside(k: usize) -> Entry {
     let variant = OneSidedAbortKPartition::new(k);
     let proto = variant.compile();
-    let mut declared = lemma1_functionals(variant.base());
+    let mut declared = variant.base().lemma1_functionals();
     declared.push(population(proto.num_states()));
     Entry::new(
         format!("oneside-k{k}"),
@@ -199,7 +157,7 @@ pub fn ratio(ratios: Vec<u32>) -> Entry {
     let n = proto.num_states();
     // Slot folding only relabels groups; the rule table is the paper's,
     // so the slot-level Lemma 1 functionals still apply.
-    let mut declared = lemma1_functionals(rp.slots());
+    let mut declared = rp.slots().lemma1_functionals();
     declared.push(population(n));
     Entry::new(
         slug,
@@ -271,19 +229,25 @@ pub fn all() -> Vec<Entry> {
 ///
 /// `slug` is a family name (`ukp`, `basic`, `oneside`, `bipartition`,
 /// `composed`, `approx`) with the size given separately; `classics`
-/// slugs are exact.
+/// slugs are exact. A size outside the family's range (as its fallible
+/// constructor states it) finds nothing.
 pub fn by_name(family: &str, size: Option<usize>) -> Option<Entry> {
     match (family, size) {
-        ("ukp", Some(k)) if k >= 2 => Some(ukp(k)),
+        ("ukp", Some(k)) => UniformKPartition::try_new(k).ok().map(|_| ukp(k)),
         ("ukp", None) => Some(ukp(3)),
-        ("basic", Some(k)) if k >= 3 => Some(basic(k)),
+        ("basic", Some(k)) => BasicStrategyKPartition::try_new(k).ok().map(|_| basic(k)),
         ("basic", None) => Some(basic(3)),
-        ("oneside", Some(k)) if k >= 3 => Some(oneside(k)),
+        ("oneside", Some(k)) => OneSidedAbortKPartition::try_new(k).ok().map(|_| oneside(k)),
         ("oneside", None) => Some(oneside(3)),
         ("bipartition", None) => Some(bipartition()),
-        ("composed", Some(h)) if (1..=6).contains(&h) => Some(composed(h as u32)),
+        ("composed", Some(h)) => {
+            let h = u32::try_from(h).ok()?;
+            HierarchicalPartition::try_composed(h)
+                .ok()
+                .map(|_| composed(h))
+        }
         ("composed", None) => Some(composed(2)),
-        ("approx", Some(k)) if k >= 2 => Some(approx(k)),
+        ("approx", Some(k)) => HierarchicalPartition::try_approx(k).ok().map(|_| approx(k)),
         ("approx", None) => Some(approx(3)),
         (name, None) => classics_entries().into_iter().find(|e| e.slug == name),
         _ => None,
@@ -332,27 +296,6 @@ mod tests {
         }
     }
 
-    /// The functional registry matches the runtime residual: evaluating
-    /// the static functionals at a configuration equals
-    /// `UniformKPartition::lemma1_residual` (minus the trivial x = k row).
-    #[test]
-    fn lemma1_functionals_match_runtime_residual() {
-        for k in [3usize, 4, 5] {
-            let kp = UniformKPartition::new(k);
-            let fs = lemma1_functionals(&kp);
-            assert_eq!(fs.len(), k - 1);
-            // An arbitrary (not necessarily reachable) configuration.
-            let mut counts = vec![0u64; 3 * k - 2];
-            for (i, c) in counts.iter_mut().enumerate() {
-                *c = (7 * i + 3) as u64 % 5;
-            }
-            let runtime = kp.lemma1_residual(&counts);
-            for (x, f) in (1..k).zip(&fs) {
-                assert_eq!(f.value_at(&counts), runtime[x - 1], "k={k} x={x} mismatch");
-            }
-        }
-    }
-
     /// The one-sided-abort variant conserves Lemma 1 too — the module's
     /// docstring claim, proven statically here.
     #[test]
@@ -372,5 +315,16 @@ mod tests {
         assert!(by_name("bipartition", None).is_some());
         assert!(by_name("epidemic", None).is_some());
         assert!(by_name("nope", None).is_none());
+    }
+
+    /// Out-of-range sizes are "not found", never a panic.
+    #[test]
+    fn lookup_rejects_out_of_range_sizes() {
+        assert!(by_name("ukp", Some(20_000)).is_none());
+        assert!(by_name("basic", Some(2)).is_none());
+        assert!(by_name("oneside", Some(2)).is_none());
+        assert!(by_name("composed", Some(9)).is_none());
+        assert!(by_name("composed", Some(1 << 40)).is_none());
+        assert!(by_name("approx", Some(20_000)).is_none());
     }
 }

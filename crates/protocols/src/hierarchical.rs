@@ -38,6 +38,7 @@
 //! agents cost at most `h` per leaf). State count: `3·2^h − 2 < 6k`,
 //! comfortably within the `k(k+3)/2` budget for `k ≥ 9`.
 
+use crate::OutOfRange;
 use pp_engine::protocol::{CompiledProtocol, StateId};
 use pp_engine::spec::ProtocolSpec;
 use pp_engine::stability::StabilityCriterion;
@@ -52,31 +53,39 @@ pub struct HierarchicalPartition {
 }
 
 impl HierarchicalPartition {
-    /// The `k = 2^h` composition: leaf `j` is group `j + 1`.
-    ///
-    /// # Panics
-    /// If `h = 0` (no partition) or `h > 8` (state count `3·2^h − 2`
-    /// explodes; the paper's comparison range is `k ≤ 16`).
-    pub fn composed(h: u32) -> Self {
-        assert!((1..=8).contains(&h), "h must be in 1..=8");
+    /// The `k = 2^h` composition for `1 ≤ h ≤ 8`: leaf `j` is group
+    /// `j + 1`. (`h = 0` is no partition; beyond 8 the state count
+    /// `3·2^h − 2` explodes, and the paper's comparison range is `k ≤ 16`.)
+    pub fn try_composed(h: u32) -> Result<Self, OutOfRange> {
+        OutOfRange::check("the composed bipartition", "h", u64::from(h), 1..=8)?;
         let leaves = 1usize << h;
-        HierarchicalPartition {
+        Ok(HierarchicalPartition {
             h,
             leaf_groups: (0..leaves).map(|j| (j + 1) as u16).collect(),
-        }
+        })
     }
 
-    /// Approximate k-partition: `h = ⌈log₂ k⌉` levels, leaf `j` folded
-    /// onto group `(j mod k) + 1`. Guarantees each group ≥ `n/(2k)` for
-    /// large `n` (see module docs).
-    pub fn approx(k: usize) -> Self {
-        assert!((2..=256).contains(&k), "k must be in 2..=256");
+    /// [`Self::try_composed`], panicking when `h` is out of range.
+    pub fn composed(h: u32) -> Self {
+        Self::try_composed(h).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Approximate k-partition for `2 ≤ k ≤ 256`: `h = ⌈log₂ k⌉` levels,
+    /// leaf `j` folded onto group `(j mod k) + 1`. Guarantees each group
+    /// ≥ `n/(2k)` for large `n` (see module docs).
+    pub fn try_approx(k: usize) -> Result<Self, OutOfRange> {
+        OutOfRange::check("the approximate partition", "k", k as u64, 2..=256)?;
         let h = (usize::BITS - (k - 1).leading_zeros()).max(1);
         let leaves = 1usize << h;
-        HierarchicalPartition {
+        Ok(HierarchicalPartition {
             h,
             leaf_groups: (0..leaves).map(|j| (j % k + 1) as u16).collect(),
-        }
+        })
+    }
+
+    /// [`Self::try_approx`], panicking when `k` is out of range.
+    pub fn approx(k: usize) -> Self {
+        Self::try_approx(k).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Number of levels `h`.

@@ -14,89 +14,88 @@
 //! configuration, and the worst group imbalance observed — the
 //! quantitative counterpart of the paper's Figure 2 narrative.
 
+use crate::kpartition::{PhaseMap, UniformKPartition};
+use crate::OutOfRange;
 use pp_engine::protocol::{CompiledProtocol, StateId};
 use pp_engine::spec::ProtocolSpec;
 
 /// Algorithm 1 truncated to rules 1–7 (no chain abort/unwind).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct BasicStrategyKPartition {
-    k: usize,
+    paper: UniformKPartition,
 }
 
 impl BasicStrategyKPartition {
-    /// Basic strategy for `k ≥ 3` groups. (For `k = 2` the basic strategy
-    /// and the full protocol coincide; use
-    /// [`crate::kpartition::UniformKPartition`].)
+    /// Basic strategy for `3 ≤ k ≤` [`UniformKPartition::MAX_K`] groups.
+    /// (For `k = 2` the basic strategy and the full protocol coincide;
+    /// use [`UniformKPartition`].)
+    pub fn try_new(k: usize) -> Result<Self, OutOfRange> {
+        let range = 3..=UniformKPartition::MAX_K as u64;
+        OutOfRange::check("the basic-strategy ablation", "k", k as u64, range)?;
+        Ok(BasicStrategyKPartition {
+            paper: UniformKPartition::new(k),
+        })
+    }
+
+    /// [`Self::try_new`], panicking when `k` is out of range.
     pub fn new(k: usize) -> Self {
-        assert!(k >= 3, "the basic-strategy ablation is defined for k >= 3");
-        BasicStrategyKPartition { k }
+        Self::try_new(k).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Number of groups `k`.
     pub fn k(&self) -> usize {
-        self.k
+        self.paper.k()
     }
 
-    /// `|Q| = 2k` (the full protocol's `3k − 2` minus the `k − 2` states
-    /// of `D`).
+    /// `|Q| = 2k`: the paper's layout without its last `k − 2` states,
+    /// `D`.
     pub fn num_states(&self) -> usize {
-        2 * self.k
+        2 * self.k()
     }
 
     /// The designated initial state.
     pub fn initial(&self) -> StateId {
-        StateId(0)
+        self.paper.initial()
     }
 
     /// The `initial'` state.
     pub fn initial_prime(&self) -> StateId {
-        StateId(1)
+        self.paper.initial_prime()
     }
 
     /// Settled-group state `g_i`, `1 ≤ i ≤ k`.
     pub fn g(&self, i: usize) -> StateId {
-        assert!((1..=self.k).contains(&i));
-        StateId((2 + i - 1) as u16)
+        self.paper.g(i)
     }
 
     /// Chain-builder state `m_i`, `2 ≤ i ≤ k − 1`.
     pub fn m(&self, i: usize) -> StateId {
-        assert!((2..=self.k - 1).contains(&i));
-        StateId((2 + self.k + i - 2) as u16)
+        self.paper.m(i)
     }
 
-    /// Build the truncated protocol description.
-    pub fn spec(&self) -> ProtocolSpec {
-        let k = self.k;
-        let mut spec = ProtocolSpec::new(format!("basic-strategy-{k}-partition"));
-        let ini = spec.add_state("initial", 1);
-        let inip = spec.add_state("initial'", 1);
-        for i in 1..=k {
-            spec.add_state(format!("g{i}"), i as u16);
-        }
-        for i in 2..=k - 1 {
-            spec.add_state(format!("m{i}"), i as u16);
-        }
-        spec.set_initial(ini);
-        let flip = |s: StateId| if s == ini { inip } else { ini };
+    /// The convergence-phase role of every state: the paper's, on the
+    /// `I ∪ G ∪ M` prefix this protocol keeps.
+    pub fn phase_map(&self) -> PhaseMap {
+        PhaseMap::of_layout(&self.paper, self.num_states())
+    }
 
-        spec.add_rule(ini, ini, inip, inip);
-        spec.add_rule(inip, inip, ini, ini);
-        spec.add_rule_symmetric(ini, inip, self.g(1), self.m(2));
-        for x in [ini, inip] {
-            for i in 1..=k {
-                spec.add_rule_symmetric(self.g(i), x, self.g(i), flip(x));
+    /// Build the truncated protocol description: the paper's first `2k`
+    /// states and every rule whose four states all lie among them — the
+    /// free-agent flips, the `g_i` flips and rules 5–7. Rules 8–10 touch
+    /// `D`, so `(m_i, m_j)` is a null interaction.
+    pub fn spec(&self) -> ProtocolSpec {
+        let paper = self.paper.compile();
+        let kept = self.num_states();
+        let mut spec = ProtocolSpec::new(format!("basic-strategy-{}-partition", self.k()));
+        for s in paper.states().take(kept) {
+            spec.add_state(paper.state_name(s), paper.group_of(s).0);
+        }
+        spec.set_initial(paper.initial_state());
+        for (p, q, p2, q2) in paper.non_identity_rules() {
+            if [p, q, p2, q2].iter().all(|s| s.index() < kept) {
+                spec.add_rule(p, q, p2, q2);
             }
         }
-        for i in 2..=k.saturating_sub(2) {
-            for x in [ini, inip] {
-                spec.add_rule_symmetric(x, self.m(i), self.g(i), self.m(i + 1));
-            }
-        }
-        for x in [ini, inip] {
-            spec.add_rule_symmetric(x, self.m(k - 1), self.g(k - 1), self.g(k));
-        }
-        // Rules 8–10 deliberately absent: (m_i, m_j) is a null interaction.
         spec
     }
 
@@ -116,7 +115,7 @@ impl BasicStrategyKPartition {
     /// again (the failure mode of §3.2).
     pub fn is_deadlocked(&self, counts: &[u64]) -> bool {
         let free: u64 = counts[self.initial().index()] + counts[self.initial_prime().index()];
-        let builders: u64 = (2..=self.k - 1).map(|i| counts[self.m(i).index()]).sum();
+        let builders: u64 = (2..self.k()).map(|i| counts[self.m(i).index()]).sum();
         free == 0 && builders > 0
     }
 }

@@ -55,13 +55,24 @@
 //! ([`UniformKPartition::expected_group_sizes`]). [`UniformKPartition::
 //! stable_signature`] encodes this as an exact count predicate, which the
 //! simulator checks in O(|Q|) after each effective interaction.
+//!
+//! This module is the only code that knows the layout above: the
+//! derived families ([`ablation`], [`variant`], [`crate::ratio`]) copy
+//! the compiled table, [`phase`] reads each state's role off the layout
+//! accessors, and the Lemma 1 functionals pp-lint certifies and
+//! pp-verify checks derive from [`UniformKPartition::lemma1_residual`].
 
 pub mod ablation;
+pub mod phase;
 pub mod variant;
 
+pub use phase::{Phase, PhaseMap, PhaseProbe};
+
+use crate::OutOfRange;
 use pp_engine::protocol::{CompiledProtocol, StateId};
 use pp_engine::spec::ProtocolSpec;
 use pp_engine::stability::Signature;
+use pp_engine::Functional;
 
 /// Builder/handle for the paper's uniform k-partition protocol.
 ///
@@ -92,15 +103,20 @@ pub struct UniformKPartition {
 }
 
 impl UniformKPartition {
-    /// Protocol for `k ≥ 2` groups.
-    ///
-    /// # Panics
-    /// If `k < 2` (a 1-partition is trivial and the paper requires
-    /// `k ≥ 2`).
+    /// Largest supported `k`: the `3k − 2` states must fit the `u16`
+    /// state-id space with room to spare.
+    pub const MAX_K: usize = u16::MAX as usize / 4;
+
+    /// Protocol for `2 ≤ k ≤` [`Self::MAX_K`] groups (a 1-partition is
+    /// trivial and the paper requires `k ≥ 2`).
+    pub fn try_new(k: usize) -> Result<Self, OutOfRange> {
+        OutOfRange::check("uniform k-partition", "k", k as u64, 2..=Self::MAX_K as u64)?;
+        Ok(UniformKPartition { k })
+    }
+
+    /// [`Self::try_new`], panicking when `k` is out of range.
     pub fn new(k: usize) -> Self {
-        assert!(k >= 2, "uniform k-partition requires k >= 2");
-        assert!(k <= u16::MAX as usize / 4, "k too large for StateId space");
-        UniformKPartition { k }
+        Self::try_new(k).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// The number of groups `k`.
@@ -180,6 +196,25 @@ impl UniformKPartition {
         let base = 2 + self.k + (self.k - 2);
         let i = s.index();
         (base..base + self.k - 2).contains(&i).then(|| i - base + 1)
+    }
+
+    /// The convergence-phase role of every state of this layout.
+    pub fn phase_map(&self) -> PhaseMap {
+        PhaseMap::of_layout(self, self.num_states())
+    }
+
+    /// The rule labels Algorithm 1 compiles to at this `k`, sorted: all
+    /// ten for `k ≥ 4`; without rules 6 and 9 at `k = 3` (no `m_i` with
+    /// `2 ≤ i ≤ k − 2`); only rules 1, 2, 3 and 5 at `k = 2` (no `M`, no
+    /// `D`).
+    pub fn rule_labels(&self) -> Vec<String> {
+        let mut labels: Vec<&str> = match self.k {
+            2 => vec!["r1", "r2", "r3", "r5"],
+            3 => vec!["r1", "r2", "r3", "r4", "r5", "r7", "r8", "r10"],
+            _ => vec!["r1", "r2", "r3", "r4", "r5", "r6", "r7", "r8", "r9", "r10"],
+        };
+        labels.sort_unstable();
+        labels.into_iter().map(String::from).collect()
     }
 
     /// Build the protocol description (states, `f`, all ten rules).
@@ -349,14 +384,10 @@ impl UniformKPartition {
                 let mut rhs = gk;
                 if k >= 3 {
                     for p in (x + 1)..=(k - 1) {
-                        if p >= 2 {
-                            rhs += counts[self.m(p).index()] as i64;
-                        }
+                        rhs += counts[self.m(p).index()] as i64;
                     }
                     for q in x..=(k - 2) {
-                        if q >= 1 {
-                            rhs += counts[self.d(q).index()] as i64;
-                        }
+                        rhs += counts[self.d(q).index()] as i64;
                     }
                 }
                 rhs - counts[self.g(x).index()] as i64
@@ -367,6 +398,25 @@ impl UniformKPartition {
     /// Whether Lemma 1 holds at `counts`.
     pub fn lemma1_holds(&self, counts: &[u64]) -> bool {
         self.lemma1_residual(counts).iter().all(|&r| r == 0)
+    }
+
+    /// The Lemma 1 residuals as linear maps over counts, one per
+    /// `x ∈ {1, .., k−1}` (`x = k` is identically zero and omitted).
+    /// [`Self::lemma1_residual`] is linear with no constant term, so the
+    /// coefficient of state `s` in row `x` is its value at the unit
+    /// configuration `e_s`. pp-lint proves each is conserved by every
+    /// rule and zero at the all-`initial` start — hence zero on every
+    /// reachable configuration, for any population size.
+    pub fn lemma1_functionals(&self) -> Vec<Functional> {
+        let s = self.num_states();
+        let unit = |i: usize| (0..s).map(|j| u64::from(i == j)).collect::<Vec<_>>();
+        let columns: Vec<Vec<i64>> = (0..s).map(|i| self.lemma1_residual(&unit(i))).collect();
+        (1..self.k)
+            .map(|x| {
+                let coeffs = columns.iter().map(|column| column[x - 1]).collect();
+                Functional::new(format!("lemma1[x={x}]"), coeffs)
+            })
+            .collect()
     }
 
     /// A safe interaction budget for simulations: generous enough that a
@@ -644,10 +694,39 @@ mod tests {
         assert!(!kp.lemma1_holds(&counts));
     }
 
+    /// The functional registry matches the runtime residual: evaluating
+    /// the static functionals at a configuration equals
+    /// `UniformKPartition::lemma1_residual` (minus the trivial x = k row).
+    #[test]
+    fn lemma1_functionals_match_runtime_residual() {
+        for k in [3usize, 4, 5] {
+            let kp = UniformKPartition::new(k);
+            let fs = kp.lemma1_functionals();
+            assert_eq!(fs.len(), k - 1);
+            // An arbitrary (not necessarily reachable) configuration.
+            let mut counts = vec![0u64; 3 * k - 2];
+            for (i, c) in counts.iter_mut().enumerate() {
+                *c = (7 * i + 3) as u64 % 5;
+            }
+            let runtime = kp.lemma1_residual(&counts);
+            for (x, f) in (1..k).zip(&fs) {
+                assert_eq!(f.value_at(&counts), runtime[x - 1], "k={k} x={x} mismatch");
+            }
+        }
+    }
+
     #[test]
     #[should_panic(expected = "k >= 2")]
     fn k1_rejected() {
         UniformKPartition::new(1);
+    }
+
+    #[test]
+    fn out_of_range_k_is_an_error() {
+        assert!(UniformKPartition::try_new(1).is_err());
+        let err = UniformKPartition::try_new(20_000).unwrap_err().to_string();
+        assert!(err.ends_with("k <= 16383, got k = 20000"), "{err}");
+        assert!(UniformKPartition::try_new(UniformKPartition::MAX_K).is_ok());
     }
 
     #[test]

@@ -27,7 +27,8 @@
 //! the paper's Figure 6 hurts.
 
 use crate::kpartition::UniformKPartition;
-use pp_engine::protocol::{CompiledProtocol, StateId};
+use crate::OutOfRange;
+use pp_engine::protocol::CompiledProtocol;
 use pp_engine::spec::ProtocolSpec;
 use pp_engine::stability::Signature;
 
@@ -39,13 +40,20 @@ pub struct OneSidedAbortKPartition {
 }
 
 impl OneSidedAbortKPartition {
-    /// Variant protocol for `k ≥ 3` groups (for `k = 2` there are no
-    /// chains and the variant coincides with the paper's protocol).
-    pub fn new(k: usize) -> Self {
-        assert!(k >= 3, "the one-sided-abort variant needs k >= 3");
-        OneSidedAbortKPartition {
+    /// Variant protocol for `3 ≤ k ≤` [`UniformKPartition::MAX_K`]
+    /// groups (for `k = 2` there are no chains and the variant coincides
+    /// with the paper's protocol).
+    pub fn try_new(k: usize) -> Result<Self, OutOfRange> {
+        let range = 3..=UniformKPartition::MAX_K as u64;
+        OutOfRange::check("the one-sided-abort variant", "k", k as u64, range)?;
+        Ok(OneSidedAbortKPartition {
             base: UniformKPartition::new(k),
-        }
+        })
+    }
+
+    /// [`Self::try_new`], panicking when `k` is out of range.
+    pub fn new(k: usize) -> Self {
+        Self::try_new(k).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// The shared state layout and helpers (accessors `g`, `m`, `d`,
@@ -69,15 +77,12 @@ impl OneSidedAbortKPartition {
         // except off-diagonal (m, m) pairs, then add 8a.
         let paper = kp.compile();
         let mut spec = ProtocolSpec::new(format!("one-sided-abort-{k}-partition"));
-        let mut names: Vec<String> = Vec::new();
         for s in paper.states() {
-            names.push(paper.state_name(s).to_string());
             spec.add_state(paper.state_name(s), paper.group_of(s).0);
         }
         spec.set_initial(paper.initial_state());
-        let m_index = |s: StateId| kp.m_index(s);
         for (p, q, p2, q2) in paper.non_identity_rules() {
-            match (m_index(p), m_index(q)) {
+            match (kp.m_index(p), kp.m_index(q)) {
                 (Some(i), Some(j)) if i != j => {
                     // Replace with one-sided abort: the larger survives.
                     if i > j {

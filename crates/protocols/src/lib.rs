@@ -6,8 +6,10 @@
 //!
 //! * [`kpartition`] — **the paper's contribution**: the symmetric
 //!   `3k − 2`-state uniform k-partition protocol (Algorithm 1), its stable
-//!   configuration characterisation (Lemmas 4–6), the Lemma 1 invariant,
-//!   and the rules-1–7 "basic strategy" ablation of §3.2.
+//!   configuration characterisation (Lemmas 4–6), the Lemma 1 invariant
+//!   and its functionals, the convergence phases read off its state
+//!   layout, and the rules-1–7 "basic strategy" ablation of §3.2. This is
+//!   the only code that knows Algorithm 1's layout.
 //! * [`bipartition`] — the 4-state uniform bipartition protocol of Yasumi
 //!   et al. (OPODIS 2017), which the paper's protocol specialises to at
 //!   `k = 2`.
@@ -32,3 +34,40 @@ pub mod kpartition;
 pub mod ratio;
 
 pub use kpartition::UniformKPartition;
+
+use std::fmt;
+use std::ops::RangeInclusive;
+
+/// A family parameter outside the range the family is defined for:
+/// what each fallible constructor (`try_new`, `try_composed`, …)
+/// returns instead of panicking. Displays as e.g. "uniform k-partition
+/// requires k >= 2 and k <= 16383, got k = 1".
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct OutOfRange(String);
+
+impl OutOfRange {
+    /// `Ok(())` when `range` holds `value`, else the error naming the
+    /// family, the parameter and the range.
+    fn check(
+        family: &str,
+        param: &str,
+        value: u64,
+        range: RangeInclusive<u64>,
+    ) -> Result<(), Self> {
+        if range.contains(&value) {
+            return Ok(());
+        }
+        let (min, max) = (range.start(), range.end());
+        Err(OutOfRange(format!(
+            "{family} requires {param} >= {min} and {param} <= {max}, got {param} = {value}"
+        )))
+    }
+}
+
+impl fmt::Display for OutOfRange {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(&self.0)
+    }
+}
+
+impl std::error::Error for OutOfRange {}

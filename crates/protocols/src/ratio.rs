@@ -19,7 +19,8 @@
 //! differs.
 
 use crate::kpartition::UniformKPartition;
-use pp_engine::protocol::{CompiledProtocol, GroupId, StateId};
+use pp_engine::protocol::{CompiledProtocol, GroupId};
+use pp_engine::spec::ProtocolSpec;
 use pp_engine::stability::Signature;
 
 /// Ratio-partition protocol for a ratio vector `R`.
@@ -80,46 +81,21 @@ impl RatioPartition {
     }
 
     /// Build and compile the protocol: the uniform `s`-partition table
-    /// with the folded output map.
+    /// with every state's slot mapped through the fold (`initial` and
+    /// the `d_i` sit in slot 1, which is always group 1).
     pub fn compile(&self) -> CompiledProtocol {
-        let s = self.num_slots();
-        let mut spec = self.relabelled_spec();
-        let _ = s;
-        spec.set_initial(self.slots.initial());
-        spec.compile()
-            .expect("ratio partition spec is internally consistent")
-    }
-
-    fn relabelled_spec(&self) -> pp_engine::spec::ProtocolSpec {
-        // Rebuild the k-partition spec with the folded group labels.
-        // Layout must match `UniformKPartition`'s accessors exactly.
-        let s = self.num_slots();
-        let kp = &self.slots;
-        let mut spec =
-            pp_engine::spec::ProtocolSpec::new(format!("ratio-partition-{:?}", self.ratios));
-        let fold = |slot: usize| self.slot_group[slot - 1];
-        let ini = spec.add_state("initial", 1);
-        let inip = spec.add_state("initial'", 1);
-        for i in 1..=s {
-            spec.add_state(format!("g{i}"), fold(i));
+        let slot_proto = self.slots.compile();
+        let mut spec = ProtocolSpec::new(format!("ratio-partition-{:?}", self.ratios));
+        for s in slot_proto.states() {
+            let slot = slot_proto.group_of(s).number();
+            spec.add_state(slot_proto.state_name(s), self.slot_group[slot - 1]);
         }
-        if s >= 3 {
-            for i in 2..=s - 1 {
-                spec.add_state(format!("m{i}"), fold(i));
-            }
-            for i in 1..=s - 2 {
-                spec.add_state(format!("d{i}"), 1);
-            }
-        }
-        spec.set_initial(ini);
-        // Copy the rules from the slot-level protocol verbatim: the rule
-        // structure depends only on the state layout, which is shared.
-        let slot_proto = kp.compile();
+        spec.set_initial(slot_proto.initial_state());
         for (p, q, p2, q2) in slot_proto.non_identity_rules() {
             spec.add_rule(p, q, p2, q2);
         }
-        let _ = (ini, inip);
-        spec
+        spec.compile()
+            .expect("ratio partition spec is internally consistent")
     }
 
     /// Stable signature — identical to the slot-level protocol's.
@@ -141,11 +117,6 @@ impl RatioPartition {
     /// `n·rᵢ/s` by less than `rᵢ`.
     pub fn deviation_bound(&self, i: usize) -> u64 {
         u64::from(self.ratios[i - 1])
-    }
-
-    /// Slot-level state id `g_j` (useful with the engine's trace tools).
-    pub fn g(&self, j: usize) -> StateId {
-        self.slots.g(j)
     }
 }
 

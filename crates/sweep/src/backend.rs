@@ -26,9 +26,11 @@ use std::io::{Read as _, Seek as _, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
+use pp_engine::seeds::fnv1a64;
+
 use crate::journal::{self, JournalState, JournalWriter};
 use crate::json::Value;
-use crate::spec::{fnv1a64, CellSpec};
+use crate::spec::CellSpec;
 use crate::store::{decode_cell_doc, encode_cell_doc, CellResult, TrialRecord};
 
 /// Append side of a cell's crash journal: each record lands durably (to

@@ -61,11 +61,7 @@ fn topo_cell(fragment: &str, cfg: PlanConfig) -> CellSpec {
         // Independent of the ukp_cell(k, n) stream: labelled by the
         // dynamics fragment's own hash so every grid cell gets a
         // distinct, stable seed.
-        seed: seeds::derive_labelled(
-            cfg.master_seed,
-            crate::spec::fnv1a64(fragment.as_bytes()),
-            N,
-        ),
+        seed: seeds::derive_labelled(cfg.master_seed, seeds::fnv1a64(fragment.as_bytes()), N),
         criterion: CriterionKind::Stable,
         budget: kp.interaction_budget(N),
         mode: CellMode::Summary,

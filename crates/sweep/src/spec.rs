@@ -9,11 +9,12 @@
 
 use crate::json::Value;
 use pp_engine::protocol::{CompiledProtocol, StateId};
+use pp_engine::seeds::fnv1a64;
 use pp_engine::stability::{Signature, Silent, StabilityCriterion};
 use pp_protocols::hierarchical::{HierarchicalPartition, HierarchicalStable};
 use pp_protocols::kpartition::ablation::BasicStrategyKPartition;
 use pp_protocols::kpartition::variant::OneSidedAbortKPartition;
-use pp_protocols::kpartition::UniformKPartition;
+use pp_protocols::kpartition::{PhaseMap, UniformKPartition};
 use pp_topo::Dynamics;
 
 /// Which protocol a cell simulates.
@@ -286,7 +287,8 @@ impl CellSpec {
         Ok(())
     }
 
-    /// Compile the protocol and its stopping criterion.
+    /// Compile the protocol, its stopping criterion and — for the
+    /// k-partition family — its convergence-phase map.
     ///
     /// Criteria that depend on the population size (stable signatures)
     /// target [`CellSpec::target_n`] — the post-churn population — so a
@@ -294,40 +296,45 @@ impl CellSpec {
     /// actually reach.
     pub fn materialize(&self) -> MaterializedCell {
         let sig_n = self.target_n();
-        let (proto, stable): (CompiledProtocol, AnyCriterion) = match self.protocol {
+        let (proto, stable, phases) = match self.protocol {
             ProtocolId::UniformKPartition { k } => {
                 let p = UniformKPartition::new(k);
                 let c = AnyCriterion::Signature(p.stable_signature(sig_n));
-                (p.compile(), c)
+                (p.compile(), c, Some(p.phase_map()))
             }
             ProtocolId::BasicStrategy { k } => {
                 let p = BasicStrategyKPartition::new(k);
                 // The basic strategy has no stable signature (it can
                 // deadlock anywhere); its natural stopping point is
                 // silence, so Stable degrades to Silent.
-                (p.compile(), AnyCriterion::Silent(Silent))
+                let c = AnyCriterion::Silent(Silent);
+                (p.compile(), c, Some(p.phase_map()))
             }
             ProtocolId::OneSidedAbort { k } => {
                 let p = OneSidedAbortKPartition::new(k);
                 let c = AnyCriterion::Signature(p.stable_signature(sig_n));
-                (p.compile(), c)
+                (p.compile(), c, Some(p.base().phase_map()))
             }
             ProtocolId::ComposedBipartition { h } => {
                 let p = HierarchicalPartition::composed(h);
                 let c = AnyCriterion::Hierarchical(p.stability());
-                (p.compile(), c)
+                (p.compile(), c, None)
             }
             ProtocolId::ApproxPartition { k } => {
                 let p = HierarchicalPartition::approx(k);
                 let c = AnyCriterion::Hierarchical(p.stability());
-                (p.compile(), c)
+                (p.compile(), c, None)
             }
         };
         let criterion = match self.criterion {
             CriterionKind::Stable => stable,
             CriterionKind::Silent => AnyCriterion::Silent(Silent),
         };
-        MaterializedCell { proto, criterion }
+        MaterializedCell {
+            proto,
+            criterion,
+            phases,
+        }
     }
 
     /// Encode as the `pp-serve` wire object, e.g.
@@ -392,7 +399,9 @@ impl CellSpec {
     /// `seed`, and `budget` are required (they all enter the content
     /// address, so there are no silent defaults for them); `criterion`
     /// defaults to `stable`, `mode` to `summary`, and `kernel` to the
-    /// mode's [default kernel](CellMode::default_kernel).
+    /// mode's [default kernel](CellMode::default_kernel). The family
+    /// parameter (`k` or `h`) must lie in the range the family's
+    /// constructor states, so a decoded spec always materializes.
     pub fn from_json(v: &Value) -> Result<CellSpec, String> {
         let req_u64 = |field: &str| -> Result<u64, String> {
             v.get(field)
@@ -405,15 +414,25 @@ impl CellSpec {
             .and_then(Value::as_str)
             .ok_or("missing field 'protocol'")?
         {
-            "ukp" => ProtocolId::UniformKPartition { k: k()? },
-            "basic" => ProtocolId::BasicStrategy { k: k()? },
-            "oneside" => ProtocolId::OneSidedAbort { k: k()? },
-            "composed" => ProtocolId::ComposedBipartition {
-                h: req_u64("h")? as u32,
-            },
-            "approx" => ProtocolId::ApproxPartition { k: k()? },
+            "ukp" => {
+                UniformKPartition::try_new(k()?).map(|p| ProtocolId::UniformKPartition { k: p.k() })
+            }
+            "basic" => BasicStrategyKPartition::try_new(k()?)
+                .map(|p| ProtocolId::BasicStrategy { k: p.k() }),
+            "oneside" => OneSidedAbortKPartition::try_new(k()?)
+                .map(|p| ProtocolId::OneSidedAbort { k: p.k() }),
+            "composed" => {
+                let h = u32::try_from(req_u64("h")?).unwrap_or(u32::MAX);
+                HierarchicalPartition::try_composed(h)
+                    .map(|p| ProtocolId::ComposedBipartition { h: p.levels() })
+            }
+            "approx" => {
+                let k = k()?;
+                HierarchicalPartition::try_approx(k).map(|_| ProtocolId::ApproxPartition { k })
+            }
             other => return Err(format!("unknown protocol '{other}'")),
-        };
+        }
+        .map_err(|e| e.to_string())?;
         let criterion = match v.get("criterion").and_then(Value::as_str) {
             None | Some("stable") => CriterionKind::Stable,
             Some("silent") => CriterionKind::Silent,
@@ -456,11 +475,6 @@ impl CellSpec {
         if spec.n == 0 {
             return Err("n must be positive".into());
         }
-        // k = 1 is degenerate and k < 1 impossible; reject before
-        // materialize() can panic inside a server.
-        if spec.protocol.k() < 2 {
-            return Err("k must be at least 2".into());
-        }
         if matches!(spec.mode, CellMode::Watched)
             && !matches!(spec.protocol, ProtocolId::UniformKPartition { .. })
         {
@@ -483,22 +497,16 @@ impl CellSpec {
     }
 }
 
-/// FNV-1a, 64-bit. Stable by construction.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// A compiled protocol plus its stopping criterion.
 pub struct MaterializedCell {
     /// The compiled protocol.
     pub proto: CompiledProtocol,
     /// The stopping criterion.
     pub criterion: AnyCriterion,
+    /// Convergence-phase roles, for the k-partition family (the paper's
+    /// protocol, the basic strategy and the one-sided variant); `None`
+    /// for the hierarchical baselines, whose cells get no timeline.
+    pub phases: Option<PhaseMap>,
 }
 
 /// Runtime-dispatched stability criterion, so heterogeneous cells fit in
@@ -783,6 +791,32 @@ mod tests {
             let mut counts = vec![0u64; m.proto.num_states()];
             counts[m.proto.initial_state().index()] = 12;
             assert!(!m.criterion.is_stable(&m.proto, &counts));
+            // Only the k-partition family has convergence phases.
+            let k_partition = !matches!(
+                proto,
+                ProtocolId::ComposedBipartition { .. } | ProtocolId::ApproxPartition { .. }
+            );
+            assert_eq!(m.phases.is_some(), k_partition, "{proto:?}");
+        }
+    }
+
+    /// A family parameter outside the family's range is a rejected
+    /// request, never a panic in `from_json` or `materialize`.
+    #[test]
+    fn wire_json_rejects_out_of_range_family_parameters() {
+        for params in [
+            "\"protocol\":\"basic\",\"k\":2",
+            "\"protocol\":\"oneside\",\"k\":2",
+            "\"protocol\":\"ukp\",\"k\":20000",
+            "\"protocol\":\"approx\",\"k\":20000",
+            "\"protocol\":\"composed\",\"h\":9",
+            "\"protocol\":\"composed\",\"h\":64",
+            "\"protocol\":\"composed\",\"h\":4294967297",
+        ] {
+            let text = format!("{{{params},\"n\":12,\"trials\":1,\"seed\":1,\"budget\":10}}");
+            let v = Value::parse(&text).unwrap();
+            let err = CellSpec::from_json(&v).unwrap_err();
+            assert!(err.contains("requires"), "{params}: {err}");
         }
     }
 

@@ -2,7 +2,7 @@
 //!
 //! A timeline is the phase-classification record of **trial 0** of a
 //! cell — same derived seed, kernel, and budget as the trial the store
-//! holds, re-run under a [`pp_engine::PhaseProbe`] that samples
+//! holds, re-run under a [`PhaseProbe`] that samples
 //! Algorithm 1's regime (chain-building / repair / stable) at
 //! logarithmically-spaced checkpoints. The result is written as
 //! integer-and-string JSON to `<store>/<stem>.timeline.json`, next to
@@ -16,13 +16,15 @@
 //! begin at or after a `chain_abort`); `timeline.rs`'s tests pin that
 //! consistency configuration-by-configuration.
 //!
-//! Cells running protocols whose state names don't follow the
-//! k-partition convention have no phase classification; they are
+//! The phase map comes from [`CellSpec::materialize`]: the k-partition
+//! family (the paper's protocol, the basic strategy, the one-sided
+//! variant) has one, read off its state layout. Cells of the
+//! hierarchical baselines have no phase classification; they are
 //! skipped (reported as `None`), not failed.
 
 use std::path::PathBuf;
 
-use pp_engine::{Phase, PhaseProbe};
+use pp_protocols::kpartition::{Phase, PhaseProbe};
 use pp_telemetry::json::Value;
 
 use crate::exec::observe_trial;
@@ -126,17 +128,18 @@ struct ProbedTrial {
 
 /// Re-run trial 0 of `spec` under a phase probe, through the same trial
 /// path and seed as [`crate::exec::run_one_trial`]. Returns `None` when
-/// the protocol's states don't follow the k-partition naming convention.
+/// the cell's protocol has no phase map.
 ///
 /// Batch cells are probed on the exact leap kernel, the same stand-in
 /// the trace layer uses: the batch kernel has no interaction-granular
 /// checkpoint stream, and the leap run is a faithful exact execution of
 /// the same cell seed.
 fn record_trial0(spec: &CellSpec) -> Result<Option<ProbedTrial>, String> {
-    let cell = spec.materialize();
-    let Some(mut probe) = PhaseProbe::for_protocol(&cell.proto) else {
+    let mut cell = spec.materialize();
+    let Some(map) = cell.phases.take() else {
         return Ok(None);
     };
+    let mut probe = PhaseProbe::new(map);
     let kernel = spec.kernel.per_interaction();
     let outcome = observe_trial(spec, &cell, 0, kernel, &mut probe)?;
     let interactions = outcome.interactions.unwrap_or(spec.budget);
@@ -207,7 +210,6 @@ mod tests {
     use super::*;
     use crate::spec::{CellMode, CriterionKind, KernelChoice, ProtocolId};
     use pp_engine::population::{CountPopulation, Population};
-    use pp_engine::PhaseMap;
     use pp_trace::Trace;
 
     fn temp_store(tag: &str) -> ResultStore {
@@ -320,7 +322,7 @@ mod tests {
             let trace = Trace::decode(&bytes).unwrap();
             let diag = pp_trace::classify(&trace).unwrap();
             let cell = spec.materialize();
-            let map = PhaseMap::for_protocol(&cell.proto).unwrap();
+            let map = cell.phases.as_ref().unwrap();
 
             for &(step, phase) in &t.segments {
                 assert_eq!(

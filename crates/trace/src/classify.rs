@@ -14,6 +14,7 @@ use crate::replay::Trace;
 use pp_engine::protocol::StateId;
 use pp_protocols::kpartition::UniformKPartition;
 use std::collections::BTreeMap;
+use std::ops::ControlFlow;
 
 /// One lifecycle event, derived from a rule firing.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -127,12 +128,14 @@ pub fn kpartition_of(header: &TraceHeader) -> Result<UniformKPartition, TraceErr
         .ok_or(TraceError::BadHeader {
             what: "not a uniform-k-partition trace",
         })?;
-    if k < 2 || 3 * k - 2 != header.state_names.len() {
+    let kp = UniformKPartition::try_new(k).map_err(|_| TraceError::BadHeader {
+        what: "k is outside the uniform k-partition's range",
+    })?;
+    if kp.num_states() != header.state_names.len() {
         return Err(TraceError::BadHeader {
             what: "state count does not match 3k - 2",
         });
     }
-    let kp = UniformKPartition::new(k);
     let proto = kp.compile();
     for s in proto.states() {
         if proto.state_name(s) != header.state_names[s.index()] {
@@ -224,13 +227,15 @@ pub fn classify(trace: &Trace) -> Result<Diagnostics, TraceError> {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Lemma1Report {
     /// The invariant held at the initial configuration and after every
-    /// effective record; `checked` configurations were examined.
+    /// effective or lifecycle record; `checked` configurations were
+    /// examined.
     Holds {
-        /// Number of configurations checked (initial + one per record).
+        /// Number of configurations checked (initial + one per
+        /// count-changing record).
         checked: u64,
     },
-    /// First violation: after the effective record at `step`, the
-    /// residual vector was non-zero.
+    /// First violation: after the record at `step` (an interaction, or
+    /// a join or departure), the residual vector was non-zero.
     ViolatedAt {
         /// Step of the first violating configuration.
         step: u64,
@@ -239,41 +244,39 @@ pub enum Lemma1Report {
     },
 }
 
-/// Walk the trace configurations and check the paper's Lemma 1 invariant
-/// (`#g_x = Σ_{p>x} #m_p + Σ_{q≥x} #d_q + #g_k` for every `x`) online,
-/// reporting the first violating step. Step 0 is the initial
-/// configuration; identity runs cannot change counts and are skipped.
+/// Walk the trace configurations (`Trace::walk`) and check the paper's
+/// Lemma 1 invariant (`#g_x = Σ_{p>x} #m_p + Σ_{q≥x} #d_q + #g_k` for
+/// every `x`) online, reporting the first violating step. Step 0 is the
+/// initial configuration; joins and departures change the configuration
+/// like interactions do, so a violation they cause is reported at their
+/// step; identity runs cannot change counts and are skipped.
 pub fn check_lemma1(trace: &Trace) -> Result<Lemma1Report, TraceError> {
     let kp = kpartition_of(&trace.header)?;
-    let mut counts = trace.header.initial_counts.clone();
-    if !kp.lemma1_holds(&counts) {
-        return Ok(Lemma1Report::ViolatedAt {
-            step: 0,
-            residual: kp.lemma1_residual(&counts),
-        });
+    let violation = |step, counts: &[u64]| {
+        let residual = kp.lemma1_residual(counts);
+        residual
+            .iter()
+            .any(|&r| r != 0)
+            .then_some(Lemma1Report::ViolatedAt { step, residual })
+    };
+    if let Some(v) = violation(0, &trace.header.initial_counts) {
+        return Ok(v);
     }
     let mut checked = 1u64;
-    for rec in &trace.records {
-        let &TraceRecord::Effective { step, p, q, p2, q2 } = rec else {
-            continue;
-        };
-        for s in [p, q] {
-            let c = &mut counts[s as usize];
-            *c = c
-                .checked_sub(1)
-                .ok_or(TraceError::CountUnderflow { step, state: s })?;
+    let walked = trace.walk(|rec, counts| {
+        if matches!(rec, TraceRecord::IdentityRun { .. }) {
+            return Ok(ControlFlow::Continue(()));
         }
-        counts[p2 as usize] += 1;
-        counts[q2 as usize] += 1;
         checked += 1;
-        if !kp.lemma1_holds(&counts) {
-            return Ok(Lemma1Report::ViolatedAt {
-                step,
-                residual: kp.lemma1_residual(&counts),
-            });
-        }
-    }
-    Ok(Lemma1Report::Holds { checked })
+        Ok(match violation(rec.last_step(), counts) {
+            Some(v) => ControlFlow::Break(v),
+            None => ControlFlow::Continue(()),
+        })
+    })?;
+    Ok(match walked {
+        ControlFlow::Break(v) => v,
+        ControlFlow::Continue(_) => Lemma1Report::Holds { checked },
+    })
 }
 
 #[cfg(test)]
@@ -281,7 +284,7 @@ mod tests {
     use super::*;
     use crate::format::TraceKernel;
     use crate::recorder::TraceRecorder;
-    use pp_engine::observer::Observer;
+    use pp_engine::observer::{LifecycleKind, Observer};
     use pp_engine::population::{CountPopulation, Population};
     use pp_engine::scheduler::UniformRandomScheduler;
     use pp_engine::simulator::Simulator;
@@ -377,5 +380,90 @@ mod tests {
             Lemma1Report::ViolatedAt { step, .. } => assert_eq!(step, 2),
             Lemma1Report::Holds { .. } => panic!("violation not detected"),
         }
+    }
+
+    /// A k = 3 header with `n` agents, all `initial`.
+    fn k3_header(n: u64) -> (UniformKPartition, TraceHeader) {
+        let kp = UniformKPartition::new(3);
+        let proto = kp.compile();
+        let mut initial_counts = vec![0u64; proto.num_states()];
+        initial_counts[kp.initial().index()] = n;
+        let header = TraceHeader {
+            protocol: "uniform-3-partition".into(),
+            state_names: proto
+                .states()
+                .map(|s| proto.state_name(s).to_string())
+                .collect(),
+            n,
+            seed: 0,
+            kernel: TraceKernel::Naive,
+            initial_counts,
+        };
+        (kp, header)
+    }
+
+    /// A header naming a k outside the family's range is a bad header,
+    /// not a panic — including a k whose `3k − 2` would overflow.
+    #[test]
+    fn out_of_range_k_is_a_bad_header() {
+        let (_, mut header) = k3_header(3);
+        header.protocol = "uniform-20000-partition".into();
+        header.state_names = (0..59_998).map(|i| format!("q{i}")).collect();
+        header.initial_counts = vec![0; 59_998];
+        assert!(matches!(
+            kpartition_of(&header),
+            Err(TraceError::BadHeader { .. })
+        ));
+        header.protocol = format!("uniform-{}-partition", usize::MAX / 2);
+        assert!(matches!(
+            kpartition_of(&header),
+            Err(TraceError::BadHeader { .. })
+        ));
+    }
+
+    /// Joins are part of the configuration: rule 1 at step 1 needs the
+    /// agent that joined before it.
+    #[test]
+    fn lemma1_follows_joins() {
+        let (kp, header) = k3_header(1);
+        let (ini, inip) = (kp.initial(), kp.initial_prime());
+        let mut rec = TraceRecorder::new(&header);
+        rec.on_lifecycle(0, LifecycleKind::Join, ini, &[]);
+        rec.on_interaction(1, ini, ini, inip, inip, &[]);
+        rec.on_lifecycle(1, LifecycleKind::Join, ini, &[]);
+        rec.on_interaction(2, ini, inip, kp.g(1), kp.m(2), &[]);
+        let mut fc = vec![0u64; kp.num_states()];
+        fc[inip.index()] = 1;
+        fc[kp.g(1).index()] = 1;
+        fc[kp.m(2).index()] = 1;
+        let trace = Trace::decode(&rec.finish(&fc)).unwrap();
+        assert_eq!(trace.replay().unwrap().effective, 2);
+        assert_eq!(
+            check_lemma1(&trace).unwrap(),
+            Lemma1Report::Holds { checked: 5 }
+        );
+    }
+
+    /// A departure that breaks the invariant is reported at its step: a
+    /// `g1` agent leaving a half-built chain strands the `m2` builder.
+    #[test]
+    fn lemma1_reports_violating_departure() {
+        let (kp, header) = k3_header(3);
+        let (ini, inip) = (kp.initial(), kp.initial_prime());
+        let mut rec = TraceRecorder::new(&header);
+        rec.on_interaction(1, ini, ini, inip, inip, &[]);
+        rec.on_interaction(2, ini, inip, kp.g(1), kp.m(2), &[]);
+        rec.on_lifecycle(2, LifecycleKind::Leave, kp.g(1), &[]);
+        let mut fc = vec![0u64; kp.num_states()];
+        fc[inip.index()] = 1;
+        fc[kp.m(2).index()] = 1;
+        let trace = Trace::decode(&rec.finish(&fc)).unwrap();
+        assert_eq!(
+            check_lemma1(&trace).unwrap(),
+            Lemma1Report::ViolatedAt {
+                step: 2,
+                residual: vec![1, 0, 0]
+            }
+        );
     }
 }

@@ -20,6 +20,7 @@ use crate::format::{TraceError, TraceKernel};
 use crate::live::{record_kpartition, verify_against_live};
 use crate::replay::Trace;
 use pp_engine::simulator::Kernel;
+use pp_protocols::kpartition::UniformKPartition;
 use std::path::Path;
 
 /// Entry point; returns the process exit code.
@@ -147,9 +148,7 @@ fn cmd_record(args: &[String]) -> Result<(), String> {
     let budget = parse_u64(&opts, "budget")?;
     let kernel = kernel_from(&opts)?;
     let out_path = opt(&opts, "out").ok_or("--out is required")?;
-    if k < 2 {
-        return Err("--k must be at least 2".into());
-    }
+    UniformKPartition::try_new(k).map_err(|e| e.to_string())?;
     let out = record_kpartition(k, n, seed, kernel, budget);
     write_atomic(Path::new(out_path), &out.bytes)
         .map_err(|e| format!("cannot write {out_path}: {e}"))?;

@@ -283,18 +283,6 @@ impl fmt::Display for TraceError {
 
 impl std::error::Error for TraceError {}
 
-/// FNV-1a 64-bit over `bytes` — same function the sweep store uses for
-/// content addressing, duplicated here so the trace layer stays below
-/// the sweep in the dependency order.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// Append `v` as a LEB128 varint.
 pub fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
     loop {

@@ -8,12 +8,13 @@
 //! the two kernels share one format and one decoder.
 
 use crate::format::{
-    encode_header, fnv1a64, put_varint, TraceHeader, TraceKernel, TAG_EFFECTIVE, TAG_FOOTER,
+    encode_header, put_varint, TraceHeader, TraceKernel, TAG_EFFECTIVE, TAG_FOOTER,
     TAG_IDENTITY_RUN, TAG_LIFECYCLE,
 };
 use pp_engine::observer::{LifecycleKind, Observer};
 use pp_engine::population::{CountPopulation, Population};
 use pp_engine::protocol::{CompiledProtocol, StateId};
+use pp_engine::seeds::fnv1a64;
 
 /// An [`Observer`] that encodes the execution into the trace format.
 ///

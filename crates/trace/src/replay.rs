@@ -10,11 +10,14 @@
 //! step t" via evenly spaced checkpoints.
 
 use crate::format::{
-    decode_header, fnv1a64, Reader, TraceError, TraceHeader, TraceRecord, TAG_EFFECTIVE,
-    TAG_FOOTER, TAG_IDENTITY_RUN, TAG_LIFECYCLE,
+    decode_header, Reader, TraceError, TraceHeader, TraceRecord, TAG_EFFECTIVE, TAG_FOOTER,
+    TAG_IDENTITY_RUN, TAG_LIFECYCLE,
 };
 use pp_engine::observer::LifecycleKind;
 use pp_engine::protocol::{CompiledProtocol, StateId};
+use pp_engine::seeds::fnv1a64;
+use std::convert::Infallible;
+use std::ops::ControlFlow;
 
 /// A fully decoded trace: header, records (absolute steps), final counts.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -220,11 +223,10 @@ impl Trace {
     }
 
     fn replay_inner(&self, proto: Option<&CompiledProtocol>) -> Result<ReplaySummary, TraceError> {
-        let mut counts = self.header.initial_counts.clone();
         let mut effective = 0u64;
         let mut identity = 0u64;
         let mut lifecycle = 0u64;
-        for rec in &self.records {
+        let walked = self.walk(|rec, _| {
             match *rec {
                 TraceRecord::Effective { step, p, q, p2, q2 } => {
                     if let Some(proto) = proto {
@@ -233,16 +235,14 @@ impl Trace {
                             return Err(TraceError::DeltaMismatch { step });
                         }
                     }
-                    apply(&mut counts, step, p, q, p2, q2)?;
                     effective += 1;
                 }
                 TraceRecord::IdentityRun { skipped, .. } => identity += skipped,
-                TraceRecord::Lifecycle { step, kind, state } => {
-                    apply_lifecycle(&mut counts, step, kind, state)?;
-                    lifecycle += 1;
-                }
+                TraceRecord::Lifecycle { .. } => lifecycle += 1,
             }
-        }
+            Ok(ControlFlow::<Infallible>::Continue(()))
+        })?;
+        let ControlFlow::Continue(counts) = walked;
         if counts != self.final_counts {
             return Err(TraceError::FinalCountsMismatch);
         }
@@ -255,28 +255,34 @@ impl Trace {
         })
     }
 
+    /// Walk the trace's configurations: apply every record in order to
+    /// the initial configuration — effective interactions and lifecycle
+    /// events alike — and hand `visit` each record with the
+    /// configuration right after it (identity runs leave it unchanged).
+    /// `visit` ends the walk early by returning `Break`; a full walk
+    /// yields the final configuration. Replay and the online Lemma 1
+    /// check both reconstruct configurations through this one loop.
+    pub(crate) fn walk<B>(
+        &self,
+        mut visit: impl FnMut(&TraceRecord, &[u64]) -> Result<ControlFlow<B>, TraceError>,
+    ) -> Result<ControlFlow<B, Vec<u64>>, TraceError> {
+        let mut counts = self.header.initial_counts.clone();
+        for rec in &self.records {
+            apply(&mut counts, rec)?;
+            if let ControlFlow::Break(b) = visit(rec, &counts)? {
+                return Ok(ControlFlow::Break(b));
+            }
+        }
+        Ok(ControlFlow::Continue(counts))
+    }
+
     /// The configuration after interaction `t` (`t = 0` is the initial
     /// configuration). Linear in the number of records before `t`; for
     /// repeated queries build a [`TraceIndex`].
     pub fn config_at(&self, t: u64) -> Result<Vec<u64>, TraceError> {
         let mut counts = self.header.initial_counts.clone();
-        for rec in &self.records {
-            match *rec {
-                TraceRecord::Effective { step, p, q, p2, q2 } => {
-                    if step > t {
-                        break;
-                    }
-                    apply(&mut counts, step, p, q, p2, q2)?;
-                }
-                // Identity runs never change counts; skip them.
-                TraceRecord::IdentityRun { .. } => {}
-                TraceRecord::Lifecycle { step, kind, state } => {
-                    if step > t {
-                        break;
-                    }
-                    apply_lifecycle(&mut counts, step, kind, state)?;
-                }
-            }
+        for rec in self.records.iter().take_while(|r| r.last_step() <= t) {
+            apply(&mut counts, rec)?;
         }
         Ok(counts)
     }
@@ -294,18 +300,13 @@ impl Trace {
         let mut counts = self.header.initial_counts.clone();
         let mut since = 0usize;
         for (i, rec) in self.records.iter().enumerate() {
+            if matches!(rec, TraceRecord::IdentityRun { .. }) {
+                continue;
+            }
             // Records decoded by `Trace::decode` cannot underflow n, but
             // tolerate hand-built traces by ignoring failures here; the
             // authoritative check lives in `replay`.
-            match *rec {
-                TraceRecord::Effective { step, p, q, p2, q2 } => {
-                    let _ = apply(&mut counts, step, p, q, p2, q2);
-                }
-                TraceRecord::IdentityRun { .. } => continue,
-                TraceRecord::Lifecycle { step, kind, state } => {
-                    let _ = apply_lifecycle(&mut counts, step, kind, state);
-                }
-            }
+            let _ = apply(&mut counts, rec);
             since += 1;
             if since == stride {
                 checkpoints.push(Checkpoint {
@@ -323,41 +324,31 @@ impl Trace {
     }
 }
 
-/// Apply one effective transition to a count vector.
-fn apply(
-    counts: &mut [u64],
-    step: u64,
-    p: u16,
-    q: u16,
-    p2: u16,
-    q2: u16,
-) -> Result<(), TraceError> {
-    for s in [p, q] {
-        let c = &mut counts[s as usize];
+/// Apply one record to a count vector: an effective interaction moves
+/// two agents, a join adds one, a leave or crash removes one, and an
+/// identity run changes nothing.
+fn apply(counts: &mut [u64], rec: &TraceRecord) -> Result<(), TraceError> {
+    let take = |counts: &mut [u64], step, state: u16| -> Result<(), TraceError> {
+        let c = &mut counts[state as usize];
         *c = c
             .checked_sub(1)
-            .ok_or(TraceError::CountUnderflow { step, state: s })?;
-    }
-    counts[p2 as usize] += 1;
-    counts[q2 as usize] += 1;
-    Ok(())
-}
-
-/// Apply one lifecycle event to a count vector.
-fn apply_lifecycle(
-    counts: &mut [u64],
-    step: u64,
-    kind: LifecycleKind,
-    state: u16,
-) -> Result<(), TraceError> {
-    match kind {
-        LifecycleKind::Join => counts[state as usize] += 1,
-        LifecycleKind::Leave | LifecycleKind::Crash => {
-            let c = &mut counts[state as usize];
-            *c = c
-                .checked_sub(1)
-                .ok_or(TraceError::CountUnderflow { step, state })?;
+            .ok_or(TraceError::CountUnderflow { step, state })?;
+        Ok(())
+    };
+    match *rec {
+        TraceRecord::Effective { step, p, q, p2, q2 } => {
+            take(counts, step, p)?;
+            take(counts, step, q)?;
+            counts[p2 as usize] += 1;
+            counts[q2 as usize] += 1;
         }
+        TraceRecord::IdentityRun { .. } => {}
+        TraceRecord::Lifecycle {
+            kind: LifecycleKind::Join,
+            state,
+            ..
+        } => counts[state as usize] += 1,
+        TraceRecord::Lifecycle { step, state, .. } => take(counts, step, state)?,
     }
     Ok(())
 }
@@ -410,26 +401,9 @@ impl TraceIndex {
             .saturating_sub(1);
         let cp = &self.checkpoints[i];
         let mut counts = cp.counts.clone();
-        for rec in &trace.records[cp.applied..] {
-            match *rec {
-                TraceRecord::Effective { step, p, q, p2, q2 } => {
-                    if step > t {
-                        break;
-                    }
-                    apply(&mut counts, step, p, q, p2, q2)?;
-                }
-                TraceRecord::IdentityRun { last_step, .. } => {
-                    if last_step > t {
-                        break;
-                    }
-                }
-                TraceRecord::Lifecycle { step, kind, state } => {
-                    if step > t {
-                        break;
-                    }
-                    apply_lifecycle(&mut counts, step, kind, state)?;
-                }
-            }
+        let pending = trace.records[cp.applied..].iter();
+        for rec in pending.take_while(|r| r.last_step() <= t) {
+            apply(&mut counts, rec)?;
         }
         Ok(counts)
     }

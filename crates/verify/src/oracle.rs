@@ -16,13 +16,15 @@
 //! mutation tests), reporting how many configurations each path visited
 //! so the pruning is measurable.
 //!
-//! Invariants arrive as plain coefficient vectors, typically exported by
-//! pp-lint's displacement-matrix analysis (`pp_lint::Functional` ↦
-//! [`LinearInvariant`] is a field-for-field conversion at the call
-//! site); pp-verify deliberately does not depend on the analyzer.
+//! Invariants are the engine's [`Functional`]s — the same values
+//! pp-lint extracts and the protocol families declare (e.g.
+//! `UniformKPartition::lemma1_functionals`) — and a rule's effect on one
+//! is [`Functional::drift`]; pp-verify deliberately does not depend on
+//! the analyzer.
 
 use crate::{ConfigGraph, ExploreError};
 use pp_engine::protocol::{CompiledProtocol, StateId};
+use pp_engine::Functional;
 use std::sync::{Arc, OnceLock};
 
 /// | name                      | kind    | meaning |
@@ -45,48 +47,6 @@ fn oracle_metrics() -> &'static OracleMetrics {
     })
 }
 
-/// A linear functional over state counts, claimed invariant.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct LinearInvariant {
-    /// Human-readable name (e.g. `"lemma1[x=2]"`).
-    pub name: String,
-    /// One coefficient per state, indexed by `StateId`.
-    pub coeffs: Vec<i64>,
-}
-
-impl LinearInvariant {
-    /// Build a named invariant.
-    pub fn new(name: impl Into<String>, coeffs: Vec<i64>) -> Self {
-        LinearInvariant {
-            name: name.into(),
-            coeffs,
-        }
-    }
-
-    /// Evaluate at a configuration (count vector).
-    pub fn value_at(&self, cfg: &[u32]) -> i64 {
-        assert_eq!(cfg.len(), self.coeffs.len());
-        self.coeffs
-            .iter()
-            .zip(cfg)
-            .map(|(&y, &c)| y * i64::from(c))
-            .sum()
-    }
-
-    /// The conserved value on executions from all-`s0` with `n` agents.
-    pub fn initial_value(&self, proto: &CompiledProtocol, n: u64) -> i64 {
-        self.coeffs[proto.initial_state().index()] * n as i64
-    }
-
-    /// Net change of the functional when rule `(p, q)` fires.
-    pub fn drift(&self, proto: &CompiledProtocol, p: StateId, q: StateId) -> i64 {
-        let (p2, q2) = proto.delta(p, q);
-        self.coeffs[p2.index()] + self.coeffs[q2.index()]
-            - self.coeffs[p.index()]
-            - self.coeffs[q.index()]
-    }
-}
-
 /// Why an inductive certificate failed: the first rule with drift.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Refutation {
@@ -105,7 +65,7 @@ pub struct Refutation {
 /// and each interaction changes the value by the fired rule's drift, so
 /// zero drift everywhere ⇒ the value is constant along every execution —
 /// for any population size, without enumerating configurations.
-pub fn certify(proto: &CompiledProtocol, inv: &LinearInvariant) -> Result<(), Refutation> {
+pub fn certify(proto: &CompiledProtocol, inv: &Functional) -> Result<(), Refutation> {
     assert_eq!(inv.coeffs.len(), proto.num_states());
     for e in proto.rule_entries() {
         let drift = inv.drift(proto, e.p, e.q);
@@ -153,7 +113,7 @@ pub fn check_conserved(
     proto: &CompiledProtocol,
     n: u64,
     max_configs: usize,
-    inv: &LinearInvariant,
+    inv: &Functional,
 ) -> Result<InvariantCheck, ExploreError> {
     match certify(proto, inv) {
         Ok(()) => {
@@ -186,7 +146,7 @@ pub fn check_conserved(
 /// conserved by every rule (the "all Lemma 1 residuals at once" form).
 pub fn certify_all(
     proto: &CompiledProtocol,
-    invs: &[LinearInvariant],
+    invs: &[Functional],
 ) -> Result<(), (usize, Refutation)> {
     for (i, inv) in invs.iter().enumerate() {
         certify(proto, inv).map_err(|r| (i, r))?;
@@ -212,7 +172,7 @@ mod tests {
     #[test]
     fn certified_invariant_needs_no_exploration() {
         let p = flip();
-        let total = LinearInvariant::new("total", vec![1, 1]);
+        let total = Functional::new("total", vec![1, 1]);
         assert_eq!(certify(&p, &total), Ok(()));
         let check = check_conserved(&p, 64, 10_000, &total).unwrap();
         assert!(check.holds);
@@ -223,7 +183,7 @@ mod tests {
     #[test]
     fn refuted_invariant_falls_back_and_finds_counterexample() {
         let p = flip();
-        let count_a = LinearInvariant::new("a", vec![1, 0]);
+        let count_a = Functional::new("a", vec![1, 0]);
         let refutation = certify(&p, &count_a).unwrap_err();
         assert_eq!(refutation.drift, -2);
         let check = check_conserved(&p, 6, 10_000, &count_a).unwrap();
@@ -247,7 +207,7 @@ mod tests {
         spec.add_rule_symmetric(a, a, a, b); // reachable churn, conserves z
         spec.add_rule_symmetric(z, b, z, z); // dead: z never appears
         let p = spec.compile().unwrap();
-        let count_z = LinearInvariant::new("z", vec![0, 0, 1]);
+        let count_z = Functional::new("z", vec![0, 0, 1]);
         assert!(certify(&p, &count_z).is_err());
         let check = check_conserved(&p, 5, 10_000, &count_z).unwrap();
         assert!(check.holds, "z stays 0 on the reachable set");
@@ -258,8 +218,8 @@ mod tests {
     fn batch_certification_reports_offending_index() {
         let p = flip();
         let invs = vec![
-            LinearInvariant::new("total", vec![1, 1]),
-            LinearInvariant::new("a", vec![1, 0]),
+            Functional::new("total", vec![1, 1]),
+            Functional::new("a", vec![1, 0]),
         ];
         let (idx, r) = certify_all(&p, &invs).unwrap_err();
         assert_eq!(idx, 1);
@@ -269,7 +229,7 @@ mod tests {
     #[test]
     fn budget_error_propagates_on_fallback() {
         let p = flip();
-        let count_a = LinearInvariant::new("a", vec![1, 0]);
+        let count_a = Functional::new("a", vec![1, 0]);
         assert!(matches!(
             check_conserved(&p, 100, 3, &count_a),
             Err(ExploreError::TooManyConfigs { limit: 3 })

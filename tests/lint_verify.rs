@@ -18,16 +18,10 @@
 
 use pp_lint::registry;
 use pp_protocols::kpartition::UniformKPartition;
-use pp_verify::oracle::{self, LinearInvariant};
+use pp_verify::oracle;
 use pp_verify::ConfigGraph;
 
 const MAX_CONFIGS: usize = 400_000;
-
-/// pp-lint's `Functional` and pp-verify's `LinearInvariant` are the same
-/// plain data; the conversion is field-for-field.
-fn to_oracle(f: &pp_lint::Functional) -> LinearInvariant {
-    LinearInvariant::new(f.name.clone(), f.coeffs.clone())
-}
 
 #[test]
 fn lemma1_lies_in_the_derived_invariant_span() {
@@ -40,7 +34,7 @@ fn lemma1_lies_in_the_derived_invariant_span() {
             "k={k}: rank {} too small",
             basis.rank()
         );
-        for f in registry::lemma1_functionals(&kp) {
+        for f in UniformKPartition::lemma1_functionals(&kp) {
             assert!(basis.implies(&f), "k={k}: {} not implied", f.name);
         }
     }
@@ -68,8 +62,8 @@ fn pruned_lemma1_check_explores_zero_configs_and_matches_exhaustive() {
         // inductively, so no configuration is ever visited.
         let mut pruned_configs = 0usize;
         let mut pruned_holds = true;
-        for f in registry::lemma1_functionals(&kp) {
-            let check = oracle::check_conserved(&proto, n, MAX_CONFIGS, &to_oracle(&f)).unwrap();
+        for f in UniformKPartition::lemma1_functionals(&kp) {
+            let check = oracle::check_conserved(&proto, n, MAX_CONFIGS, &f).unwrap();
             assert!(check.pruned, "k={k}: {} fell back to exploration", f.name);
             pruned_configs += check.configs_explored;
             pruned_holds &= check.holds;
@@ -106,14 +100,9 @@ fn registry_entries_certify_end_to_end() {
         registry::oneside(4),
         registry::bipartition(),
     ] {
-        let invs: Vec<LinearInvariant> = entry
-            .expect
-            .declared_invariants
-            .iter()
-            .map(to_oracle)
-            .collect();
+        let invs = &entry.expect.declared_invariants;
         assert!(
-            oracle::certify_all(&entry.proto, &invs).is_ok(),
+            oracle::certify_all(&entry.proto, invs).is_ok(),
             "{}: declared invariants not certifiable",
             entry.slug
         );
@@ -132,9 +121,8 @@ fn broken_protocol_falls_back_and_both_paths_agree() {
     spec.add_rule_symmetric_labelled(kp.d(1), kp.g(1), kp.g(1), kp.initial(), "r10");
     let proto = spec.compile().unwrap();
 
-    let broken = registry::lemma1_functionals(&kp)
-        .iter()
-        .map(to_oracle)
+    let broken = UniformKPartition::lemma1_functionals(&kp)
+        .into_iter()
         .find(|inv| oracle::certify(&proto, inv).is_err())
         .expect("the mutation must refute at least one residual");
 
@@ -165,8 +153,8 @@ fn pruning_telemetry_counters_advance() {
     let before = pp_telemetry::Snapshot::capture_global()
         .value("verify.pruned_checks")
         .unwrap_or(0);
-    for f in registry::lemma1_functionals(&kp) {
-        let check = oracle::check_conserved(&proto, 6, MAX_CONFIGS, &to_oracle(&f)).unwrap();
+    for f in UniformKPartition::lemma1_functionals(&kp) {
+        let check = oracle::check_conserved(&proto, 6, MAX_CONFIGS, &f).unwrap();
         assert!(check.pruned);
     }
     let after = pp_telemetry::Snapshot::capture_global()
