@@ -49,12 +49,12 @@
 //! ## Fallback policy (terminal behaviour is exact)
 //!
 //! Before each leap the kernel re-checks eligibility and hands control to
-//! the **exact leap kernel** (the same geometric-skip + conditional-pair
-//! code path as [`crate::simulator::Simulator::run_leap`], bit-for-bit)
-//! for a burst of [`BatchConfig::exact_burst`] composite steps when:
+//! the **exact leap kernel** for a burst of [`BatchConfig::exact_burst`]
+//! composite steps, each one call of the exact step
+//! [`crate::simulator::Simulator::run_leap`] repeats, when:
 //!
 //! * **near convergence** — the stability tracker's
-//!   [`StabilityTracker::violations_hint`] is at most
+//!   [`crate::stability::StabilityTracker::violations_hint`] is at most
 //!   [`BatchConfig::near_convergence_violations`]: the endgame that
 //!   decides the paper's §5 metric is simulated exactly;
 //! * **low counts** — channels whose reactant counts are at or below
@@ -75,10 +75,11 @@
 //! consume the RNG identically to `run_leap` — the bit-identity contract
 //! `tests/batch_kernel.rs` pins down.
 
-use crate::leap::{sample_identity_run, IdentityWeights};
+use crate::leap::{IdentityWeights, LeapRun, StepOutcome};
 use crate::observer::{FallbackReason, Observer};
 use crate::protocol::{CompiledProtocol, StateId};
-use crate::stability::{StabilityCriterion, StabilityTracker};
+use crate::simulator::{RunError, RunResult};
+use crate::stability::StabilityCriterion;
 use rand::rngs::SmallRng;
 use rand::RngCore;
 
@@ -120,67 +121,13 @@ impl Default for BatchConfig {
     }
 }
 
-/// One non-identity ordered state pair, with its net count effect.
-#[derive(Clone, Debug)]
-struct Channel {
-    p: usize,
-    q: usize,
-    /// Net per-firing count deltas, pre-combined over `(p, −1)`, `(q, −1)`,
-    /// `(p2, +1)`, `(q2, +1)` (at most 4 distinct states, zeros dropped).
-    deltas: Vec<(usize, i64)>,
-}
-
-/// The compiled rule set of the batch kernel: one [`Channel`] per
-/// non-identity ordered state pair. Shared read-only across trials (the
-/// fleet runner compiles it once per cell).
-#[derive(Clone, Debug)]
-pub struct BatchCore {
-    channels: Vec<Channel>,
-    num_states: usize,
-}
-
-impl BatchCore {
-    /// Compile the channel set of `proto`.
-    pub fn compile(proto: &CompiledProtocol) -> Self {
-        let channels = proto
-            .non_identity_rules()
-            .into_iter()
-            .map(|(p, q, p2, q2)| {
-                let mut deltas: Vec<(usize, i64)> = Vec::with_capacity(4);
-                for (s, d) in [
-                    (p.index(), -1i64),
-                    (q.index(), -1),
-                    (p2.index(), 1),
-                    (q2.index(), 1),
-                ] {
-                    match deltas.iter_mut().find(|(t, _)| *t == s) {
-                        Some((_, acc)) => *acc += d,
-                        None => deltas.push((s, d)),
-                    }
-                }
-                deltas.retain(|&(_, d)| d != 0);
-                Channel {
-                    p: p.index(),
-                    q: q.index(),
-                    deltas,
-                }
-            })
-            .collect();
-        BatchCore {
-            channels,
-            num_states: proto.num_states(),
-        }
-    }
-
-    /// Number of channels (non-identity ordered state pairs).
-    pub fn num_channels(&self) -> usize {
-        self.channels.len()
-    }
-}
-
 /// Reusable per-step workspace, fully reinitialised by every leap
 /// attempt; shared across a fleet's trials so the hot loop allocates
 /// nothing.
+///
+/// The kernel's *channels* are the protocol's compiled pairs
+/// ([`CompiledProtocol::pair_effects`]), taken in their row-major order:
+/// the binomial split of a leap consumes randomness in channel order.
 #[derive(Clone, Debug, Default)]
 pub struct Scratch {
     /// Per-channel weight `w_i` for the current configuration.
@@ -193,62 +140,51 @@ pub struct Scratch {
 }
 
 impl Scratch {
-    /// Workspace sized for `core`.
-    pub fn new(core: &BatchCore) -> Self {
+    /// Workspace sized for `proto`.
+    pub fn new(proto: &CompiledProtocol) -> Self {
+        let m = proto.num_states();
         Scratch {
-            weights: vec![0; core.channels.len()],
-            deltas: vec![0; core.num_states],
-            mu: vec![0.0; core.num_states],
-            sigma2: vec![0.0; core.num_states],
+            weights: vec![0; proto.pair_effects().len()],
+            deltas: vec![0; m],
+            mu: vec![0.0; m],
+            sigma2: vec![0.0; m],
         }
     }
 }
 
-/// Outcome of one [`BatchTrial::step`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum StepOutcome {
-    /// The run continues.
-    Continue,
-    /// The configuration is stable; the trial is finished.
-    Stable,
-    /// The interaction budget is exhausted (or the configuration is
-    /// frozen); the trial is censored.
-    Limit,
-}
-
-/// Per-trial state of one batch-kernel run: the identity-weight algebra,
-/// the incremental stability tracker, the interaction counters, and the
-/// exact-burst countdown. [`crate::simulator::Simulator::run_batch`]
+/// Per-trial state of one batch-kernel run: the exact step's run state
+/// (identity weights, stability tracker, counters) and the exact-burst
+/// countdown. [`crate::simulator::Simulator::run_batch`]
 /// drives one; [`crate::fleet`] drives hundreds in lockstep over a shared
-/// [`BatchCore`] and [`Scratch`].
+/// [`Scratch`].
 pub struct BatchTrial<'a> {
-    weights: IdentityWeights,
-    tracker: Box<dyn StabilityTracker + 'a>,
-    /// Cumulative interactions (identities included), the paper's metric.
-    pub interactions: u64,
-    /// Cumulative effective (state-changing) interactions.
-    pub effective: u64,
+    run: LeapRun<'a>,
     /// Remaining exact composite steps in the current fallback burst.
     exact_left: u64,
 }
 
 impl<'a> BatchTrial<'a> {
-    /// Trial state for configuration `counts` under `criterion`.
+    /// Trial state for configuration `counts` under `criterion`. The
+    /// caller has already found `counts` unstable.
     ///
-    /// The caller has already checked that `counts` is not initially
-    /// stable and that `n ≥ 2` (as [`crate::simulator::Simulator`] does).
+    /// # Errors
+    /// [`RunError::PopulationTooSmall`] below two agents, and
+    /// [`RunError::PopulationTooLarge`] when `n(n−1)` does not fit in
+    /// `u64`; both before any draw.
     pub fn new<C: StabilityCriterion>(
         proto: &CompiledProtocol,
         criterion: &'a C,
         counts: &[u64],
-    ) -> Self {
-        BatchTrial {
-            weights: IdentityWeights::new(proto, counts),
-            tracker: criterion.tracker(proto, counts),
-            interactions: 0,
-            effective: 0,
+    ) -> Result<Self, RunError> {
+        Ok(BatchTrial {
+            run: LeapRun::new(proto, criterion, counts)?,
             exact_left: 0,
-        }
+        })
+    }
+
+    /// The counters so far.
+    pub fn result(&self) -> RunResult {
+        self.run.result()
     }
 
     /// Advance the trial by one step: either one tau-leap or one exact
@@ -258,28 +194,15 @@ impl<'a> BatchTrial<'a> {
     pub fn step<O: Observer>(
         &mut self,
         proto: &CompiledProtocol,
-        core: &BatchCore,
         counts: &mut [u64],
-        n: u64,
         rng: &mut SmallRng,
         max_interactions: u64,
         cfg: &BatchConfig,
         scratch: &mut Scratch,
         observer: &mut O,
     ) -> StepOutcome {
-        let total = n * (n - 1);
         if self.exact_left == 0 {
-            match self.try_leap(
-                proto,
-                core,
-                counts,
-                rng,
-                total,
-                max_interactions,
-                cfg,
-                scratch,
-                observer,
-            ) {
+            match self.try_leap(proto, counts, rng, max_interactions, cfg, scratch, observer) {
                 LeapOutcome::Done(out) => return out,
                 LeapOutcome::Fallback(reason) => {
                     observer.on_batch_fallback(reason);
@@ -288,55 +211,8 @@ impl<'a> BatchTrial<'a> {
             }
         }
         self.exact_left -= 1;
-        self.exact_step(proto, counts, n, total, rng, max_interactions, observer)
-    }
-
-    /// One exact composite step — a verbatim replica of the
-    /// [`crate::simulator::Simulator::run_leap_observed`] loop body, so
-    /// the RNG consumption, counters, and observer events are
-    /// bit-identical to the leap kernel's.
-    #[allow(clippy::too_many_arguments)]
-    fn exact_step<O: Observer>(
-        &mut self,
-        proto: &CompiledProtocol,
-        counts: &mut [u64],
-        n: u64,
-        total: u64,
-        rng: &mut SmallRng,
-        max_interactions: u64,
-        observer: &mut O,
-    ) -> StepOutcome {
-        let w_id = self.weights.identity_weight();
-        if w_id == total {
-            // Every enabled pair is an identity: frozen configuration.
-            return StepOutcome::Limit;
-        }
-        let g = sample_identity_run(rng, w_id, total);
-        if g >= max_interactions - self.interactions {
-            return StepOutcome::Limit;
-        }
-        if g > 0 {
-            self.interactions += g;
-            observer.on_identity_run(self.interactions, g, counts);
-        }
-        let (p, q) = self.weights.sample_effective(proto, n, counts, rng);
-        let (p2, q2) = proto.delta(p, q);
-        self.interactions += 1;
-        self.effective += 1;
-        for (s, delta) in [(p, -1), (q, -1), (p2, 1), (q2, 1)] {
-            self.weights.apply_delta(proto, s, delta);
-            self.tracker.apply_delta(s, delta);
-        }
-        counts[p.index()] -= 1;
-        counts[q.index()] -= 1;
-        counts[p2.index()] += 1;
-        counts[q2.index()] += 1;
-        observer.on_interaction(self.interactions, p, q, p2, q2, counts);
-        if self.tracker.is_stable(proto, counts) {
-            StepOutcome::Stable
-        } else {
-            StepOutcome::Continue
-        }
+        self.run
+            .step(proto, counts, rng, max_interactions, observer)
     }
 
     /// Attempt one tau-leap. Consumes randomness only once eligibility is
@@ -345,17 +221,18 @@ impl<'a> BatchTrial<'a> {
     fn try_leap<O: Observer>(
         &mut self,
         proto: &CompiledProtocol,
-        core: &BatchCore,
         counts: &mut [u64],
         rng: &mut SmallRng,
-        total: u64,
         max_interactions: u64,
         cfg: &BatchConfig,
         scratch: &mut Scratch,
         observer: &mut O,
     ) -> LeapOutcome {
+        let run = &mut self.run;
+        let total = run.total;
+        let channels = proto.pair_effects();
         // Terminal exactness first: close to stability, hand over.
-        if let Some(v) = self.tracker.violations_hint() {
+        if let Some(v) = run.tracker.violations_hint() {
             if v <= cfg.near_convergence_violations {
                 return LeapOutcome::Fallback(FallbackReason::NearConvergence);
             }
@@ -364,9 +241,9 @@ impl<'a> BatchTrial<'a> {
         // Channel weights for the frozen configuration.
         let mut w_eff: u64 = 0;
         let mut w_low: u64 = 0;
-        for (i, ch) in core.channels.iter().enumerate() {
-            let cp = counts[ch.p];
-            let cq = counts[ch.q];
+        for (i, ch) in channels.iter().enumerate() {
+            let cp = counts[ch.p.index()];
+            let cq = counts[ch.q.index()];
             // w_i = c_p · (c_q − [p = q]): a self-pair needs two agents.
             let w = if ch.p == ch.q {
                 cp * cp.saturating_sub(1)
@@ -379,7 +256,7 @@ impl<'a> BatchTrial<'a> {
                 w_low += w;
             }
         }
-        debug_assert_eq!(w_eff, total - self.weights.identity_weight());
+        debug_assert_eq!(w_eff, total - run.weights.identity_weight());
         if w_eff == 0 {
             // Frozen configuration — same verdict run_leap reaches via its
             // w_id == total check, with no randomness drawn.
@@ -391,24 +268,24 @@ impl<'a> BatchTrial<'a> {
         let w_eff_f = w_eff as f64;
         scratch.mu.iter_mut().for_each(|x| *x = 0.0);
         scratch.sigma2.iter_mut().for_each(|x| *x = 0.0);
-        for (i, ch) in core.channels.iter().enumerate() {
+        for (i, ch) in channels.iter().enumerate() {
             let w = scratch.weights[i] as f64;
             if w == 0.0 {
                 continue;
             }
-            for &(s, d) in &ch.deltas {
+            for (s, d) in ch.deltas() {
                 let d = d as f64;
-                scratch.mu[s] += d * w;
-                scratch.sigma2[s] += d * d * w;
+                scratch.mu[s.index()] += d * w;
+                scratch.sigma2[s.index()] += d * d * w;
             }
         }
-        let remaining = max_interactions - self.interactions;
+        let remaining = max_interactions - run.interactions;
         let mut tau = remaining as f64;
-        for (i, ch) in core.channels.iter().enumerate() {
+        for (i, ch) in channels.iter().enumerate() {
             if scratch.weights[i] == 0 {
                 continue;
             }
-            for s in [ch.p, ch.q] {
+            for s in [ch.p.index(), ch.q.index()] {
                 let bound = (cfg.epsilon * counts[s] as f64).max(1.0);
                 let mu = scratch.mu[s];
                 if mu != 0.0 {
@@ -441,7 +318,7 @@ impl<'a> BatchTrial<'a> {
             scratch.deltas.iter_mut().for_each(|d| *d = 0);
             let mut left_f = f;
             let mut left_w = w_eff;
-            for (i, ch) in core.channels.iter().enumerate() {
+            for (i, ch) in channels.iter().enumerate() {
                 if left_f == 0 {
                     break;
                 }
@@ -457,8 +334,8 @@ impl<'a> BatchTrial<'a> {
                 left_f -= fi;
                 left_w -= w;
                 if fi > 0 {
-                    for &(s, d) in &ch.deltas {
-                        scratch.deltas[s] += d * fi as i64;
+                    for (s, d) in ch.deltas() {
+                        scratch.deltas[s.index()] += d * fi as i64;
                     }
                 }
                 if left_w == 0 {
@@ -482,17 +359,17 @@ impl<'a> BatchTrial<'a> {
             for (s, &d) in scratch.deltas.iter().enumerate() {
                 if d != 0 {
                     counts[s] = ((counts[s] as i128) + i128::from(d)) as u64;
-                    self.tracker.apply_delta(StateId(s as u16), d);
+                    run.tracker.apply_delta(StateId(s as u16), d);
                 }
             }
-            self.weights = IdentityWeights::new(proto, counts);
-            self.interactions += tau;
-            self.effective += f;
-            observer.on_leap_batch(self.interactions, tau, f, counts);
-            if self.tracker.is_stable(proto, counts) {
+            run.weights = IdentityWeights::new(proto, counts);
+            run.interactions += tau;
+            run.effective += f;
+            observer.on_leap_batch(run.interactions, tau, f, counts);
+            if run.tracker.is_stable(proto, counts) {
                 return LeapOutcome::Done(StepOutcome::Stable);
             }
-            if self.interactions >= max_interactions {
+            if run.interactions >= max_interactions {
                 return LeapOutcome::Done(StepOutcome::Limit);
             }
             return LeapOutcome::Done(StepOutcome::Continue);
@@ -653,14 +530,13 @@ mod tests {
     }
 
     #[test]
-    fn batch_core_channels_cover_non_identity_pairs() {
+    fn channels_are_the_compiled_pairs() {
         let proto = epidemic();
-        let core = BatchCore::compile(&proto);
         // Epidemic: (I, S) and (S, I) are the only non-identity pairs.
-        assert_eq!(core.num_channels(), 2);
+        assert_eq!(Scratch::new(&proto).weights.len(), 2);
         // Net deltas: S −1, I +1 for both orderings.
-        for ch in &core.channels {
-            let mut d = ch.deltas.clone();
+        for ch in proto.pair_effects() {
+            let mut d: Vec<_> = ch.deltas().map(|(s, d)| (s.index(), d)).collect();
             d.sort();
             assert_eq!(d, vec![(0, -1), (1, 1)]);
         }

@@ -5,7 +5,7 @@
 //! trial-major arena (`trials × |Q|` words — a few KiB for hundreds of
 //! trials of a |Q| ≈ 22 protocol, which sits comfortably in L1/L2), with
 //! parallel arrays for the per-trial RNGs, counters, and completion
-//! status, and one shared [`BatchCore`] and [`Scratch`]. The round-robin
+//! status, and one shared [`Scratch`]. The round-robin
 //! driver gives each still-active trial one [`BatchTrial::step`] per
 //! sweep, so the workload touches the arena sequentially instead of
 //! chasing per-trial heap allocations.
@@ -18,7 +18,8 @@
 //! what lets the sweep's journaled scalar path and the fleet fan-out path
 //! produce interchangeable results.
 
-use crate::batch::{BatchConfig, BatchCore, BatchTrial, Scratch, StepOutcome};
+use crate::batch::{BatchConfig, BatchTrial, Scratch};
+use crate::leap::StepOutcome;
 use crate::observer::{FallbackReason, Observer};
 use crate::protocol::{CompiledProtocol, StateId};
 use crate::scheduler::UniformRandomScheduler;
@@ -91,7 +92,6 @@ pub fn run_batch_fleet<C: StabilityCriterion>(
 ) -> FleetSummary {
     let m = proto.num_states();
     assert_eq!(initial_counts.len(), m, "initial counts must cover |Q|");
-    let n: u64 = initial_counts.iter().sum();
     let trials = seeds.len();
     let mut tally = FleetTally::default();
 
@@ -112,18 +112,22 @@ pub fn run_batch_fleet<C: StabilityCriterion>(
             effective_interactions: 0,
         };
     }
-    if n < 2 {
-        return FleetSummary {
-            results: vec![Err(RunError::PopulationTooSmall); trials],
-            leap_batches: 0,
-            batch_fallbacks: 0,
-            interactions: 0,
-            effective_interactions: 0,
-        };
-    }
-
-    let core = BatchCore::compile(proto);
-    let mut scratch = Scratch::new(&core);
+    let mut states: Vec<BatchTrial<'_>> = match (0..trials)
+        .map(|_| BatchTrial::new(proto, criterion, initial_counts))
+        .collect()
+    {
+        Ok(states) => states,
+        Err(e) => {
+            return FleetSummary {
+                results: vec![Err(e); trials],
+                leap_batches: 0,
+                batch_fallbacks: 0,
+                interactions: 0,
+                effective_interactions: 0,
+            }
+        }
+    };
+    let mut scratch = Scratch::new(proto);
 
     // Struct-of-arrays state: one contiguous counts arena (trial-major so
     // each trial's |Q| words are adjacent), plus parallel per-trial arrays.
@@ -135,9 +139,6 @@ pub fn run_batch_fleet<C: StabilityCriterion>(
         .iter()
         .map(|&s| UniformRandomScheduler::from_seed(s))
         .collect();
-    let mut states: Vec<BatchTrial<'_>> = (0..trials)
-        .map(|_| BatchTrial::new(proto, criterion, initial_counts))
-        .collect();
     let mut results: Vec<Option<Result<RunResult, RunError>>> = vec![None; trials];
     let mut active: Vec<usize> = (0..trials).collect();
     let mut interactions_total: u64 = 0;
@@ -148,9 +149,7 @@ pub fn run_batch_fleet<C: StabilityCriterion>(
             let counts = &mut arena[t * m..(t + 1) * m];
             let out = states[t].step(
                 proto,
-                &core,
                 counts,
-                n,
                 schedulers[t].rng_mut(),
                 max_interactions,
                 cfg,
@@ -160,17 +159,16 @@ pub fn run_batch_fleet<C: StabilityCriterion>(
             match out {
                 StepOutcome::Continue => true,
                 StepOutcome::Stable => {
-                    interactions_total += states[t].interactions;
-                    effective_total += states[t].effective;
-                    results[t] = Some(Ok(RunResult {
-                        interactions: states[t].interactions,
-                        effective_interactions: states[t].effective,
-                    }));
+                    let r = states[t].result();
+                    interactions_total += r.interactions;
+                    effective_total += r.effective_interactions;
+                    results[t] = Some(Ok(r));
                     false
                 }
                 StepOutcome::Limit => {
-                    interactions_total += states[t].interactions;
-                    effective_total += states[t].effective;
+                    let r = states[t].result();
+                    interactions_total += r.interactions;
+                    effective_total += r.effective_interactions;
                     results[t] = Some(Err(RunError::InteractionLimit {
                         limit: max_interactions,
                     }));

@@ -23,21 +23,32 @@
 //! (one sample from a distribution within ~2⁻⁵³ of exact), which is far
 //! below statistical resolution at any feasible trial count.
 //!
-//! [`IdentityWeights`] maintains `W_id` incrementally: per applied
-//! transition (four ±1 count deltas) the update costs O(|Q|), against the
-//! O(1) lookup cost of the naive loop — a trade that wins whenever the
-//! expected identity-run length exceeds a few |Q|, which is precisely the
-//! stabilisation-dominated regime the paper's large-`n` measurements live
-//! in.
+//! [`IdentityWeights`] maintains `W_id` incrementally. One effective
+//! interaction `δ(p, q)` changes the counts by a fixed net vector, so its
+//! effect on `W_id` and on the per-state marginals is fixed too: the
+//! protocol compiles it once per ordered pair ([`PairEffect`]), and
+//! [`IdentityWeights::apply_pair`] costs O(1) plus the pair's marginal
+//! list. For a pair that no identity pair involves, such as
+//! Algorithm 1's free-agent flips (92–94% of its effective
+//! interactions), the list is empty.
+//!
+//! `LeapRun::step` is the kernel's one exact step (an identity run,
+//! then one effective interaction) on a detached count vector. The leap
+//! kernel repeats it to the end of a run; the batch kernel's exact bursts
+//! call the same step, which is what makes the two bit-identical per seed
+//! whenever the batch kernel never leaps.
 
-use crate::protocol::{CompiledProtocol, StateId};
+use crate::observer::Observer;
+use crate::protocol::{CompiledProtocol, PairEffect, StateId};
+use crate::simulator::{RunError, RunResult};
+use crate::stability::{StabilityCriterion, StabilityTracker};
 use rand::rngs::SmallRng;
 use rand::{Rng, RngCore};
 
 /// Maintained weight of identity ordered pairs in the current
-/// configuration, with per-state row/column marginals for O(|Q|) updates
-/// and O(occupied states) conditional sampling.
-#[derive(Clone, Debug)]
+/// configuration, with per-state row/column marginals for per-pair
+/// updates and O(occupied states) conditional sampling.
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct IdentityWeights {
     /// `row[p] = Σ_q id(p, q) · c_q` — identity mass of state `p` as
     /// first participant, per agent of `p` (before the `p = q` exclusion).
@@ -101,35 +112,35 @@ impl IdentityWeights {
         self.w_id
     }
 
-    /// Fold one count delta (`delta ∈ {−1, +1}`) on state `s`, keeping
-    /// `W_id` and the marginals exact. O(|Q|).
+    /// Fold one firing of `δ(p, q)` into the weights, keeping `W_id` and
+    /// the marginals exact. An identity pair changes nothing.
     ///
-    /// With `R = row[s]`, `C = col[s]` *before* the delta,
-    /// `ΔW_id = δ·(R + C) + (δ² − δ)·id(s, s)` — the algebraic expansion
-    /// of `W_id` under `c_s → c_s + δ` (the `(δ² − δ)` term folds the
-    /// diagonal product change and the `[p = q]` exclusion together).
-    #[inline]
-    pub fn apply_delta(&mut self, proto: &CompiledProtocol, s: StateId, delta: i64) {
-        debug_assert!(delta == 1 || delta == -1);
-        let si = s.index();
-        let rc = self.row[si] + self.col[si];
-        if delta > 0 {
-            self.w_id += rc;
-        } else {
-            self.w_id = self.w_id + 2 * u64::from(self.diag[si]) - rc;
+    /// Costs O(1) plus the length of the pair's marginal list (see
+    /// [`PairEffect`]), which is empty for pairs no identity pair
+    /// involves.
+    pub fn apply_pair(&mut self, proto: &CompiledProtocol, p: StateId, q: StateId) {
+        if let Some(e) = proto.pair_effect(p, q) {
+            self.apply_effect(proto, e);
         }
-        let id_col = proto.identity_col(s); // id(p, s): feeds row[p]
-        let id_row = proto.identity_row(s); // id(s, p): feeds col[p]
-        if delta > 0 {
-            for (p, (&in_row, &in_col)) in id_col.iter().zip(id_row).enumerate() {
-                self.row[p] += u64::from(in_row);
-                self.col[p] += u64::from(in_col);
-            }
-        } else {
-            for (p, (&in_row, &in_col)) in id_col.iter().zip(id_row).enumerate() {
-                self.row[p] -= u64::from(in_row);
-                self.col[p] -= u64::from(in_col);
-            }
+    }
+
+    /// [`Self::apply_pair`] on the pair's compiled effect.
+    ///
+    /// `ΔW_id = K + Σ_a d_a·(row[a] + col[a])` on the marginals before the
+    /// firing. The sums run in wrapping `u64` arithmetic: the true result
+    /// is a count of pairs, so the wrapped one is exact.
+    #[inline(always)]
+    fn apply_effect(&mut self, proto: &CompiledProtocol, e: &PairEffect) {
+        let mut dw = e.identity_constant() as u64;
+        for (a, d) in e.deltas() {
+            let rc = self.row[a.index()] + self.col[a.index()];
+            dw = dw.wrapping_add(rc.wrapping_mul(d as u64));
+        }
+        self.w_id = self.w_id.wrapping_add(dw);
+        for m in proto.pair_marginals(e) {
+            let x = m.state.index();
+            self.row[x] = self.row[x].wrapping_add_signed(i64::from(m.row));
+            self.col[x] = self.col[x].wrapping_add_signed(i64::from(m.col));
         }
     }
 
@@ -137,13 +148,13 @@ impl IdentityWeights {
     /// interaction being *effective* (non-identity), with the exact
     /// conditional distribution of the uniform random scheduler.
     ///
-    /// Takes the population as a raw `(n, counts)` pair so callers that
-    /// work on detached count vectors (the batch kernel's exact-fallback
-    /// steps, the fleet runner) can share this code path bit-for-bit with
-    /// [`crate::simulator::Simulator::run_leap`].
+    /// Takes the population as a raw `(n, counts)` pair: the kernels
+    /// step detached count vectors.
     ///
-    /// Requires `W_eff = n(n−1) − W_id > 0`. Cost is O(occupied states)
+    /// Requires `W_eff = n(n−1) − W_id > 0`, with `n(n−1)` within `u64`
+    /// (which the kernels check before their first draw). Cost is O(occupied states)
     /// for the row scan plus O(|Q|) for the column scan of the chosen row.
+    #[inline]
     pub fn sample_effective(
         &self,
         proto: &CompiledProtocol,
@@ -183,6 +194,136 @@ impl IdentityWeights {
             unreachable!("effective-pair column scan exhausted");
         }
         unreachable!("effective-pair row scan exhausted");
+    }
+}
+
+/// Outcome of one step of a run ([`crate::batch::BatchTrial::step`], and
+/// the leap kernel's exact step).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum StepOutcome {
+    /// The run continues.
+    Continue,
+    /// The configuration is stable; the run is finished.
+    Stable,
+    /// The interaction budget is exhausted (or the configuration is
+    /// frozen); the run is censored.
+    Limit,
+}
+
+/// One run of the exact leap step on a detached count vector: the
+/// identity-weight algebra, the incremental stability tracker and the
+/// interaction counters.
+///
+/// [`crate::simulator::Simulator::run_leap_observed`] repeats
+/// [`LeapRun::step`] until the run ends; the batch kernel's exact bursts
+/// ([`crate::batch::BatchTrial`]) call the same step between tau-leaps.
+pub(crate) struct LeapRun<'a> {
+    pub(crate) weights: IdentityWeights,
+    pub(crate) tracker: Box<dyn StabilityTracker + 'a>,
+    /// Number of agents `n`.
+    n: u64,
+    /// `n(n−1)`: the ordered agent pairs the scheduler draws from.
+    pub(crate) total: u64,
+    /// Cumulative interactions (identities included), the paper's metric.
+    pub(crate) interactions: u64,
+    /// Cumulative effective (state-changing) interactions.
+    pub(crate) effective: u64,
+}
+
+impl<'a> LeapRun<'a> {
+    /// A run from configuration `counts` under `criterion`. The caller
+    /// has already found `counts` unstable.
+    ///
+    /// # Errors
+    /// [`RunError::PopulationTooSmall`] below two agents, and
+    /// [`RunError::PopulationTooLarge`] when the `n(n−1)` ordered agent
+    /// pairs do not fit in `u64`. Both are decided before any random draw.
+    pub(crate) fn new<C: StabilityCriterion>(
+        proto: &CompiledProtocol,
+        criterion: &'a C,
+        counts: &[u64],
+    ) -> Result<Self, RunError> {
+        let n: u64 = counts.iter().sum();
+        if n < 2 {
+            return Err(RunError::PopulationTooSmall);
+        }
+        let total = n
+            .checked_mul(n - 1)
+            .ok_or(RunError::PopulationTooLarge { n })?;
+        Ok(LeapRun {
+            weights: IdentityWeights::new(proto, counts),
+            tracker: criterion.tracker(proto, counts),
+            n,
+            total,
+            interactions: 0,
+            effective: 0,
+        })
+    }
+
+    /// The counters so far.
+    pub(crate) fn result(&self) -> RunResult {
+        RunResult {
+            interactions: self.interactions,
+            effective_interactions: self.effective,
+        }
+    }
+
+    /// One exact composite step: sample the run of identity interactions
+    /// before the next effective one, then that effective pair, and apply
+    /// it to `counts` (the configuration this run was created at, as
+    /// changed by its earlier steps).
+    ///
+    /// The pair's net deltas update `counts`, and its compiled effect the
+    /// identity weights and (in one call) the stability tracker. The
+    /// observer sees the identity run ([`Observer::on_identity_run`], with
+    /// the counts it ran on) and the effective interaction
+    /// ([`Observer::on_interaction`], with the counts after it).
+    #[inline(always)]
+    pub(crate) fn step<O: Observer>(
+        &mut self,
+        proto: &CompiledProtocol,
+        counts: &mut [u64],
+        rng: &mut SmallRng,
+        max_interactions: u64,
+        observer: &mut O,
+    ) -> StepOutcome {
+        let w_id = self.weights.identity_weight();
+        if w_id == self.total {
+            // Every enabled pair is an identity: the configuration can
+            // never change again, and the criterion already judged it
+            // unstable — the naive loop would spin to the limit.
+            return StepOutcome::Limit;
+        }
+        let g = sample_identity_run(rng, w_id, self.total);
+        // The naive loop admits the stabilising interaction only while
+        // the counter is below the limit: g identities plus one
+        // effective interaction must fit in the remaining budget.
+        if g >= max_interactions - self.interactions {
+            return StepOutcome::Limit;
+        }
+        if g > 0 {
+            self.interactions += g;
+            observer.on_identity_run(self.interactions, g, counts);
+        }
+        let (p, q) = self.weights.sample_effective(proto, self.n, counts, rng);
+        let e = proto
+            .pair_effect(p, q)
+            .expect("effective pairs are non-identity");
+        self.interactions += 1;
+        self.effective += 1;
+        self.weights.apply_effect(proto, e);
+        for (s, d) in e.deltas() {
+            let c = &mut counts[s.index()];
+            debug_assert!(c.checked_add_signed(d).is_some(), "count underflow");
+            *c = c.wrapping_add_signed(d);
+        }
+        self.tracker.apply_pair(e);
+        observer.on_interaction(self.interactions, p, q, e.p2, e.q2, counts);
+        if self.tracker.is_stable(proto, counts) {
+            StepOutcome::Stable
+        } else {
+            StepOutcome::Continue
+        }
     }
 }
 
@@ -260,36 +401,30 @@ mod tests {
     }
 
     #[test]
-    fn apply_delta_tracks_brute_force() {
+    fn apply_pair_tracks_brute_force() {
         let proto = epidemic();
         let s = proto.state_by_name("S").unwrap();
         let i = proto.state_by_name("I").unwrap();
         let mut counts = vec![8u64, 2];
         let mut w = IdentityWeights::new(&proto, &counts);
-        // Replay a sequence of infections (S count down, I count up).
-        for _ in 0..8 {
-            w.apply_delta(&proto, s, -1);
+        // Replay a sequence of infections (S count down, I count up),
+        // alternating the two orders of the pair.
+        for step in 0..8 {
+            let (p, q) = if step % 2 == 0 { (i, s) } else { (s, i) };
+            w.apply_pair(&proto, p, q);
             counts[s.index()] -= 1;
-            w.apply_delta(&proto, i, 1);
             counts[i.index()] += 1;
+            assert_eq!(w, IdentityWeights::new(&proto, &counts), "{counts:?}");
             assert_eq!(
                 w.identity_weight(),
                 w_id_brute(&proto, &counts),
                 "{counts:?}"
             );
         }
-        // And back down again (hypothetical reverse deltas).
-        for _ in 0..4 {
-            w.apply_delta(&proto, i, -1);
-            counts[i.index()] -= 1;
-            w.apply_delta(&proto, s, 1);
-            counts[s.index()] += 1;
-            assert_eq!(
-                w.identity_weight(),
-                w_id_brute(&proto, &counts),
-                "{counts:?}"
-            );
-        }
+        // Identity pairs change nothing.
+        let before = w.clone();
+        w.apply_pair(&proto, i, i);
+        assert_eq!(w, before);
     }
 
     #[test]

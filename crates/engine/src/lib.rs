@@ -91,9 +91,10 @@ pub mod spec;
 pub mod stability;
 pub mod trace;
 
-pub use batch::{BatchConfig, BatchCore, BatchTrial, Scratch, StepOutcome};
+pub use batch::{BatchConfig, BatchTrial, Scratch};
 pub use fleet::{run_batch_fleet, FleetSummary};
 pub use functional::Functional;
+pub use leap::StepOutcome;
 pub use metrics::{engine_metrics, EngineMetrics, TelemetryObserver};
 pub use population::{AgentPopulation, CountPopulation, Population};
 pub use protocol::{CompiledProtocol, GroupId, RuleId, StateId};

@@ -117,8 +117,8 @@ impl CumulativeCounts {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CountPopulation {
     counts: Vec<u64>,
-    /// Maintained Fenwick prefix sums over `counts`, shared by the rank
-    /// samplers and the leap kernel.
+    /// Maintained Fenwick prefix sums over `counts`, for the rank
+    /// samplers of the naive scheduler.
     cum: CumulativeCounts,
     n: u64,
 }
@@ -145,6 +145,16 @@ impl CountPopulation {
         self.n = self.n - old + c;
         self.counts[s.index()] = c;
         self.cum.add(s.index(), c as i64 - old as i64);
+    }
+
+    /// Overwrite the whole count vector with `counts`, a configuration of
+    /// the same `n` agents (a kernel's detached count vector, written
+    /// back at the end of a run). Rebuilds the prefix sums once.
+    pub(crate) fn set_counts(&mut self, counts: &[u64]) {
+        debug_assert_eq!(counts.len(), self.counts.len());
+        debug_assert_eq!(counts.iter().sum::<u64>(), self.n);
+        self.counts.copy_from_slice(counts);
+        self.cum = CumulativeCounts::build(counts);
     }
 
     /// Apply one interaction: an agent leaves `p` for `p2` and an agent

@@ -7,7 +7,9 @@
 //! ordered pair, whether the transition is an *identity* (changes neither
 //! state) and whether it is *group-changing* (changes `f` of at least one
 //! participant). Those masks power the O(1)-amortised stability checks in
-//! [`crate::stability`].
+//! [`crate::stability`]. Each non-identity pair's net effect on the count
+//! vector, and on the leap kernel's identity marginals, is compiled once
+//! into a [`PairEffect`] (see [`CompiledProtocol::pair_effect`]).
 
 use std::fmt;
 
@@ -133,6 +135,78 @@ pub struct RuleEntry {
     pub rule: Option<RuleId>,
 }
 
+/// The compiled net effect of one non-identity ordered pair `(p, q)`.
+///
+/// Firing `δ(p, q) = (p2, q2)` once changes the count vector by
+/// `d = e_p2 + e_q2 − e_p − e_q`: at most four states, fewer when they
+/// coincide. The leap kernel ([`crate::leap::IdentityWeights`]) keeps
+/// the identity marginals `row[x] = Σ_b id(x, b)·c_b` and
+/// `col[x] = Σ_a id(a, x)·c_a`, and their total `W_id`, exact across
+/// each firing. Since `d` is fixed per pair, so are those changes:
+///
+/// * `Δrow[x] = Σ_a id(x, a)·d_a` and `Δcol[x] = Σ_a id(a, x)·d_a`, listed
+///   for every `x` where either is non-zero
+///   ([`CompiledProtocol::pair_marginals`]);
+/// * `ΔW_id = K + Σ_a d_a·(row[a] + col[a])` on the marginals before the
+///   firing, with the constant
+///   `K = Σ_{a,b} id(a, b)·d_a·d_b − Σ_a id(a, a)·d_a`.
+///
+/// A pair that no identity pair involves, such as Algorithm 1's
+/// free-agent flips, has an empty marginal list and `K = 0`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct PairEffect {
+    /// First state of the ordered pair.
+    pub p: StateId,
+    /// Second state of the ordered pair.
+    pub q: StateId,
+    /// Result for the first agent.
+    pub p2: StateId,
+    /// Result for the second agent.
+    pub q2: StateId,
+    /// Net count deltas; the first `len` are live.
+    deltas: [(StateId, i8); 4],
+    len: u8,
+    /// The constant `K` of `ΔW_id`.
+    identity_constant: i8,
+    /// This pair's entries in the flat marginal list.
+    marginals_len: u16,
+    marginals_start: u32,
+}
+
+impl PairEffect {
+    /// The net count deltas `(s, d_s)`, zeros dropped, in first-seen
+    /// order over `(p, −1), (q, −1), (p2, +1), (q2, +1)`.
+    #[inline(always)]
+    pub fn deltas(&self) -> impl ExactSizeIterator<Item = (StateId, i64)> + '_ {
+        self.deltas[..usize::from(self.len)]
+            .iter()
+            .map(|&(s, d)| (s, i64::from(d)))
+    }
+
+    /// The constant `K = Σ_{a,b} id(a, b)·d_a·d_b − Σ_a id(a, a)·d_a` of
+    /// `ΔW_id`.
+    #[inline(always)]
+    pub fn identity_constant(&self) -> i64 {
+        i64::from(self.identity_constant)
+    }
+}
+
+/// One entry of a pair's marginal list: firing the pair adds `row` to
+/// the identity marginal `row[state]` and `col` to `col[state]` (see
+/// [`PairEffect`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct MarginalDelta {
+    /// The state whose marginals change.
+    pub state: StateId,
+    /// `Δrow[state]`.
+    pub row: i8,
+    /// `Δcol[state]`.
+    pub col: i8,
+}
+
+/// `pair_slot` entry of an identity pair.
+const NO_PAIR: u32 = u32::MAX;
+
 /// A fully validated, dense-table population protocol.
 ///
 /// Construct via [`crate::spec::ProtocolSpec::compile`]. The table stores
@@ -149,10 +223,6 @@ pub struct CompiledProtocol {
     table: Vec<(StateId, StateId)>,
     /// `identity[p * S + q]` is true iff `δ(p, q) = (p, q)`.
     identity: Vec<bool>,
-    /// Column-major transpose of `identity`: `identity_t[q * S + p]` is
-    /// true iff `δ(p, q) = (p, q)`. Kept so the leap kernel can walk a
-    /// *column* of the mask as a contiguous slice.
-    identity_t: Vec<bool>,
     /// `group_changing[p * S + q]` is true iff `δ(p, q)` changes `f` of
     /// either participant.
     group_changing: Vec<bool>,
@@ -162,6 +232,13 @@ pub struct CompiledProtocol {
     /// Rule labels, indexed by [`RuleId`].
     rule_names: Vec<String>,
     symmetric: bool,
+    /// `pair_slot[p * S + q]` indexes `pair_effects` for a non-identity
+    /// pair and is [`NO_PAIR`] for an identity.
+    pair_slot: Vec<u32>,
+    /// One [`PairEffect`] per non-identity pair, in row-major pair order.
+    pair_effects: Vec<PairEffect>,
+    /// Every pair's marginal list, back to back.
+    pair_marginals: Vec<MarginalDelta>,
 }
 
 impl CompiledProtocol {
@@ -191,7 +268,6 @@ impl CompiledProtocol {
         }
         let num_groups = groups.iter().map(|g| g.number()).max().unwrap_or(0);
         let mut identity = vec![false; s * s];
-        let mut identity_t = vec![false; s * s];
         let mut group_changing = vec![false; s * s];
         let mut symmetric = true;
         for p in 0..s {
@@ -205,7 +281,6 @@ impl CompiledProtocol {
                 }
                 let id = p2.index() == p && q2.index() == q;
                 identity[p * s + q] = id;
-                identity_t[q * s + p] = id;
                 group_changing[p * s + q] =
                     groups[p2.index()] != groups[p] || groups[q2.index()] != groups[q];
                 if p == q && p2 != q2 {
@@ -213,6 +288,7 @@ impl CompiledProtocol {
                 }
             }
         }
+        let (pair_slot, pair_effects, pair_marginals) = compile_pairs(s, &table, &identity);
         Ok(CompiledProtocol {
             name,
             state_names,
@@ -221,11 +297,13 @@ impl CompiledProtocol {
             initial,
             table,
             identity,
-            identity_t,
             group_changing,
             rule_table,
             rule_names,
             symmetric,
+            pair_slot,
+            pair_effects,
+            pair_marginals,
         })
     }
 
@@ -291,12 +369,26 @@ impl CompiledProtocol {
         &self.identity[p.index() * s..(p.index() + 1) * s]
     }
 
-    /// Column `q` of the identity mask as a contiguous slice:
-    /// `identity_col(q)[p] == is_identity(p, q)` for every `p`.
+    /// The compiled effect of `δ(p, q)`, or `None` for an identity pair.
     #[inline(always)]
-    pub fn identity_col(&self, q: StateId) -> &[bool] {
-        let s = self.num_states();
-        &self.identity_t[q.index() * s..(q.index() + 1) * s]
+    pub fn pair_effect(&self, p: StateId, q: StateId) -> Option<&PairEffect> {
+        let slot = self.pair_slot[p.index() * self.num_states() + q.index()];
+        self.pair_effects.get(slot as usize)
+    }
+
+    /// Every non-identity ordered pair's compiled effect, in row-major
+    /// pair order (the order of [`Self::rule_entries`]).
+    #[inline(always)]
+    pub fn pair_effects(&self) -> &[PairEffect] {
+        &self.pair_effects
+    }
+
+    /// The identity-marginal changes of firing `e` once: one entry per
+    /// state whose `row` or `col` marginal moves (see [`PairEffect`]).
+    #[inline(always)]
+    pub fn pair_marginals(&self, e: &PairEffect) -> &[MarginalDelta] {
+        let start = e.marginals_start as usize;
+        &self.pair_marginals[start..start + usize::from(e.marginals_len)]
     }
 
     /// Whether `δ(p, q)` changes the group (under `f`) of either agent.
@@ -363,20 +455,12 @@ impl CompiledProtocol {
     /// form static analyzers consume (row-major pair order, so the output
     /// is deterministic for a given protocol).
     pub fn rule_entries(&self) -> impl Iterator<Item = RuleEntry> + '_ {
-        self.states().flat_map(move |p| {
-            self.states().filter_map(move |q| {
-                if self.is_identity(p, q) {
-                    return None;
-                }
-                let (p2, q2) = self.delta(p, q);
-                Some(RuleEntry {
-                    p,
-                    q,
-                    p2,
-                    q2,
-                    rule: self.rule_of(p, q),
-                })
-            })
+        self.pair_effects.iter().map(move |e| RuleEntry {
+            p: e.p,
+            q: e.q,
+            p2: e.p2,
+            q2: e.q2,
+            rule: self.rule_of(e.p, e.q),
         })
     }
 
@@ -409,6 +493,157 @@ impl CompiledProtocol {
             ));
         }
         s
+    }
+}
+
+/// Compile the [`PairEffect`] of every non-identity pair of the
+/// row-major `s × s` transition `table`, with their marginal lists laid
+/// out back to back.
+///
+/// The identity mask is first packed into per-state bitsets, and a
+/// pair's marginal changes are then summed bit-sliced, one 64-state word
+/// at a time, so the build costs O(s²/64) plus O(1) per pair and per
+/// marginal entry. A pair whose mirror `(q, p)` has the same net deltas
+/// (every pair of a symmetric rule) shares the mirror's list.
+fn compile_pairs(
+    s: usize,
+    table: &[(StateId, StateId)],
+    identity: &[bool],
+) -> (Vec<u32>, Vec<PairEffect>, Vec<MarginalDelta>) {
+    let words = s.div_ceil(64);
+    // Bit x of `into[a]` is id(x, a): row marginal x counts state a.
+    // Bit x of `from[a]` is id(a, x): column marginal x counts state a.
+    let mut into = vec![0u64; s * words];
+    let mut from = vec![0u64; s * words];
+    for a in 0..s {
+        for b in 0..s {
+            if identity[a * s + b] {
+                from[a * words + b / 64] |= 1 << (b % 64);
+                into[b * words + a / 64] |= 1 << (a % 64);
+            }
+        }
+    }
+    let mut slot = vec![NO_PAIR; s * s];
+    let mut effects: Vec<PairEffect> =
+        Vec::with_capacity(identity.iter().filter(|&&id| !id).count());
+    let mut marginals = Vec::new();
+    for p in (0..s).map(|p| StateId(p as u16)) {
+        for q in (0..s).map(|q| StateId(q as u16)) {
+            let pq = p.index() * s + q.index();
+            if identity[pq] {
+                continue;
+            }
+            let (p2, q2) = table[pq];
+            // Fold repeated states into their first occurrence, then drop
+            // the zeros, keeping first-seen order.
+            let mut deltas = [(p, -1i8), (q, -1), (p2, 1), (q2, 1)];
+            for i in 1..4 {
+                if let Some(j) = (0..i).find(|&j| deltas[j].0 == deltas[i].0) {
+                    deltas[j].1 += deltas[i].1;
+                    deltas[i].1 = 0;
+                }
+            }
+            let mut live = 0;
+            for i in 0..4 {
+                if deltas[i].1 != 0 {
+                    deltas[live] = deltas[i];
+                    live += 1;
+                }
+            }
+            let net = &deltas[..live];
+            let mut identity_constant = 0i8;
+            for &(a, da) in net {
+                for &(b, db) in net {
+                    if identity[a.index() * s + b.index()] {
+                        identity_constant += da * db;
+                    }
+                }
+                if identity[a.index() * (s + 1)] {
+                    identity_constant -= da;
+                }
+            }
+            let mirror = effects
+                .get(slot[q.index() * s + p.index()] as usize)
+                .filter(|m| {
+                    let theirs = &m.deltas[..usize::from(m.len)];
+                    theirs.len() == net.len() && net.iter().all(|d| theirs.contains(d))
+                });
+            let (marginals_start, marginals_len) = match mirror {
+                Some(m) => (m.marginals_start, m.marginals_len),
+                None => {
+                    let start = marginals.len();
+                    for w in 0..words {
+                        push_marginals(&mut marginals, w, net, |a| {
+                            (into[a.index() * words + w], from[a.index() * words + w])
+                        });
+                    }
+                    let len = u16::try_from(marginals.len() - start)
+                        .expect("a marginal list has at most one entry per state");
+                    (start as u32, len)
+                }
+            };
+            slot[pq] = effects.len() as u32;
+            effects.push(PairEffect {
+                p,
+                q,
+                p2,
+                q2,
+                deltas,
+                len: live as u8,
+                identity_constant,
+                marginals_len,
+                marginals_start,
+            });
+        }
+    }
+    (slot, effects, marginals)
+}
+
+/// Append the marginal entries of word `w` (states `64w..64w + 63`) for
+/// the net deltas `net`, where `masks(a)` is state `a`'s `(into, from)`
+/// bitset word.
+///
+/// A firing moves at most two agents out and two in, so for each state
+/// `x` the positive part of `Δrow[x] = Σ_a d_a·[x ∈ into(a)]` is at most
+/// 2, and so is the negative part (likewise `Δcol`). Each part is kept
+/// bit-sliced as a `(twos, ones)` pair of words; `Δrow[x] ≠ 0` exactly
+/// where the two parts' bits differ.
+#[inline]
+fn push_marginals(
+    marginals: &mut Vec<MarginalDelta>,
+    w: usize,
+    net: &[(StateId, i8)],
+    masks: impl Fn(StateId) -> (u64, u64),
+) {
+    // (twos, ones) planes of the plus and minus parts of Δrow and Δcol.
+    let (mut rp, mut rn, mut cp, mut cn) = ((0u64, 0u64), (0, 0), (0, 0), (0, 0));
+    for &(a, d) in net {
+        let (into, from) = masks(a);
+        let (r, c) = if d > 0 {
+            (&mut rp, &mut cp)
+        } else {
+            (&mut rn, &mut cn)
+        };
+        if d.unsigned_abs() == 2 {
+            r.0 |= into;
+            c.0 |= from;
+        } else {
+            r.0 |= r.1 & into;
+            r.1 ^= into;
+            c.0 |= c.1 & from;
+            c.1 ^= from;
+        }
+    }
+    let mut touched = (rp.0 ^ rn.0) | (rp.1 ^ rn.1) | (cp.0 ^ cn.0) | (cp.1 ^ cn.1);
+    while touched != 0 {
+        let bit = touched.trailing_zeros();
+        touched &= touched - 1;
+        let value = |(twos, ones): (u64, u64)| (2 * (twos >> bit & 1) + (ones >> bit & 1)) as i8;
+        marginals.push(MarginalDelta {
+            state: StateId((w * 64) as u16 + bit as u16),
+            row: value(rp) - value(rn),
+            col: value(cp) - value(cn),
+        });
     }
 }
 

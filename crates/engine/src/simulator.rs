@@ -29,8 +29,8 @@
 //! [`Kernel`] names the three as a value, and [`Simulator::run_kernel`]
 //! is the one place that dispatches on it.
 
-use crate::batch::{BatchConfig, BatchCore, BatchTrial, Scratch, StepOutcome};
-use crate::leap::{sample_identity_run, IdentityWeights};
+use crate::batch::{BatchConfig, BatchTrial, Scratch};
+use crate::leap::{LeapRun, StepOutcome};
 use crate::observer::{NullObserver, Observer};
 use crate::population::{AgentPopulation, CountPopulation, Population};
 use crate::protocol::CompiledProtocol;
@@ -60,6 +60,12 @@ pub enum RunError {
     /// Fewer than two agents: no interaction is possible and the
     /// configuration is not stable under the supplied criterion.
     PopulationTooSmall,
+    /// The `n(n−1)` ordered agent pairs the leap and batch kernels draw
+    /// from do not fit in `u64` (`n > 2³²`).
+    PopulationTooLarge {
+        /// The number of agents.
+        n: u64,
+    },
 }
 
 impl fmt::Display for RunError {
@@ -70,6 +76,12 @@ impl fmt::Display for RunError {
             }
             RunError::PopulationTooSmall => {
                 write!(f, "population has fewer than two agents")
+            }
+            RunError::PopulationTooLarge { n } => {
+                write!(
+                    f,
+                    "population of {n} agents is too large: its n(n-1) ordered pairs overflow 64 bits"
+                )
             }
         }
     }
@@ -301,9 +313,15 @@ impl<'a> Simulator<'a> {
     /// boundaries). On the [`RunError::InteractionLimit`] path the
     /// trailing identity run that overflows the budget is not reported.
     ///
-    /// Stability is consulted through the criterion's incremental
-    /// [`crate::stability::StabilityTracker`], fed the same ±1 count deltas
-    /// the population applies.
+    /// Each step is one call of the exact step shared with the batch
+    /// kernel (`leap::LeapRun::step`) on a detached copy of the counts,
+    /// written back into `pop` once when the run ends (on every path, the
+    /// limit included). Stability is consulted through the criterion's
+    /// incremental [`crate::stability::StabilityTracker`], fed each
+    /// interaction's net count deltas.
+    ///
+    /// Returns [`RunError::PopulationTooLarge`] before any draw when
+    /// `n(n−1)` does not fit in `u64`.
     pub fn run_leap_observed<C, O>(
         &self,
         pop: &mut CountPopulation,
@@ -322,55 +340,17 @@ impl<'a> Simulator<'a> {
                 effective_interactions: 0,
             });
         }
-        let n = pop.num_agents();
-        if n < 2 {
-            return Err(RunError::PopulationTooSmall);
-        }
-        let total = n * (n - 1);
-        let mut weights = IdentityWeights::new(self.proto, pop.counts());
-        let mut tracker = criterion.tracker(self.proto, pop.counts());
-        let mut interactions: u64 = 0;
-        let mut effective: u64 = 0;
-        loop {
-            let w_id = weights.identity_weight();
-            if w_id == total {
-                // Every enabled pair is an identity: the configuration can
-                // never change again, and the criterion already judged it
-                // unstable — the naive loop would spin to the limit.
-                return Err(RunError::InteractionLimit {
-                    limit: max_interactions,
-                });
+        let mut counts = pop.counts().to_vec();
+        let mut run = LeapRun::new(self.proto, criterion, &counts)?;
+        let rng = scheduler.rng_mut();
+        let outcome = loop {
+            match run.step(self.proto, &mut counts, rng, max_interactions, observer) {
+                StepOutcome::Continue => {}
+                out => break out,
             }
-            let g = sample_identity_run(scheduler.rng_mut(), w_id, total);
-            // The naive loop admits the stabilising interaction only while
-            // the counter is below the limit: g identities plus one
-            // effective interaction must fit in the remaining budget.
-            if g >= max_interactions - interactions {
-                return Err(RunError::InteractionLimit {
-                    limit: max_interactions,
-                });
-            }
-            if g > 0 {
-                interactions += g;
-                observer.on_identity_run(interactions, g, pop.counts());
-            }
-            let (p, q) = weights.sample_effective(self.proto, n, pop.counts(), scheduler.rng_mut());
-            let (p2, q2) = self.proto.delta(p, q);
-            interactions += 1;
-            effective += 1;
-            for (s, delta) in [(p, -1), (q, -1), (p2, 1), (q2, 1)] {
-                weights.apply_delta(self.proto, s, delta);
-                tracker.apply_delta(s, delta);
-            }
-            pop.apply(p, q, p2, q2);
-            observer.on_interaction(interactions, p, q, p2, q2, pop.counts());
-            if tracker.is_stable(self.proto, pop.counts()) {
-                return Ok(RunResult {
-                    interactions,
-                    effective_interactions: effective,
-                });
-            }
-        }
+        };
+        pop.set_counts(&counts);
+        finish(outcome, run.result(), max_interactions)
     }
 
     /// Run a count-vector population until stability with the **batch
@@ -461,21 +441,15 @@ impl<'a> Simulator<'a> {
                 effective_interactions: 0,
             });
         }
-        let n = pop.num_agents();
-        if n < 2 {
-            return Err(RunError::PopulationTooSmall);
-        }
-        let core = BatchCore::compile(self.proto);
-        let mut scratch = Scratch::new(&core);
-        let mut counts: Vec<u64> = pop.counts().to_vec();
-        let mut trial = BatchTrial::new(self.proto, criterion, &counts);
+        let mut counts = pop.counts().to_vec();
+        let mut trial = BatchTrial::new(self.proto, criterion, &counts)?;
+        let mut scratch = Scratch::new(self.proto);
+        let rng = scheduler.rng_mut();
         let outcome = loop {
             match trial.step(
                 self.proto,
-                &core,
                 &mut counts,
-                n,
-                scheduler.rng_mut(),
+                rng,
                 max_interactions,
                 cfg,
                 &mut scratch,
@@ -485,20 +459,8 @@ impl<'a> Simulator<'a> {
                 out => break out,
             }
         };
-        // Write the detached count vector back through the population's
-        // own accounting (sum-preserving, so `num_agents` is unchanged).
-        for (s, &c) in counts.iter().enumerate() {
-            pop.set_count(crate::protocol::StateId(s as u16), c);
-        }
-        match outcome {
-            StepOutcome::Stable => Ok(RunResult {
-                interactions: trial.interactions,
-                effective_interactions: trial.effective,
-            }),
-            _ => Err(RunError::InteractionLimit {
-                limit: max_interactions,
-            }),
-        }
+        pop.set_counts(&counts);
+        finish(outcome, trial.result(), max_interactions)
     }
 
     /// Run a per-agent population until stability (on its count
@@ -604,6 +566,21 @@ impl<'a> Simulator<'a> {
             interactions: steps,
             effective_interactions: effective,
         }
+    }
+}
+
+/// The result of a run of the leap or batch kernel that ended in
+/// `outcome` with counters `counters`.
+fn finish(
+    outcome: StepOutcome,
+    counters: RunResult,
+    max_interactions: u64,
+) -> Result<RunResult, RunError> {
+    match outcome {
+        StepOutcome::Stable => Ok(counters),
+        _ => Err(RunError::InteractionLimit {
+            limit: max_interactions,
+        }),
     }
 }
 
@@ -953,6 +930,52 @@ mod tests {
             z.abs() < 4.0,
             "kernel means diverge: z = {z:.2} (naive {mn:.0}, leap {ml:.0})"
         );
+    }
+
+    #[test]
+    fn leap_and_batch_reject_populations_whose_pair_count_overflows() {
+        let p = epidemic();
+        let sim = Simulator::new(&p);
+        // n = 2³² + 1: n(n−1) = 2⁶⁴ + 2³² does not fit in u64.
+        let n = (1u64 << 32) + 1;
+        for kernel in [Kernel::Leap, Kernel::Batch] {
+            let mut pop = CountPopulation::from_counts(vec![n - 1, 1]);
+            let mut sched = UniformRandomScheduler::from_seed(5);
+            let err = sim
+                .run_kernel(
+                    kernel,
+                    &mut pop,
+                    &mut sched,
+                    &Silent,
+                    1_000_000_000_000,
+                    &mut NullObserver,
+                )
+                .unwrap_err();
+            assert_eq!(err, RunError::PopulationTooLarge { n }, "{kernel}");
+            assert_eq!(pop.counts(), &[n - 1, 1], "{kernel}");
+            assert_eq!(
+                err.to_string(),
+                "population of 4294967297 agents is too large: its n(n-1) ordered pairs overflow 64 bits"
+            );
+        }
+        // n = 2³²: n(n−1) = 2⁶⁴ − 2³² still fits, so the run starts (and
+        // its first identity run, ~n/2 long, overflows the budget).
+        let n = 1u64 << 32;
+        for kernel in [Kernel::Leap, Kernel::Batch] {
+            let mut pop = CountPopulation::from_counts(vec![n - 1, 1]);
+            let mut sched = UniformRandomScheduler::from_seed(5);
+            let err = sim
+                .run_kernel(
+                    kernel,
+                    &mut pop,
+                    &mut sched,
+                    &Silent,
+                    1_000,
+                    &mut NullObserver,
+                )
+                .unwrap_err();
+            assert_eq!(err, RunError::InteractionLimit { limit: 1_000 }, "{kernel}");
+        }
     }
 
     #[test]

@@ -27,7 +27,7 @@
 //! * [`Never`] — never stable; for fixed-length runs.
 
 use crate::population::{CountPopulation, Population};
-use crate::protocol::{CompiledProtocol, StateId};
+use crate::protocol::{CompiledProtocol, PairEffect, StateId};
 use std::collections::HashSet;
 
 /// Decides whether a configuration (count vector) is stable.
@@ -58,9 +58,9 @@ pub trait StabilityCriterion {
 
     /// An incremental checker for this criterion, initialised at `counts`.
     ///
-    /// The leap kernel ([`crate::simulator::Simulator::run_leap`]) drives
-    /// the returned [`StabilityTracker`] with the ±1 count deltas of every
-    /// applied transition, so criteria that can fold deltas (notably
+    /// The leap and batch kernels drive the returned [`StabilityTracker`]
+    /// with the net count deltas of every applied transition or tau-leap,
+    /// so criteria that can fold deltas (notably
     /// [`Signature`]) answer stability in O(1) per interaction instead of
     /// an O(|Q|) rescan. The default implementation falls back to
     /// re-evaluating [`StabilityCriterion::is_stable`] on every query,
@@ -77,18 +77,31 @@ pub trait StabilityCriterion {
     }
 }
 
-/// Incremental form of a [`StabilityCriterion`]: consumes the ±1 count
+/// Incremental form of a [`StabilityCriterion`]: consumes the count
 /// deltas of applied transitions and answers stability queries between
 /// them.
 ///
-/// The simulator applies the four deltas of one transition
-/// (`p: −1, q: −1, p2: +1, q2: +1`) before querying
+/// The kernels feed the *net* deltas of each step: one transition's
+/// compiled [`crate::protocol::PairEffect`] deltas (at most four states;
+/// two when only one agent changes state), or one tau-leap's per-state
+/// totals. They apply all of a step's deltas before querying
 /// [`StabilityTracker::is_stable`], so implementations may observe
-/// transient configurations mid-transition but are only *asked* about
+/// transient configurations mid-step but are only *asked* about
 /// consistent ones.
 pub trait StabilityTracker {
-    /// Fold one count delta (`delta ∈ {−1, +1}`) on state `s`.
+    /// Fold one count delta on state `s`: any non-zero `delta` that keeps
+    /// the count non-negative.
     fn apply_delta(&mut self, s: StateId, delta: i64);
+
+    /// Fold one firing of a compiled pair: its net deltas, in one call
+    /// (the leap step's one call into the tracker besides
+    /// [`StabilityTracker::is_stable`]).
+    #[inline]
+    fn apply_pair(&mut self, e: &PairEffect) {
+        for (s, d) in e.deltas() {
+            self.apply_delta(s, d);
+        }
+    }
 
     /// Whether the current configuration (equal to `counts`) is stable.
     fn is_stable(&mut self, proto: &CompiledProtocol, counts: &[u64]) -> bool;
@@ -442,6 +455,11 @@ impl<A: StabilityCriterion, B: StabilityCriterion> StabilityCriterion for Either
             fn apply_delta(&mut self, s: StateId, delta: i64) {
                 self.a.apply_delta(s, delta);
                 self.b.apply_delta(s, delta);
+            }
+            #[inline]
+            fn apply_pair(&mut self, e: &PairEffect) {
+                self.a.apply_pair(e);
+                self.b.apply_pair(e);
             }
             #[inline]
             fn is_stable(&mut self, proto: &CompiledProtocol, counts: &[u64]) -> bool {

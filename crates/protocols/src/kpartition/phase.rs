@@ -163,10 +163,10 @@ impl PhaseProbe {
 
     /// Resolve every checkpoint in `(..=last_step]` against one constant
     /// (or end-of-window) count vector and advance past `last_step`.
+    /// The callers test `last_step >= self.next` inline first: the
+    /// checkpoints are log-spaced, so almost every callback returns there.
+    #[cold]
     fn drain_checkpoints(&mut self, at_step: u64, last_step: u64, counts: &[u64]) {
-        if self.next > last_step {
-            return;
-        }
         self.observe(at_step.max(self.next), counts);
         let mut n = self.next.saturating_mul(2);
         while n <= last_step {
@@ -221,14 +221,18 @@ impl Observer for PhaseProbe {
     fn on_identity_run(&mut self, last_step: u64, _skipped: u64, counts: &[u64]) {
         // Counts are constant across the run, so the earliest checkpoint
         // inside it stands for all of them.
-        self.drain_checkpoints(self.next, last_step, counts);
+        if last_step >= self.next {
+            self.drain_checkpoints(self.next, last_step, counts);
+        }
     }
 
     #[inline]
     fn on_leap_batch(&mut self, last_step: u64, _tau: u64, _effective: u64, counts: &[u64]) {
         // Intermediate configurations inside a tau-leap were never
         // sampled; checkpoints inside it resolve at the leap end.
-        self.drain_checkpoints(last_step, last_step, counts);
+        if last_step >= self.next {
+            self.drain_checkpoints(last_step, last_step, counts);
+        }
     }
 }
 

@@ -59,7 +59,7 @@ pub fn record_kpartition(
     let (interactions, censored) = match outcome {
         Ok(res) => (res.interactions, false),
         Err(RunError::InteractionLimit { limit }) => (limit, true),
-        Err(RunError::PopulationTooSmall) => (0, false),
+        Err(RunError::PopulationTooSmall | RunError::PopulationTooLarge { .. }) => (0, false),
     };
     let effective = rec.effective_recorded();
     RecordOutcome {
@@ -116,6 +116,11 @@ pub fn verify_against_live(trace: &Trace) -> Result<VerifyReport, TraceError> {
         Err(RunError::PopulationTooSmall) => {
             return Err(TraceError::BadHeader {
                 what: "population too small to re-run",
+            })
+        }
+        Err(RunError::PopulationTooLarge { .. }) => {
+            return Err(TraceError::BadHeader {
+                what: "population too large to re-run",
             })
         }
     };
