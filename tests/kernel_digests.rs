@@ -109,7 +109,8 @@ fn leap_trajectories_match_their_pinned_digests() {
 #[test]
 fn batch_trajectories_match_their_pinned_digests() {
     // (k, n, trials, digest), default BatchConfig.
-    let cells: [(usize, u64, u64, u64); 2] = [
+    let cells: [(usize, u64, u64, u64); 3] = [
+        (3, 4_000, 4, 0x45ba13d703598215),
         (3, 20_000, 2, 0x4d137538cd0cf4d3),
         (8, 10_000, 1, 0xb236edc9de6deb8f),
     ];
