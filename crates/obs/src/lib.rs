@@ -4,13 +4,13 @@
 //! "what just happened, in order". It adds two primitives on top of the
 //! registry:
 //!
-//! * **Spans** ([`span`], [`SpanGuard`]) — intervals of work with a
+//! * **Spans** ([`span()`], [`SpanGuard`]) — intervals of work with a
 //!   process-unique id, a parent id (ambient via a thread-local stack, or
 //!   explicit across thread hops), a name, and an optional label. Span
 //!   durations also land in the `obs.span.micros{span=...}` histogram of
 //!   the shared registry, so the `/metrics` exposition and the recorder
 //!   agree.
-//! * **The flight recorder** ([`FlightRecorder`], [`recorder`]) — a
+//! * **The flight recorder** ([`FlightRecorder`], [`recorder()`]) — a
 //!   fixed-size ring of the most recent span/event records, written with
 //!   O(1) atomic slot claims (per-slot seqlock, no writer-side lock on
 //!   the publish path) and drained to NDJSON on demand (`GET /flight`),

@@ -12,13 +12,13 @@
 //! into chain-lifecycle events (births, advances, completions, aborts,
 //! demolition walk-backs) and checking Lemma 1's invariant online.
 //!
-//! * [`format`] — the byte-level trace format: varints, header, records,
+//! * [`format`](mod@format) — the byte-level trace format: varints, header, records,
 //!   checksummed footer, typed decode errors.
 //! * [`recorder`] — [`TraceRecorder`], an `Observer` that encodes a live
 //!   run without touching the simulator's hot loops.
 //! * [`replay`] — [`Trace`]: decode, deterministic replay, δ-checked
 //!   replay, and random access to "configuration at step t".
-//! * [`classify`] — rule attribution, lifecycle [`Event`]s, and the
+//! * [`classify`](mod@classify) — rule attribution, lifecycle [`Event`]s, and the
 //!   online Lemma-1 checker.
 //! * [`live`] — record a live k-partition run; verify a trace against a
 //!   bit-identical re-run.
