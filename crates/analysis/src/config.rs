@@ -1,7 +1,7 @@
 //! Environment-tunable experiment configuration.
 //!
-//! Every consumer of the experiment stack — the legacy figure binaries,
-//! the `pp-sweep` orchestrator, CI smoke runs — honours the same three
+//! Every consumer of the experiment stack — the `pp-sweep` orchestrator,
+//! pp-bench's `exact_vs_sim`, CI smoke runs — honours the same three
 //! knobs, resolved here so they cannot drift apart:
 //!
 //! * `PP_TRIALS` — trials per cell (default 100, the paper's count);

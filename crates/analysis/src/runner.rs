@@ -127,9 +127,7 @@ where
 /// Run `cfg.trials` independent executions of `proto` with `n` agents
 /// (all starting in the initial state) and the given stability criterion
 /// on `kernel`, in parallel. See module docs for the determinism
-/// guarantee. Batch-kernel trials advance through the struct-of-arrays
-/// fleet ([`pp_engine::fleet`]), which is bit-identical per seed to the
-/// scalar [`run_trial`].
+/// guarantee.
 pub fn run_trials<C>(
     proto: &CompiledProtocol,
     n: u64,
@@ -140,9 +138,6 @@ pub fn run_trials<C>(
 where
     C: StabilityCriterion + Sync,
 {
-    if kernel == Kernel::Batch {
-        return run_trials_batch_fleet(proto, n, criterion, cfg);
-    }
     let trials = run_trials_with(proto, n, criterion, cfg, kernel, || NullObserver)?;
     let mut batch = TrialBatch {
         interactions: Vec::with_capacity(trials.len()),
@@ -162,8 +157,7 @@ where
 /// outcome with its observer, in trial order. Baseline comparisons use
 /// the final counts to measure the *uniformity* of the stable outcome;
 /// Figure 4 watches `g_k` with a
-/// [`pp_engine::observer::GroupCompletionObserver`]. Runs the scalar
-/// kernel on every trial, the batch kernel included.
+/// [`pp_engine::observer::GroupCompletionObserver`].
 pub fn run_trials_with<C, O, F>(
     proto: &CompiledProtocol,
     n: u64,
@@ -194,73 +188,6 @@ where
             Ok((outcome, obs))
         })
         .collect()
-}
-
-/// Trials per struct-of-arrays fleet: small enough that a fleet's counts
-/// arena stays cache-resident, large enough to amortise channel
-/// compilation, and plural enough to let rayon spread fleets over cores.
-const FLEET_CHUNK: usize = 64;
-
-/// [`run_trials`] on the batch kernel: trials advance through
-/// [`pp_engine::fleet::run_batch_fleet`] in chunks of [`FLEET_CHUNK`],
-/// one fleet per rayon task. Seeds are the same `derive(master_seed, i)`
-/// grid as every other path, and each fleet member's trajectory is
-/// bit-identical to the scalar `run_batch` of its seed, so results are
-/// interchangeable with the journaled per-trial path `pp-sweep` uses.
-fn run_trials_batch_fleet<C>(
-    proto: &CompiledProtocol,
-    n: u64,
-    criterion: &C,
-    cfg: TrialConfig,
-) -> Result<TrialBatch, RunError>
-where
-    C: StabilityCriterion + Sync,
-{
-    let mut initial = vec![0u64; proto.num_states()];
-    initial[proto.initial_state().index()] = n;
-    let batch_cfg = pp_engine::BatchConfig::default();
-    let all_seeds: Vec<u64> = (0..cfg.trials as u64)
-        .map(|i| seeds::derive(cfg.master_seed, i))
-        .collect();
-    let chunks: Vec<Vec<u64>> = all_seeds.chunks(FLEET_CHUNK).map(|c| c.to_vec()).collect();
-    let summaries: Vec<pp_engine::FleetSummary> = chunks
-        .into_par_iter()
-        .map(|chunk| {
-            pp_engine::run_batch_fleet(
-                proto,
-                &initial,
-                &chunk,
-                criterion,
-                cfg.max_interactions,
-                &batch_cfg,
-            )
-        })
-        .collect();
-    // Flush the same counters a per-trial TelemetryObserver would have.
-    let metrics = pp_engine::engine_metrics();
-    let mut interactions = Vec::with_capacity(cfg.trials);
-    let mut censored = 0usize;
-    for s in &summaries {
-        metrics.interactions.add(s.interactions);
-        metrics.effective_interactions.add(s.effective_interactions);
-        metrics.leap_batches.add(s.leap_batches);
-        metrics.batch_fallbacks.add(s.batch_fallbacks);
-        for r in &s.results {
-            metrics.runs.inc();
-            match r {
-                Ok(res) => interactions.push(res.interactions),
-                Err(RunError::InteractionLimit { .. }) => {
-                    metrics.censored_runs.inc();
-                    censored += 1;
-                }
-                Err(e) => return Err(*e),
-            }
-        }
-    }
-    Ok(TrialBatch {
-        interactions,
-        censored,
-    })
 }
 
 /// One instrumented trial: completion times of each watched-state
@@ -363,48 +290,6 @@ mod tests {
             assert_eq!(*completions.last().unwrap(), total);
             assert_eq!(outcome.final_counts, vec![0, 10]);
         }
-    }
-
-    #[test]
-    fn fleet_fast_path_matches_per_trial_batch_kernel() {
-        let (p, _) = two_phase();
-        let cfg = TrialConfig {
-            trials: 130, // > 2 × FLEET_CHUNK so chunk boundaries are exercised
-            master_seed: 77,
-            max_interactions: 1_000_000,
-        };
-        let fleet = run_trials_batch_fleet(&p, 301, &Silent, cfg).unwrap();
-        let scalar: Vec<u64> = (0..cfg.trials as u64)
-            .map(|i| {
-                run_trial(
-                    &p,
-                    301,
-                    &Silent,
-                    seeds::derive(cfg.master_seed, i),
-                    cfg.max_interactions,
-                    Kernel::Batch,
-                    &mut NullObserver,
-                )
-                .unwrap()
-                .interactions
-                .expect("uncensored")
-            })
-            .collect();
-        assert_eq!(fleet.interactions, scalar);
-        assert_eq!(fleet.censored, 0);
-    }
-
-    #[test]
-    fn fleet_fast_path_counts_censoring() {
-        let (p, _) = two_phase();
-        let cfg = TrialConfig {
-            trials: 8,
-            master_seed: 1,
-            max_interactions: 1,
-        };
-        let batch = run_trials_batch_fleet(&p, 11, &Silent, cfg).unwrap();
-        assert_eq!(batch.censored, 8);
-        assert!(batch.interactions.is_empty());
     }
 
     #[test]

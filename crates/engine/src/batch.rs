@@ -122,14 +122,12 @@ impl Default for BatchConfig {
 }
 
 /// Reusable per-step workspace, fully reinitialised by every leap
-/// attempt; shared across a fleet's trials so the hot loop allocates
-/// nothing.
+/// attempt, so the hot loop allocates nothing.
 ///
 /// The kernel's *channels* are the protocol's compiled pairs
 /// ([`CompiledProtocol::pair_effects`]), taken in their row-major order:
 /// the binomial split of a leap consumes randomness in channel order.
-#[derive(Clone, Debug, Default)]
-pub struct Scratch {
+struct Scratch {
     /// Per-channel weight `w_i` for the current configuration.
     weights: Vec<u64>,
     /// Per-state net count delta of the drawn leap.
@@ -141,7 +139,7 @@ pub struct Scratch {
 
 impl Scratch {
     /// Workspace sized for `proto`.
-    pub fn new(proto: &CompiledProtocol) -> Self {
+    fn new(proto: &CompiledProtocol) -> Self {
         let m = proto.num_states();
         Scratch {
             weights: vec![0; proto.pair_effects().len()],
@@ -153,14 +151,14 @@ impl Scratch {
 }
 
 /// Per-trial state of one batch-kernel run: the exact step's run state
-/// (identity weights, stability tracker, counters) and the exact-burst
-/// countdown. [`crate::simulator::Simulator::run_batch`]
-/// drives one; [`crate::fleet`] drives hundreds in lockstep over a shared
-/// [`Scratch`].
-pub struct BatchTrial<'a> {
+/// (identity weights, stability tracker, counters), the exact-burst
+/// countdown and the leap workspace.
+/// [`crate::simulator::Simulator::run_batch_configured`] drives one.
+pub(crate) struct BatchTrial<'a> {
     run: LeapRun<'a>,
     /// Remaining exact composite steps in the current fallback burst.
     exact_left: u64,
+    scratch: Scratch,
 }
 
 impl<'a> BatchTrial<'a> {
@@ -171,7 +169,7 @@ impl<'a> BatchTrial<'a> {
     /// [`RunError::PopulationTooSmall`] below two agents, and
     /// [`RunError::PopulationTooLarge`] when `n(n−1)` does not fit in
     /// `u64`; both before any draw.
-    pub fn new<C: StabilityCriterion>(
+    pub(crate) fn new<C: StabilityCriterion>(
         proto: &CompiledProtocol,
         criterion: &'a C,
         counts: &[u64],
@@ -179,30 +177,29 @@ impl<'a> BatchTrial<'a> {
         Ok(BatchTrial {
             run: LeapRun::new(proto, criterion, counts)?,
             exact_left: 0,
+            scratch: Scratch::new(proto),
         })
     }
 
     /// The counters so far.
-    pub fn result(&self) -> RunResult {
+    pub(crate) fn result(&self) -> RunResult {
         self.run.result()
     }
 
     /// Advance the trial by one step: either one tau-leap or one exact
     /// composite step (identity run + one effective interaction),
     /// depending on eligibility.
-    #[allow(clippy::too_many_arguments)]
-    pub fn step<O: Observer>(
+    pub(crate) fn step<O: Observer>(
         &mut self,
         proto: &CompiledProtocol,
         counts: &mut [u64],
         rng: &mut SmallRng,
         max_interactions: u64,
         cfg: &BatchConfig,
-        scratch: &mut Scratch,
         observer: &mut O,
     ) -> StepOutcome {
         if self.exact_left == 0 {
-            match self.try_leap(proto, counts, rng, max_interactions, cfg, scratch, observer) {
+            match self.try_leap(proto, counts, rng, max_interactions, cfg, observer) {
                 LeapOutcome::Done(out) => return out,
                 LeapOutcome::Fallback(reason) => {
                     observer.on_batch_fallback(reason);
@@ -217,7 +214,6 @@ impl<'a> BatchTrial<'a> {
 
     /// Attempt one tau-leap. Consumes randomness only once eligibility is
     /// established — a fallback decision is RNG-free.
-    #[allow(clippy::too_many_arguments)]
     fn try_leap<O: Observer>(
         &mut self,
         proto: &CompiledProtocol,
@@ -225,10 +221,10 @@ impl<'a> BatchTrial<'a> {
         rng: &mut SmallRng,
         max_interactions: u64,
         cfg: &BatchConfig,
-        scratch: &mut Scratch,
         observer: &mut O,
     ) -> LeapOutcome {
         let run = &mut self.run;
+        let scratch = &mut self.scratch;
         let total = run.total;
         let channels = proto.pair_effects();
         // Terminal exactness first: close to stability, hand over.
@@ -393,8 +389,8 @@ fn uniform53(rng: &mut SmallRng) -> f64 {
 }
 
 /// A standard normal deviate via Box–Muller (two uniforms per call; the
-/// second Box–Muller root is discarded to keep the draw-count per call
-/// fixed, which the fleet's determinism relies on).
+/// second Box–Muller root is discarded, so the sampler keeps no state
+/// between calls).
 #[inline]
 fn sample_std_normal(rng: &mut SmallRng) -> f64 {
     // First uniform shifted into (0, 1] so the logarithm is finite.

@@ -200,7 +200,7 @@ impl IdentityWeights {
 /// Outcome of one step of a run ([`crate::batch::BatchTrial::step`], and
 /// the leap kernel's exact step).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum StepOutcome {
+pub(crate) enum StepOutcome {
     /// The run continues.
     Continue,
     /// The configuration is stable; the run is finished.

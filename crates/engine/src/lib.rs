@@ -32,9 +32,8 @@
 //!   recording events such as group-completion times. Offers a naive
 //!   one-interaction-per-step loop, a [`leap`] kernel that skips identity
 //!   interactions in closed form, and a tau-leap [`batch`] kernel that
-//!   fires whole batches of rules per step (with a [`fleet`] runner
-//!   advancing many trials in lockstep). [`simulator::Kernel`] names the
-//!   three kernels as a value.
+//!   fires whole batches of rules per step. [`simulator::Kernel`] names
+//!   the three kernels as a value.
 //! * [`trace`] — scripted executions and human-readable configuration
 //!   pretty-printing (used to replay the paper's Figures 1 and 2).
 //! * [`functional`] — linear functionals over state counts and their
@@ -77,7 +76,6 @@
 
 pub mod batch;
 pub mod dot;
-pub mod fleet;
 pub mod functional;
 pub mod leap;
 pub mod metrics;
@@ -91,10 +89,8 @@ pub mod spec;
 pub mod stability;
 pub mod trace;
 
-pub use batch::{BatchConfig, BatchTrial, Scratch};
-pub use fleet::{run_batch_fleet, FleetSummary};
+pub use batch::BatchConfig;
 pub use functional::Functional;
-pub use leap::StepOutcome;
 pub use metrics::{engine_metrics, EngineMetrics, TelemetryObserver};
 pub use population::{AgentPopulation, CountPopulation, Population};
 pub use protocol::{CompiledProtocol, GroupId, RuleId, StateId};

@@ -29,7 +29,7 @@
 //! [`Kernel`] names the three as a value, and [`Simulator::run_kernel`]
 //! is the one place that dispatches on it.
 
-use crate::batch::{BatchConfig, BatchTrial, Scratch};
+use crate::batch::{BatchConfig, BatchTrial};
 use crate::leap::{LeapRun, StepOutcome};
 use crate::observer::{NullObserver, Observer};
 use crate::population::{AgentPopulation, CountPopulation, Population};
@@ -443,7 +443,6 @@ impl<'a> Simulator<'a> {
         }
         let mut counts = pop.counts().to_vec();
         let mut trial = BatchTrial::new(self.proto, criterion, &counts)?;
-        let mut scratch = Scratch::new(self.proto);
         let rng = scheduler.rng_mut();
         let outcome = loop {
             match trial.step(
@@ -452,7 +451,6 @@ impl<'a> Simulator<'a> {
                 rng,
                 max_interactions,
                 cfg,
-                &mut scratch,
                 observer,
             ) {
                 StepOutcome::Continue => {}

@@ -19,8 +19,11 @@
 //! the existing `Observer` trait, never directly — with `NullObserver`
 //! the instrumentation monomorphises away entirely, and the telemetry
 //! observer itself tallies into plain `u64`s, touching shared atomics
-//! only when a run finishes. The `telemetry_overhead` criterion group in
-//! `pp-bench` guards this.
+//! only when a run finishes. That still costs something: on a leap run
+//! to stability at k = 8, n = 10⁴, the engine's `TelemetryObserver`
+//! measured +3% to +8% over `NullObserver` (median of 25 interleaved
+//! pairs, four sessions on a 2-vCPU host). No test or benchmark gates
+//! that cost.
 //!
 //! No floats anywhere: durations are microseconds, ratios are left to
 //! consumers, so exports stay exactly representable in the workspace's

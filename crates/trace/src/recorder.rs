@@ -25,8 +25,11 @@ use pp_engine::seeds::fnv1a64;
 ///
 /// A recorder built with [`TraceRecorder::disabled`] keeps the same type
 /// (so call sites can toggle recording without re-monomorphising the
-/// simulation) but skips all encoding; its overhead is one branch per
-/// observer callback, guarded by the `trace_overhead` bench group.
+/// simulation) but skips all encoding, leaving one branch per observer
+/// callback. On a leap run to stability at k = 8, n = 10⁴ that measured
+/// +2% to +4% over `NullObserver`, and a recording recorder +36% to
+/// +43% (median of 25 interleaved pairs, four sessions on a 2-vCPU
+/// host). No test or benchmark gates either cost.
 #[derive(Clone, Debug)]
 pub struct TraceRecorder {
     buf: Vec<u8>,

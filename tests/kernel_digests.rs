@@ -6,8 +6,8 @@
 //! followed by its final count vector. The grid covers the leap kernel
 //! at k = 3, 4, 8 and 16 from the smallest population up to n = 960, the batch
 //! kernel's default configuration on cells that take tau-leaps as well
-//! as exact bursts, runs censored at their budget (whose final counts
-//! are the configuration at the cut), and one trial fleet.
+//! as exact bursts, and runs censored at their budget (whose final
+//! counts are the configuration at the cut).
 //!
 //! A kernel change meant as a pure speed-up moves no RNG draw, counter
 //! or count, so it must leave every pinned digest unchanged.
@@ -15,7 +15,7 @@
 use uniform_k_partition::engine::observer::NullObserver;
 use uniform_k_partition::engine::seeds::{derive, fnv1a64};
 use uniform_k_partition::engine::simulator::RunError;
-use uniform_k_partition::engine::{run_batch_fleet, Kernel};
+use uniform_k_partition::engine::Kernel;
 use uniform_k_partition::prelude::*;
 
 /// Master seed the per-cell trial seeds derive from.
@@ -141,39 +141,4 @@ fn censored_trajectories_match_their_pinned_digests() {
         })
         .collect();
     check(&rows);
-}
-
-#[test]
-fn fleet_trajectories_match_their_pinned_digest() {
-    let (k, n) = (3usize, 4_000u64);
-    let kp = UniformKPartition::new(k);
-    let proto = kp.compile();
-    let mut initial = vec![0u64; proto.num_states()];
-    initial[proto.initial_state().index()] = n;
-    let seeds: Vec<u64> = (0..4).map(|t| derive(MASTER, t)).collect();
-    let fleet = run_batch_fleet(
-        &proto,
-        &initial,
-        &seeds,
-        &kp.stable_signature(n),
-        u64::MAX,
-        &BatchConfig::default(),
-    );
-    let mut bytes = Vec::new();
-    for res in &fleet.results {
-        push_outcome(&mut bytes, res);
-    }
-    for total in [
-        fleet.leap_batches,
-        fleet.batch_fallbacks,
-        fleet.interactions,
-        fleet.effective_interactions,
-    ] {
-        bytes.extend_from_slice(&total.to_le_bytes());
-    }
-    check(&[(
-        format!("fleet k={k} n={n}"),
-        fnv1a64(&bytes),
-        0x72c420ea0cc680dc,
-    )]);
 }
