@@ -5,12 +5,12 @@
 # deduplicated, sharded across cores, checkpointed to per-cell journals
 # (safe to ctrl-C and re-run: it resumes), and cached in results/store/
 # (a completed rerun is a no-op). The per-plan invocations afterwards are
-# pure cache hits that just re-render the legacy per-figure logs.
+# pure cache hits that just re-render the per-figure logs.
 #
 # Figure logs + CSVs land in results/. Dominated by fig6's k >= 12 points
 # on a cold cache; nearly instant on a warm one.
 set -e
-cd /root/repo
+cd "$(dirname "$0")/.."
 
 cargo build --release -q
 
