@@ -264,9 +264,11 @@ mod tests {
             master_seed: 1,
             max_interactions: 1, // absurdly tight: n=11 needs ≥ 5 pairings
         };
-        let batch = run_trials(&p, 11, &Silent, cfg, Kernel::Leap).unwrap();
-        assert_eq!(batch.censored, 8);
-        assert!(batch.interactions.is_empty());
+        for kernel in Kernel::ALL {
+            let batch = run_trials(&p, 11, &Silent, cfg, kernel).unwrap();
+            assert_eq!(batch.censored, 8, "{kernel}");
+            assert!(batch.interactions.is_empty(), "{kernel}");
+        }
     }
 
     #[test]
