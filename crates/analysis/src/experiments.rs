@@ -3,8 +3,9 @@
 //! Each figure in §5 is a sweep over `(n, k)` cells; a *cell* is one batch
 //! of trials at fixed parameters. These helpers wire the k-partition
 //! protocol, its stable signature, a generous interaction budget, and
-//! deterministic per-cell seed derivation together, so figure binaries
-//! only loop over their parameter grids.
+//! deterministic per-cell seed derivation together, so callers
+//! (pp-bench's `exact_vs_sim`, `tests/scaling.rs`) only loop over their
+//! parameter grids.
 
 use crate::grouping::{grouping_breakdown, GroupingBreakdown};
 use crate::runner::{run_trials, run_trials_with, TrialBatch, TrialConfig, WatchedTrial};
