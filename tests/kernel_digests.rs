@@ -6,13 +6,14 @@
 //! followed by its final count vector. The grid covers the leap kernel
 //! at k = 3, 4, 8 and 16 from the smallest population up to n = 960, the batch
 //! kernel's default configuration on cells that take tau-leaps as well
-//! as exact bursts, and runs censored at their budget (whose final
-//! counts are the configuration at the cut).
+//! as exact bursts, runs censored at their budget (whose final counts
+//! are the configuration at the cut), and the cell the trial fleet was
+//! pinned on.
 //!
 //! A kernel change meant as a pure speed-up moves no RNG draw, counter
 //! or count, so it must leave every pinned digest unchanged.
 
-use uniform_k_partition::engine::observer::NullObserver;
+use uniform_k_partition::engine::observer::{FallbackReason, NullObserver, Observer};
 use uniform_k_partition::engine::seeds::{derive, fnv1a64};
 use uniform_k_partition::engine::simulator::RunError;
 use uniform_k_partition::engine::Kernel;
@@ -141,4 +142,78 @@ fn censored_trajectories_match_their_pinned_digests() {
         })
         .collect();
     check(&rows);
+}
+
+/// Tallies the batch kernel's tau-leaps and fallbacks.
+#[derive(Default)]
+struct BatchTally {
+    leap_batches: u64,
+    batch_fallbacks: u64,
+}
+
+impl Observer for BatchTally {
+    fn on_interaction(
+        &mut self,
+        _step: u64,
+        _p: StateId,
+        _q: StateId,
+        _p2: StateId,
+        _q2: StateId,
+        _counts: &[u64],
+    ) {
+    }
+
+    fn on_leap_batch(&mut self, _last_step: u64, _tau: u64, _effective: u64, _counts: &[u64]) {
+        self.leap_batches += 1;
+    }
+
+    fn on_batch_fallback(&mut self, _reason: FallbackReason) {
+        self.batch_fallbacks += 1;
+    }
+}
+
+/// The digest was pinned on a struct-of-arrays trial fleet, whose
+/// members ran the scalar batch kernel's per-seed trajectory in
+/// lockstep. Scalar runs of the same seeds must reproduce it: each run's
+/// outcome, then the cell's leap, fallback, interaction and effective
+/// totals.
+#[test]
+fn fleet_trajectories_match_their_pinned_digest() {
+    let (k, n) = (3usize, 4_000u64);
+    let kp = UniformKPartition::new(k);
+    let proto = kp.compile();
+    let sig = kp.stable_signature(n);
+    let sim = Simulator::new(&proto);
+    let mut tally = BatchTally::default();
+    let (mut interactions, mut effective) = (0u64, 0u64);
+    let mut bytes = Vec::new();
+    for t in 0..4 {
+        let mut pop = CountPopulation::new(&proto, n);
+        let mut sched = UniformRandomScheduler::from_seed(derive(MASTER, t));
+        let res = sim.run_kernel(
+            Kernel::Batch,
+            &mut pop,
+            &mut sched,
+            &sig,
+            u64::MAX,
+            &mut tally,
+        );
+        push_outcome(&mut bytes, &res);
+        let r = res.expect("an unlimited budget never censors");
+        interactions += r.interactions;
+        effective += r.effective_interactions;
+    }
+    for total in [
+        tally.leap_batches,
+        tally.batch_fallbacks,
+        interactions,
+        effective,
+    ] {
+        bytes.extend_from_slice(&total.to_le_bytes());
+    }
+    check(&[(
+        format!("fleet k={k} n={n}"),
+        fnv1a64(&bytes),
+        0x72c420ea0cc680dc,
+    )]);
 }
