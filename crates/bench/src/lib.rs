@@ -5,14 +5,15 @@
 //!
 //! * `exact_vs_sim` — exact expected stabilisation times against
 //!   simulated means on instances small enough to solve exactly;
-//! * `kernelbench` and `toposcan` ([`kernelbench`], [`toposcan`]) —
-//!   the writers of `BENCH_engine.json`;
+//! * [`kernelbench`] — one timed kernel run, the measurement the gates
+//!   share;
 //! * the release-mode gates in `tests/` (`cargo test --release -p
-//!   pp-bench -- --ignored`): batch at n = 10⁷ against leap at n = 10⁵,
-//!   leap against naive, and the phase probe's 2% overhead bound.
+//!   pp-bench -- --ignored`): the batch kernel stabilises n = 10⁷ within
+//!   its wall and throughput bounds (printing leap and batch at equal
+//!   n = 10⁵ beside it), leap against naive, and the phase probe's 2%
+//!   overhead bound.
 
 #![forbid(unsafe_code)]
 #![deny(clippy::dbg_macro, clippy::todo)]
 
 pub mod kernelbench;
-pub mod toposcan;

@@ -1,8 +1,7 @@
-//! CI smoke test for the batch kernel's headline claim: in the giant-n
-//! regime the tau-leap kernel must stabilise a population no other
-//! kernel can touch, inside a wall-clock budget, and with throughput far
-//! beyond the leap kernel's. Timing-sensitive, so it is `#[ignore]`d by
-//! default and run in release mode by the CI step
+//! CI smoke test for the batch kernel's giant-n regime: the tau-leap
+//! kernel must stabilise a k = 8, n = 10⁷ population inside a wall-clock
+//! budget. Timing-sensitive, so it is `#[ignore]`d by default and run in
+//! release mode by the CI step
 //! `cargo test --release -p pp-bench -- --ignored`.
 
 use pp_bench::kernelbench::measure;
@@ -10,12 +9,18 @@ use pp_engine::Kernel;
 use pp_protocols::kpartition::UniformKPartition;
 
 /// Giant-n batch smoke: k = 8, n = 10⁷ to stability. The wall budget is
-/// deliberately loose — 300 s for a run that takes ~90 s on a dev box,
-/// since CI machines vary; the throughput floor is the
-/// ISSUE's acceptance bar — at least 50× the leap kernel's scheduler
-/// interactions per second measured on an n = 10⁵ cell in the same
-/// process. The expected margin is orders of magnitude, so the factor-50
-/// assertion has huge slack against machine noise.
+/// deliberately loose — 300 s for a run that takes ~75–90 s on a 2-vCPU
+/// host, since CI machines vary. The throughput floor asks for at least
+/// 50× the leap kernel's scheduler interactions per second on an
+/// n = 10⁵ cell in the same process. That is a bound on the giant cell,
+/// not a kernel speedup: the two cells differ in n, and identities per
+/// effective interaction grow with n.
+///
+/// The kernels' equal-n comparison is the printed `equal n=1e5` line:
+/// the batch kernel on the leap reference cell, both in effective
+/// interactions per second. It asserts nothing; over four runs on a
+/// 2-vCPU host the batch/leap ratio read 1.05–1.34×, too thin a margin
+/// for a gate.
 #[test]
 #[ignore = "timing-sensitive; CI runs it in release mode via -- --ignored"]
 fn batch_stabilises_ten_million_agents_within_wall_budget() {
@@ -26,6 +31,7 @@ fn batch_stabilises_ten_million_agents_within_wall_budget() {
     let leap_budget = UniformKPartition::new(k).interaction_budget(leap_n);
     let leap = measure(Kernel::Leap, k, leap_n, leap_budget, seed);
     assert!(leap.stabilised, "leap reference cell must stabilise");
+    let batch_ref = measure(Kernel::Batch, k, leap_n, leap_budget, seed);
 
     let n = 10_000_000u64;
     let budget = UniformKPartition::new(k).interaction_budget(n);
@@ -36,6 +42,13 @@ fn batch_stabilises_ten_million_agents_within_wall_budget() {
         leap.interactions_per_sec(),
         leap.interactions,
         leap.seconds
+    );
+    println!(
+        "equal n=1e5: leap {:.3e} effective/s in {:.3}s, batch {:.3e} effective/s in {:.3}s",
+        leap.effective_per_sec(),
+        leap.seconds,
+        batch_ref.effective_per_sec(),
+        batch_ref.seconds
     );
     println!(
         "batch@1e7: {:.3e} interactions/s ({} in {:.3}s, {} effective, stabilised={})",

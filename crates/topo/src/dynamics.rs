@@ -526,6 +526,46 @@ mod tests {
     }
 
     #[test]
+    fn kpartition_stabilises_on_complete_and_censors_on_a_ring() {
+        // Algorithm 1 at k = 3, n = 24: on the complete graph the run
+        // stabilises and the observer sees every draw; on a ring the
+        // chain strands long before the signature holds, so the run
+        // spends exactly its draw budget.
+        let kp = pp_protocols::kpartition::UniformKPartition::new(3);
+        let proto = kp.compile();
+        let criterion = kp.stable_signature(24);
+
+        let mut draws = StepCounter::default();
+        let out = run_dynamics(
+            &proto,
+            24,
+            &dynamics(TopoSpec::Complete),
+            &criterion,
+            u64::MAX,
+            7,
+            &mut draws,
+        )
+        .unwrap();
+        assert_eq!(out.interactions, Some(draws.0));
+        assert!(out.effective_interactions > 0);
+        assert!(out.effective_interactions <= draws.0);
+
+        let mut draws = StepCounter::default();
+        let out = run_dynamics(
+            &proto,
+            24,
+            &dynamics(TopoSpec::Ring),
+            &criterion,
+            2_000,
+            7,
+            &mut draws,
+        )
+        .unwrap();
+        assert!(!out.stabilised());
+        assert_eq!(draws.0, 2_000);
+    }
+
+    #[test]
     fn joins_are_applied_and_reported() {
         let proto = epidemic();
         struct LifecycleLog(Vec<(u64, LifecycleKind)>);

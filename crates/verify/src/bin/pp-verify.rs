@@ -11,8 +11,7 @@
 //! stably correct under global fairness (Lemmas 4–6 as an exact
 //! terminal-SCC check). The result is the repo's **checked envelope** —
 //! how far exhaustive verification currently reaches — written as
-//! `BENCH_verify.json` in the same trajectory-append schema as
-//! `BENCH_engine.json`:
+//! `BENCH_verify.json`:
 //!
 //! * integer-only numbers (micros, counts);
 //! * per-cell `censored` flags — a cell that blew the configuration
