@@ -6,11 +6,13 @@
 //! `Connection: close`), body read to EOF when no `Content-Length` is
 //! present.
 
-use std::io::{self, Read, Write};
+use std::io::{self, Read};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
 use pp_sweep::json::Value;
+
+use crate::http;
 
 /// A fully-read response.
 #[derive(Clone, Debug)]
@@ -45,12 +47,8 @@ impl Response {
 pub fn request(addr: SocketAddr, method: &str, target: &str, body: &str) -> io::Result<Response> {
     let mut stream = TcpStream::connect_timeout(&addr, Duration::from_secs(10))?;
     stream.set_read_timeout(Some(Duration::from_secs(600)))?;
-    write!(
-        stream,
-        "{method} {target} HTTP/1.1\r\nhost: {addr}\r\ncontent-length: {}\r\nconnection: close\r\n\r\n{body}",
-        body.len(),
-    )?;
-    stream.flush()?;
+    stream.set_nodelay(true)?;
+    http::write_request(&mut stream, addr, method, target, body)?;
 
     // Read to EOF by hand: an error after data already arrived (e.g. a
     // reset racing the final bytes) ends the stream instead of losing

@@ -8,6 +8,7 @@
 //! and the build environment has no HTTP crate to lean on anyway.
 
 use std::io::{self, BufRead, Write};
+use std::net::SocketAddr;
 
 /// Parse limits: a request that exceeds these is rejected before any
 /// simulation work is admitted.
@@ -166,6 +167,34 @@ pub fn reason(status: u16) -> &'static str {
     }
 }
 
+/// Send one whole message in a single `write_all`, then flush. Sockets
+/// here are unbuffered: each `write` leaves as its own segment, and a
+/// message split over several could wait on the peer's acknowledgement
+/// of the first part wherever Nagle's algorithm is on.
+fn send(w: &mut impl Write, message: &str) -> io::Result<()> {
+    w.write_all(message.as_bytes())?;
+    w.flush()
+}
+
+/// Write one request: request line, `host`, `content-length` and
+/// `connection: close` headers, then the body. The client's only
+/// encoder.
+pub fn write_request(
+    w: &mut impl Write,
+    host: SocketAddr,
+    method: &str,
+    target: &str,
+    body: &str,
+) -> io::Result<()> {
+    send(
+        w,
+        &format!(
+            "{method} {target} HTTP/1.1\r\nhost: {host}\r\ncontent-length: {}\r\nconnection: close\r\n\r\n{body}",
+            body.len(),
+        ),
+    )
+}
+
 /// Write a complete (non-streamed) JSON response with `Content-Length`.
 pub fn write_response(w: &mut impl Write, status: u16, body: &str) -> io::Result<()> {
     write_response_typed(w, status, "application/json", body)
@@ -180,13 +209,14 @@ pub fn write_response_typed(
     content_type: &str,
     body: &str,
 ) -> io::Result<()> {
-    write!(
+    send(
         w,
-        "HTTP/1.1 {status} {}\r\ncontent-type: {content_type}\r\ncontent-length: {}\r\nconnection: close\r\n\r\n{body}",
-        reason(status),
-        body.len(),
-    )?;
-    w.flush()
+        &format!(
+            "HTTP/1.1 {status} {}\r\ncontent-type: {content_type}\r\ncontent-length: {}\r\nconnection: close\r\n\r\n{body}",
+            reason(status),
+            body.len(),
+        ),
+    )
 }
 
 /// Start a streamed response: status line plus headers, no
@@ -194,20 +224,19 @@ pub fn write_response_typed(
 /// when the connection closes (that is what `connection: close` means
 /// to an HTTP/1.1 peer).
 pub fn start_stream(w: &mut impl Write, status: u16) -> io::Result<()> {
-    write!(
+    send(
         w,
-        "HTTP/1.1 {status} {}\r\ncontent-type: application/x-ndjson\r\nconnection: close\r\n\r\n",
-        reason(status),
-    )?;
-    w.flush()
+        &format!(
+            "HTTP/1.1 {status} {}\r\ncontent-type: application/x-ndjson\r\nconnection: close\r\n\r\n",
+            reason(status),
+        ),
+    )
 }
 
 /// Write one JSONL line of a streamed body and flush, so clients see
 /// progress as it happens rather than on close.
 pub fn stream_line(w: &mut impl Write, line: &str) -> io::Result<()> {
-    w.write_all(line.as_bytes())?;
-    w.write_all(b"\n")?;
-    w.flush()
+    send(w, &format!("{line}\n"))
 }
 
 #[cfg(test)]
@@ -266,6 +295,70 @@ mod tests {
             MAX_BODY_BYTES + 1
         );
         assert!(matches!(parse(&huge), Err(ParseError::BodyTooLarge(_))));
+    }
+
+    /// A `Write` double that records its bytes and counts `write` calls.
+    #[derive(Default)]
+    struct Counting {
+        bytes: Vec<u8>,
+        writes: usize,
+    }
+
+    impl Write for Counting {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// What `emit` writes, asserting that it makes exactly one `write`.
+    fn one_write(emit: impl FnOnce(&mut Counting) -> io::Result<()>) -> String {
+        let mut w = Counting::default();
+        emit(&mut w).unwrap();
+        assert_eq!(w.writes, 1, "message split over {} writes", w.writes);
+        String::from_utf8(w.bytes).unwrap()
+    }
+
+    #[test]
+    fn each_response_message_is_one_write_of_unchanged_bytes() {
+        assert_eq!(
+            one_write(|w| write_response(w, 429, "{\"error\":\"busy\"}")),
+            "HTTP/1.1 429 Too Many Requests\r\ncontent-type: application/json\r\n\
+             content-length: 16\r\nconnection: close\r\n\r\n{\"error\":\"busy\"}"
+        );
+        assert_eq!(
+            one_write(|w| write_response_typed(w, 200, "text/plain", "up 1\n")),
+            "HTTP/1.1 200 OK\r\ncontent-type: text/plain\r\ncontent-length: 5\r\n\
+             connection: close\r\n\r\nup 1\n"
+        );
+        assert_eq!(
+            one_write(|w| start_stream(w, 200)),
+            "HTTP/1.1 200 OK\r\ncontent-type: application/x-ndjson\r\nconnection: close\r\n\r\n"
+        );
+        assert_eq!(
+            one_write(|w| stream_line(w, "{\"event\":\"done\"}")),
+            "{\"event\":\"done\"}\n"
+        );
+    }
+
+    #[test]
+    fn a_request_is_one_write_of_unchanged_bytes() {
+        let host: SocketAddr = "127.0.0.1:7717".parse().unwrap();
+        assert_eq!(
+            one_write(|w| write_request(w, host, "POST", "/cells?records=1", "{}\n")),
+            "POST /cells?records=1 HTTP/1.1\r\nhost: 127.0.0.1:7717\r\ncontent-length: 3\r\n\
+             connection: close\r\n\r\n{}\n"
+        );
+        assert_eq!(
+            one_write(|w| write_request(w, host, "GET", "/healthz", "")),
+            "GET /healthz HTTP/1.1\r\nhost: 127.0.0.1:7717\r\ncontent-length: 0\r\n\
+             connection: close\r\n\r\n"
+        );
     }
 
     #[test]

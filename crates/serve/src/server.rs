@@ -1,12 +1,15 @@
 //! The daemon: accept loop, bounded admission queue, worker pool,
 //! request routing, graceful shutdown.
 //!
-//! Shape: the accept loop runs nonblocking and does nothing but
+//! Shape: the accept loop blocks in `accept()` and does nothing but
 //! admission control — it hands each connection to a bounded
-//! `sync_channel` feeding a fixed pool of worker threads, and answers
-//! `429` immediately when the queue is full (backpressure by refusal,
-//! not by unbounded buffering). Workers parse one request per
-//! connection and route it:
+//! `sync_channel` feeding a fixed pool of worker threads, and when that
+//! queue is full hands it instead to one rejecter thread that answers
+//! `429` (backpressure by refusal, not by unbounded buffering). The
+//! rejecter is fed the same way, by a `sync_channel` of as many slots
+//! as the admission queue; when that is full too, the connection is
+//! closed unanswered. Either way it counts as rejected. Workers parse
+//! one request per connection and route it:
 //!
 //! | endpoint         | behaviour |
 //! |------------------|-----------|
@@ -26,13 +29,16 @@
 //! The root span id is echoed in the `accepted` event.
 //!
 //! Graceful shutdown (via `/shutdown` or the flag from
-//! [`Server::shutdown_flag`], which the binary wires to SIGTERM):
-//! stop accepting, let workers drain queued connections, join them,
-//! then flush the store — for the log backend that is the moment the
-//! journal hits disk.
+//! [`Server::shutdown_flag`], which the binary wires to SIGTERM): set
+//! the flag, then open one loopback connection to the listener's port
+//! to wake the blocked `accept()`. The loop checks the flag after each
+//! accept, so it drops that wake connection uncounted and stops
+//! accepting; workers and the rejecter drain their queued connections
+//! and are joined, then the store flushes — for the log backend that is
+//! the moment the journal hits disk.
 
 use std::io::{self, BufReader};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, Sender, TrySendError};
 use std::sync::{mpsc, Arc, Mutex};
@@ -58,7 +64,9 @@ pub struct ServeConfig {
     /// Bind address; port 0 picks a free port (see [`Server::local_addr`]).
     pub addr: String,
     /// Admission queue depth: connections allowed to wait for a worker
-    /// before new ones bounce with 429.
+    /// before new ones bounce with 429. The 429 answers queue the same
+    /// way, one rejecter thread behind as many slots; past those a
+    /// connection is closed unanswered.
     pub queue: usize,
     /// Worker threads handling requests. Simulation inside a request
     /// additionally fans out trials on the compute pool.
@@ -80,7 +88,8 @@ impl Default for ServeConfig {
 pub struct ServeSummary {
     /// Connections accepted and handed to workers.
     pub handled: u64,
-    /// Connections refused by admission control.
+    /// Connections refused by admission control: answered 429, or
+    /// closed unanswered when the 429 queue was full too.
     pub rejected: u64,
 }
 
@@ -90,6 +99,20 @@ struct Ctx {
     coalescer: Coalescer,
     shutdown: AtomicBool,
     inflight: AtomicU64,
+    /// The listener's address, an unspecified IP mapped to loopback:
+    /// where [`Ctx::shut_down`] connects to wake the accept loop.
+    wake_addr: SocketAddr,
+}
+
+impl Ctx {
+    /// Request graceful shutdown: set the flag, then wake the accept
+    /// loop blocked in `accept()` with one connection of our own, which
+    /// it drops after reading the flag. Once the listener is gone the
+    /// connect fails, and there is nothing left to wake.
+    fn shut_down(&self) {
+        self.shutdown.store(true, Ordering::SeqCst);
+        let _ = TcpStream::connect(self.wake_addr);
+    }
 }
 
 /// A bound, not-yet-running service.
@@ -104,7 +127,13 @@ impl Server {
     /// by all workers — its backend is already thread-safe.
     pub fn bind(cfg: ServeConfig, store: ResultStore) -> io::Result<Server> {
         let listener = TcpListener::bind(&cfg.addr)?;
-        listener.set_nonblocking(true)?;
+        let mut wake_addr = listener.local_addr()?;
+        if wake_addr.ip().is_unspecified() {
+            wake_addr.set_ip(match wake_addr.ip() {
+                IpAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                IpAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
         Ok(Server {
             listener,
             ctx: Arc::new(Ctx {
@@ -112,6 +141,7 @@ impl Server {
                 coalescer: Coalescer::new(),
                 shutdown: AtomicBool::new(false),
                 inflight: AtomicU64::new(0),
+                wake_addr,
             }),
             cfg,
         })
@@ -131,11 +161,21 @@ impl Server {
     }
 
     /// Serve until shutdown is requested, then drain, join, flush.
+    ///
+    /// The loop blocks in `accept()`; [`ShutdownFlag::trip`] and
+    /// `POST /shutdown` wake it with a loopback connection. The flag is
+    /// read after every accept, before the connection is counted, so the
+    /// wake connection never reaches a queue or [`ServeSummary`].
     pub fn run(self) -> io::Result<ServeSummary> {
         let m = serve_metrics();
         let (conn_tx, conn_rx) = mpsc::sync_channel::<TcpStream>(self.cfg.queue.max(1));
         let conn_rx = Arc::new(Mutex::new(conn_rx));
         let queued = Arc::new(AtomicU64::new(0));
+
+        // One long-lived thread answers every 429, so a storm of refused
+        // connections costs a bounded queue, not a thread apiece.
+        let (reject_tx, reject_rx) = mpsc::sync_channel::<TcpStream>(self.cfg.queue.max(1));
+        let rejecter = std::thread::spawn(move || reject_rx.into_iter().for_each(reject));
 
         let workers: Vec<_> = (0..self.cfg.workers.max(1))
             .map(|_| {
@@ -147,44 +187,44 @@ impl Server {
             .collect();
 
         let mut summary = ServeSummary::default();
-        while !self.ctx.shutdown.load(Ordering::SeqCst) {
-            match self.listener.accept() {
-                Ok((stream, _peer)) => {
-                    m.requests.inc();
-                    m.queue_depth.set(queued.fetch_add(1, Ordering::SeqCst) + 1);
-                    match conn_tx.try_send(stream) {
-                        Ok(()) => summary.handled += 1,
-                        Err(TrySendError::Full(stream)) => {
-                            m.queue_depth.set(queued.fetch_sub(1, Ordering::SeqCst) - 1);
-                            m.requests_rejected.inc();
-                            summary.rejected += 1;
-                            // Answer off-thread: the 429 must not reach
-                            // the peer as a connection reset, which means
-                            // draining their request first (closing with
-                            // unread data pending makes TCP send RST and
-                            // discard our response) — and the accept loop
-                            // must not block on a slow writer meanwhile.
-                            std::thread::spawn(move || reject(stream));
-                        }
-                        Err(TrySendError::Disconnected(_)) => break,
-                    }
+        loop {
+            let (stream, _peer) = self.listener.accept()?;
+            if self.ctx.shutdown.load(Ordering::SeqCst) {
+                break; // most likely the wake connection: drop it uncounted
+            }
+            // Each response leaves in one write; send it at once rather
+            // than after the peer acknowledges the previous one.
+            let _ = stream.set_nodelay(true);
+            m.requests.inc();
+            m.queue_depth.set(queued.fetch_add(1, Ordering::SeqCst) + 1);
+            match conn_tx.try_send(stream) {
+                Ok(()) => summary.handled += 1,
+                Err(TrySendError::Full(stream)) => {
+                    m.queue_depth.set(queued.fetch_sub(1, Ordering::SeqCst) - 1);
+                    m.requests_rejected.inc();
+                    summary.rejected += 1;
+                    // Answer on the rejecter: the 429 must not reach the
+                    // peer as a connection reset, which means draining
+                    // their request first (closing with unread data
+                    // pending makes TCP send RST and discard our
+                    // response) — and the accept loop must not block on
+                    // a slow writer meanwhile. With the rejecter's queue
+                    // full as well, dropping here closes it unanswered.
+                    let _ = reject_tx.try_send(stream);
                 }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    // 1ms: short enough that accept-poll latency stays
-                    // invisible next to even a cached response, long
-                    // enough that the idle loop costs ~nothing.
-                    std::thread::sleep(Duration::from_millis(1));
-                }
-                Err(e) => return Err(e),
+                Err(TrySendError::Disconnected(_)) => break,
             }
         }
 
-        // Drain: close the intake so workers exit once the queue is
-        // empty, join them, then flush whatever the backend buffers.
+        // Drain: close both intakes so workers and the rejecter exit
+        // once their queues are empty, join them, then flush whatever
+        // the backend buffers.
         drop(conn_tx);
+        drop(reject_tx);
         for w in workers {
             let _ = w.join();
         }
+        let _ = rejecter.join();
         self.ctx.store.flush()?;
         Ok(summary)
     }
@@ -196,9 +236,12 @@ pub struct ShutdownFlag {
 }
 
 impl ShutdownFlag {
-    /// Request graceful shutdown (idempotent).
+    /// Request graceful shutdown (idempotent): set the flag and open one
+    /// loopback connection to the listener's port, which wakes
+    /// [`Server::run`] from `accept()` to see it. Returns once that
+    /// connection is made; `run` returns after the drain.
     pub fn trip(&self) {
-        self.ctx.shutdown.store(true, Ordering::SeqCst);
+        self.ctx.shut_down();
     }
 
     /// Whether shutdown has been requested.
@@ -277,7 +320,7 @@ fn handle_connection(stream: TcpStream, ctx: &Ctx) -> io::Result<()> {
             &pp_obs::recorder().to_ndjson(),
         ),
         ("POST", "/shutdown") => {
-            ctx.shutdown.store(true, Ordering::SeqCst);
+            ctx.shut_down();
             http::write_response(&mut writer, 200, "{\"ok\":true,\"shutting_down\":true}")
         }
         ("POST", "/cells") => handle_cells(&req, &mut writer, ctx),

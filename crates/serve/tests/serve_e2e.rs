@@ -2,8 +2,9 @@
 //! real blocking client, in-memory (and log) store backends.
 
 use std::net::SocketAddr;
-use std::sync::Barrier;
+use std::sync::{mpsc, Barrier};
 use std::thread::JoinHandle;
+use std::time::Duration;
 
 use pp_serve::client;
 use pp_serve::server::{ServeConfig, ServeSummary, Server};
@@ -193,6 +194,114 @@ fn admission_control_rejects_when_queue_full() {
     }
     let summary = shutdown(addr, handle);
     assert!(summary.rejected >= 1);
+}
+
+/// Run `server` on a thread of its own; its summary arrives on the
+/// returned channel, so a test can bound the wait for `run` to end.
+fn run_detached(server: Server) -> mpsc::Receiver<ServeSummary> {
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(server.run().expect("server run"));
+    });
+    rx
+}
+
+/// Trip the flag of an idle server bound to `addr` and require `run` to
+/// return within 5 s with nothing counted.
+fn trip_ends_idle_run(addr: &str) {
+    let cfg = ServeConfig {
+        addr: addr.into(),
+        ..ServeConfig::default()
+    };
+    let server = Server::bind(cfg, ResultStore::in_memory()).unwrap();
+    let flag = server.shutdown_flag();
+    let done = run_detached(server);
+    flag.trip();
+    assert!(flag.is_tripped());
+    let summary = done
+        .recv_timeout(Duration::from_secs(5))
+        .unwrap_or_else(|_| panic!("trip did not wake the accept loop of a server on {addr}"));
+    assert_eq!((summary.handled, summary.rejected), (0, 0));
+}
+
+#[test]
+fn trip_wakes_an_idle_loopback_server() {
+    trip_ends_idle_run("127.0.0.1:0");
+}
+
+#[test]
+fn trip_wakes_an_idle_server_bound_to_every_interface() {
+    trip_ends_idle_run("0.0.0.0:0");
+}
+
+#[test]
+fn the_wake_connection_is_not_counted() {
+    let cfg = ServeConfig {
+        addr: "127.0.0.1:0".into(),
+        ..ServeConfig::default()
+    };
+    let server = Server::bind(cfg, ResultStore::in_memory()).unwrap();
+    let addr = server.local_addr().unwrap();
+    let flag = server.shutdown_flag();
+    let done = run_detached(server);
+    const REQUESTS: u64 = 3;
+    for _ in 0..REQUESTS {
+        assert!(client::healthy(addr));
+    }
+    flag.trip();
+    let summary = done
+        .recv_timeout(Duration::from_secs(5))
+        .expect("trip did not wake the accept loop");
+    assert_eq!(summary.handled, REQUESTS);
+    assert_eq!(summary.rejected, 0);
+}
+
+#[test]
+fn sequential_bounces_each_get_a_429_and_are_counted() {
+    let cfg = ServeConfig {
+        addr: "127.0.0.1:0".into(),
+        queue: 1,
+        workers: 1,
+    };
+    let server = Server::bind(cfg, ResultStore::in_memory()).unwrap();
+    let addr = server.local_addr().unwrap();
+    let flag = server.shutdown_flag();
+    let done = run_detached(server);
+
+    // As in the admission test: pin the only worker with a held request
+    // and fill the one queue slot with a second.
+    let line = spec_line(410, 16, 1);
+    let held: Vec<JoinHandle<u16>> = (0..2)
+        .map(|_| {
+            let line = line.clone();
+            let h = std::thread::spawn(move || {
+                client::post_cells(addr, &line, "hold_ms=2000")
+                    .unwrap()
+                    .status
+            });
+            std::thread::sleep(Duration::from_millis(250));
+            h
+        })
+        .collect();
+
+    // One after another, so each 429 is answered by the one rejecter
+    // before the next connection arrives.
+    const BOUNCES: u64 = 5;
+    for i in 0..BOUNCES {
+        let bounced = client::request(addr, "GET", "/healthz", "").unwrap();
+        assert_eq!(bounced.status, 429, "bounce {i} was not refused");
+        assert!(bounced.body.contains("queue full"));
+    }
+
+    for h in held {
+        assert_eq!(h.join().unwrap(), 200, "held requests still complete");
+    }
+    flag.trip();
+    let summary = done
+        .recv_timeout(Duration::from_secs(5))
+        .expect("trip did not wake the accept loop");
+    assert_eq!(summary.rejected, BOUNCES);
+    assert_eq!(summary.handled, 2);
 }
 
 #[test]
