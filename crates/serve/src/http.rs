@@ -179,7 +179,7 @@ fn send(w: &mut impl Write, message: &str) -> io::Result<()> {
 /// Write one request: request line, `host`, `content-length` and
 /// `connection: close` headers, then the body. The client's only
 /// encoder.
-pub fn write_request(
+pub(crate) fn write_request(
     w: &mut impl Write,
     host: SocketAddr,
     method: &str,

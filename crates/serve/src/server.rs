@@ -64,9 +64,9 @@ pub struct ServeConfig {
     /// Bind address; port 0 picks a free port (see [`Server::local_addr`]).
     pub addr: String,
     /// Admission queue depth: connections allowed to wait for a worker
-    /// before new ones bounce with 429. The 429 answers queue the same
-    /// way, one rejecter thread behind as many slots; past those a
-    /// connection is closed unanswered.
+    /// before new ones bounce with 429. The one thread answering those
+    /// 429s has a queue of the same depth; past it a connection is
+    /// closed unanswered.
     pub queue: usize,
     /// Worker threads handling requests. Simulation inside a request
     /// additionally fans out trials on the compute pool.
@@ -99,8 +99,9 @@ struct Ctx {
     coalescer: Coalescer,
     shutdown: AtomicBool,
     inflight: AtomicU64,
-    /// The listener's address, an unspecified IP mapped to loopback:
-    /// where [`Ctx::shut_down`] connects to wake the accept loop.
+    /// Where [`Ctx::shut_down`] connects to wake the accept loop: the
+    /// listener's address, with an unspecified IP (a bind to every
+    /// interface) mapped to loopback, which every platform can reach.
     wake_addr: SocketAddr,
 }
 

@@ -6,7 +6,7 @@
 //! | name                        | kind      | meaning |
 //! |-----------------------------|-----------|---------|
 //! | `serve.requests`            | counter   | connections accepted |
-//! | `serve.requests.rejected`   | counter   | connections bounced by admission control (429) |
+//! | `serve.requests.rejected`   | counter   | connections bounced by admission control: answered 429, or closed unanswered when the 429 queue is full too |
 //! | `serve.requests.bad`        | counter   | malformed requests (4xx) |
 //! | `serve.cells.requested`     | counter   | cell specs admitted |
 //! | `serve.cells.cache_hits`    | counter   | cells answered from the store |
@@ -26,7 +26,8 @@ use std::sync::{Arc, OnceLock};
 pub struct ServeMetrics {
     /// Connections accepted off the listener.
     pub requests: Arc<Counter>,
-    /// Connections refused with 429 because the admission queue was full.
+    /// Connections refused because the admission queue was full:
+    /// answered 429, or closed unanswered when the 429 queue was full too.
     pub requests_rejected: Arc<Counter>,
     /// Requests answered with a 4xx for being malformed.
     pub requests_bad: Arc<Counter>,

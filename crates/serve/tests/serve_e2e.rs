@@ -206,54 +206,41 @@ fn run_detached(server: Server) -> mpsc::Receiver<ServeSummary> {
     rx
 }
 
-/// Trip the flag of an idle server bound to `addr` and require `run` to
-/// return within 5 s with nothing counted.
-fn trip_ends_idle_run(addr: &str) {
+/// Bind a server to `addr`, send it `requests` health checks, trip its
+/// flag, and require `run` to return within 5 s having counted exactly
+/// those requests: the wake connection is not one of them.
+fn trip_after(addr: &str, requests: u64) {
     let cfg = ServeConfig {
         addr: addr.into(),
         ..ServeConfig::default()
     };
     let server = Server::bind(cfg, ResultStore::in_memory()).unwrap();
+    let local = server.local_addr().unwrap();
     let flag = server.shutdown_flag();
     let done = run_detached(server);
-    flag.trip();
-    assert!(flag.is_tripped());
-    let summary = done
-        .recv_timeout(Duration::from_secs(5))
-        .unwrap_or_else(|_| panic!("trip did not wake the accept loop of a server on {addr}"));
-    assert_eq!((summary.handled, summary.rejected), (0, 0));
-}
-
-#[test]
-fn trip_wakes_an_idle_loopback_server() {
-    trip_ends_idle_run("127.0.0.1:0");
-}
-
-#[test]
-fn trip_wakes_an_idle_server_bound_to_every_interface() {
-    trip_ends_idle_run("0.0.0.0:0");
-}
-
-#[test]
-fn the_wake_connection_is_not_counted() {
-    let cfg = ServeConfig {
-        addr: "127.0.0.1:0".into(),
-        ..ServeConfig::default()
-    };
-    let server = Server::bind(cfg, ResultStore::in_memory()).unwrap();
-    let addr = server.local_addr().unwrap();
-    let flag = server.shutdown_flag();
-    let done = run_detached(server);
-    const REQUESTS: u64 = 3;
-    for _ in 0..REQUESTS {
-        assert!(client::healthy(addr));
+    for _ in 0..requests {
+        assert!(client::healthy(local));
     }
     flag.trip();
     let summary = done
         .recv_timeout(Duration::from_secs(5))
-        .expect("trip did not wake the accept loop");
-    assert_eq!(summary.handled, REQUESTS);
-    assert_eq!(summary.rejected, 0);
+        .unwrap_or_else(|_| panic!("trip did not wake the accept loop of a server on {addr}"));
+    assert_eq!((summary.handled, summary.rejected), (requests, 0));
+}
+
+#[test]
+fn trip_wakes_an_idle_loopback_server() {
+    trip_after("127.0.0.1:0", 0);
+}
+
+#[test]
+fn trip_wakes_an_idle_server_bound_to_every_interface() {
+    trip_after("0.0.0.0:0", 0);
+}
+
+#[test]
+fn the_wake_connection_is_not_counted() {
+    trip_after("127.0.0.1:0", 3);
 }
 
 #[test]
