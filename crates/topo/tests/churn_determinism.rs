@@ -8,8 +8,12 @@
 //! chain-builder state: removing a mid-chain agent is exactly the event
 //! the paper's complete-graph analysis never has to survive, so it is
 //! the case the trace format must capture faithfully.
+//!
+//! Per-seed outcome digests pin the dynamics loop itself: a change to it
+//! meant to keep every trajectory moves no draw, counter or count.
 
-use pp_engine::observer::LifecycleKind;
+use pp_engine::observer::{LifecycleKind, NullObserver};
+use pp_engine::seeds::{derive, fnv1a64};
 use pp_protocols::kpartition::UniformKPartition;
 use pp_topo::{ChurnEvent, ChurnPlan, Dynamics};
 use pp_trace::format::{TraceHeader, TraceKernel};
@@ -145,4 +149,78 @@ fn recorded_churn_trace_replays_and_verifies() {
         vec![m2.0],
         "the leave event must hit the chain-builder state m2"
     );
+}
+
+/// The final count vector of a dynamics run.
+fn final_counts(outcome: &pp_topo::DynRunOutcome) -> Vec<u64> {
+    outcome.final_counts.clone()
+}
+
+/// Digest of `trials` seeds of Algorithm 1 at k = 3, n = 12 under the
+/// dynamics `fragment`: each run's interactions (or censoring),
+/// effective interactions, final count vector and applied lifecycle
+/// events, hashed with `seeds::fnv1a64`.
+fn dynamics_digest(fragment: &str, trials: u64) -> u64 {
+    let kp = UniformKPartition::new(3);
+    let proto = kp.compile();
+    let dynamics = Dynamics::parse(fragment).expect("fragment parses");
+    let criterion = kp.stable_signature((N as i64 + dynamics.churn.net()) as u64);
+    let mut bytes = Vec::new();
+    for t in 0..trials {
+        let outcome = pp_topo::run_dynamics(
+            &proto,
+            N,
+            &dynamics,
+            &criterion,
+            BUDGET,
+            derive(SEED, t),
+            &mut NullObserver,
+        )
+        .expect("dynamics run starts");
+        eprintln!(
+            "DBG {fragment} {:?} eff={} applied={:?}",
+            outcome.interactions, outcome.effective_interactions, outcome.applied
+        );
+        match outcome.interactions {
+            Some(i) => {
+                bytes.push(0);
+                bytes.extend_from_slice(&i.to_le_bytes());
+            }
+            None => bytes.push(1),
+        }
+        bytes.extend_from_slice(&outcome.effective_interactions.to_le_bytes());
+        for c in final_counts(&outcome) {
+            bytes.extend_from_slice(&c.to_le_bytes());
+        }
+        for a in outcome.applied {
+            bytes.extend_from_slice(&a.to_le_bytes());
+        }
+    }
+    fnv1a64(&bytes)
+}
+
+#[test]
+fn dynamics_outcomes_match_their_pinned_digests() {
+    // (dynamics fragment, trials, digest)
+    let cells: [(&str, u64, u64); 6] = [
+        ("complete;uniform;j0.l0.c0.p0", 4, 0x29938e274cba7d7f),
+        ("ring;uniform;j0.l0.c0.p0", 3, 0x0f3b78e5f1c28be6),
+        ("star;uniform;j0.l0.c0.p0", 3, 0x81365d646d12f2a9),
+        ("rr:d=4;uniform;j0.l0.c0.p0", 3, 0x053e00a1e7ef33e4),
+        ("complete;uniform;j2.l1.c1.p500", 3, 0x2bf7535d4d5bcb40),
+        ("ring;uniform;j2.l1.c1.p500", 3, 0x34c3ba31ec40f685),
+    ];
+    let rows: Vec<(&str, u64, u64)> = cells
+        .iter()
+        .map(|&(fragment, trials, want)| (fragment, dynamics_digest(fragment, trials), want))
+        .collect();
+    for (fragment, got, want) in &rows {
+        println!("{fragment}: 0x{got:016x} (pinned 0x{want:016x})");
+    }
+    let wrong: Vec<&str> = rows
+        .iter()
+        .filter(|(_, got, want)| got != want)
+        .map(|(fragment, _, _)| *fragment)
+        .collect();
+    assert!(wrong.is_empty(), "dynamics outcomes moved in: {wrong:?}");
 }

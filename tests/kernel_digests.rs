@@ -1,9 +1,10 @@
-//! Per-seed trajectory digests of the leap and batch kernels.
+//! Per-seed trajectory digests of the naive, leap and batch kernels.
 //!
 //! Each cell runs a few seeds of Algorithm 1 from the all-`initial`
 //! configuration and hashes, with `seeds::fnv1a64`, every run's outcome
 //! (interactions and effective interactions, or the censoring limit)
-//! followed by its final count vector. The grid covers the leap kernel
+//! followed by its final count vector. The grid covers the naive kernel
+//! at k = 3, 4 and 8 at n = k + 2 and n = 96, the leap kernel
 //! at k = 3, 4, 8 and 16 from the smallest population up to n = 960, the batch
 //! kernel's default configuration on cells that take tau-leaps as well
 //! as exact bursts, runs censored at their budget (whose final counts
@@ -77,6 +78,27 @@ fn check(rows: &[(String, u64, u64)]) {
         .map(|(label, _, _)| label.as_str())
         .collect();
     assert!(wrong.is_empty(), "trajectories moved in: {wrong:?}");
+}
+
+#[test]
+fn naive_trajectories_match_their_pinned_digests() {
+    // (k, n, trials, digest)
+    let cells: [(usize, u64, u64, u64); 6] = [
+        (3, 5, 4, 0xe2034de4f0e87a63),
+        (3, 96, 4, 0x646dd554fb81ea57),
+        (4, 6, 4, 0x1a1c6988e98b82ca),
+        (4, 96, 4, 0x981abaf088d80f91),
+        (8, 10, 4, 0x6700d5679e76a8c0),
+        (8, 96, 4, 0xc528519a8af32870),
+    ];
+    let rows: Vec<(String, u64, u64)> = cells
+        .iter()
+        .map(|&(k, n, trials, want)| {
+            let got = cell_digest(Kernel::Naive, k, n, trials, u64::MAX);
+            (format!("naive k={k} n={n}"), got, want)
+        })
+        .collect();
+    check(&rows);
 }
 
 #[test]
