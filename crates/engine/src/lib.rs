@@ -21,7 +21,8 @@
 //!   [`population::CountPopulation`] (a count vector over states; exact for
 //!   complete interaction graphs because agents are anonymous) and
 //!   [`population::AgentPopulation`] (one state per agent; supports
-//!   per-agent traces, fault injection, and arbitrary interaction graphs).
+//!   per-agent traces, fault injection, and arbitrary interaction graphs,
+//!   on which pp-topo's dynamics loop runs it).
 //! * [`scheduler`] — interaction schedulers. The paper's evaluation uses the
 //!   uniform-random-pair scheduler, which satisfies global fairness with
 //!   probability 1 on infinite executions.
@@ -95,5 +96,5 @@ pub use metrics::{engine_metrics, EngineMetrics, TelemetryObserver};
 pub use population::{AgentPopulation, CountPopulation, Population};
 pub use protocol::{CompiledProtocol, GroupId, RuleId, StateId};
 pub use scheduler::UniformRandomScheduler;
-pub use simulator::{FixedRunSummary, Kernel, RunError, RunResult, Simulator};
+pub use simulator::{Kernel, RunError, RunResult, Simulator};
 pub use spec::ProtocolSpec;

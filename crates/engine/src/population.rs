@@ -11,7 +11,8 @@
 //!   harnesses use.
 //! * [`AgentPopulation`] — one state per agent. Supports per-agent group
 //!   tracking, scripted interaction sequences (Figures 1–2), fault
-//!   injection, and restricted interaction graphs.
+//!   injection, and restricted interaction graphs. Scheduled runs on it
+//!   go through pp-topo's dynamics loop (`pp_topo::run_dynamics`).
 //!
 //! Both implement [`Population`], and
 //! [`AgentPopulation::count_view`] projects the per-agent form onto the
@@ -41,85 +42,10 @@ pub trait Population {
     }
 }
 
-/// Fenwick (binary indexed) tree over the count vector: maintained
-/// prefix sums, so rank → state resolves by binary descent instead of a
-/// linear scan over `Q`.
-#[derive(Clone, Debug, PartialEq, Eq)]
-struct CumulativeCounts {
-    /// 1-based Fenwick array; `tree[i]` covers `counts[i - lowbit(i)..i]`.
-    tree: Vec<u64>,
-}
-
-impl CumulativeCounts {
-    fn build(counts: &[u64]) -> Self {
-        let m = counts.len();
-        let mut tree = vec![0u64; m + 1];
-        for (idx, &c) in counts.iter().enumerate() {
-            let i = idx + 1;
-            tree[i] += c;
-            let parent = i + (i & i.wrapping_neg());
-            if parent <= m {
-                tree[parent] += tree[i];
-            }
-        }
-        CumulativeCounts { tree }
-    }
-
-    /// Add `delta` to the count at state index `idx`.
-    #[inline]
-    fn add(&mut self, idx: usize, delta: i64) {
-        let m = self.tree.len() - 1;
-        let mut i = idx + 1;
-        while i <= m {
-            if delta >= 0 {
-                self.tree[i] += delta as u64;
-            } else {
-                self.tree[i] -= delta.unsigned_abs();
-            }
-            i += i & i.wrapping_neg();
-        }
-    }
-
-    /// Sum of `counts[0..idx]`.
-    #[inline]
-    fn prefix(&self, idx: usize) -> u64 {
-        let mut sum = 0;
-        let mut i = idx;
-        while i > 0 {
-            sum += self.tree[i];
-            i &= i - 1;
-        }
-        sum
-    }
-
-    /// Largest index `idx` with `prefix(idx) ≤ r`, found by binary
-    /// descent; this is the state index owning rank `r` when `r < n`.
-    /// Returns `tree.len() - 1` (one past the end) when `r ≥ n`.
-    #[inline]
-    fn rank(&self, mut r: u64) -> usize {
-        let m = self.tree.len() - 1;
-        let mut pos = 0usize;
-        let mut step = m.next_power_of_two();
-        // next_power_of_two may exceed m; the `next <= m` guard handles it.
-        while step > 0 {
-            let next = pos + step;
-            if next <= m && self.tree[next] <= r {
-                r -= self.tree[next];
-                pos = next;
-            }
-            step >>= 1;
-        }
-        pos
-    }
-}
-
 /// Count-vector population: the state multiset of an anonymous population.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CountPopulation {
     counts: Vec<u64>,
-    /// Maintained Fenwick prefix sums over `counts`, for the rank
-    /// samplers of the naive scheduler.
-    cum: CumulativeCounts,
     n: u64,
 }
 
@@ -128,15 +54,13 @@ impl CountPopulation {
     pub fn new(proto: &CompiledProtocol, n: u64) -> Self {
         let mut counts = vec![0u64; proto.num_states()];
         counts[proto.initial_state().index()] = n;
-        let cum = CumulativeCounts::build(&counts);
-        CountPopulation { counts, cum, n }
+        CountPopulation { counts, n }
     }
 
     /// A population with explicit counts (sum = `n`).
     pub fn from_counts(counts: Vec<u64>) -> Self {
         let n = counts.iter().sum();
-        let cum = CumulativeCounts::build(&counts);
-        CountPopulation { counts, cum, n }
+        CountPopulation { counts, n }
     }
 
     /// Overwrite the count of `s` (adjusts `n` accordingly).
@@ -144,17 +68,15 @@ impl CountPopulation {
         let old = self.counts[s.index()];
         self.n = self.n - old + c;
         self.counts[s.index()] = c;
-        self.cum.add(s.index(), c as i64 - old as i64);
     }
 
     /// Overwrite the whole count vector with `counts`, a configuration of
     /// the same `n` agents (a kernel's detached count vector, written
-    /// back at the end of a run). Rebuilds the prefix sums once.
+    /// back at the end of a run).
     pub(crate) fn set_counts(&mut self, counts: &[u64]) {
         debug_assert_eq!(counts.len(), self.counts.len());
         debug_assert_eq!(counts.iter().sum::<u64>(), self.n);
         self.counts.copy_from_slice(counts);
-        self.cum = CumulativeCounts::build(counts);
     }
 
     /// Apply one interaction: an agent leaves `p` for `p2` and an agent
@@ -171,18 +93,6 @@ impl CountPopulation {
         self.counts[q.index()] -= 1;
         self.counts[p2.index()] += 1;
         self.counts[q2.index()] += 1;
-        self.cum.add(p.index(), -1);
-        self.cum.add(q.index(), -1);
-        self.cum.add(p2.index(), 1);
-        self.cum.add(q2.index(), 1);
-    }
-
-    /// Sum of counts of all states with index `< s` — the rank of the
-    /// first agent in state `s` under the fixed per-configuration agent
-    /// order used by [`Self::state_of_rank`].
-    #[inline]
-    pub fn prefix_count(&self, s: StateId) -> u64 {
-        self.cum.prefix(s.index())
     }
 
     /// Map the `i`-th agent (in an arbitrary but fixed per-configuration
@@ -190,41 +100,55 @@ impl CountPopulation {
     ///
     /// This is the weighted-sampling kernel: picking `i` uniformly from
     /// `0..n` and mapping through this function selects a state with
-    /// probability proportional to its count. Resolves in O(log |Q|) via
-    /// the maintained Fenwick prefix sums.
+    /// probability proportional to its count. Resolves by a linear scan
+    /// of the count vector, O(|Q|).
     #[inline]
     pub fn state_of_rank(&self, i: u64) -> StateId {
-        let idx = self.cum.rank(i);
-        if idx >= self.counts.len() {
-            unreachable!("rank out of range: population has {} agents", self.n)
-        }
-        StateId(idx as u16)
+        rank_in(self.counts.iter().copied(), i)
+            .unwrap_or_else(|| unreachable!("rank out of range: population has {} agents", self.n))
     }
 
     /// Like [`Self::state_of_rank`] but with one agent of state `skip`
     /// removed — used to sample the second member of an ordered pair
-    /// without replacement.
-    ///
-    /// Removing one `skip` agent shifts every rank at or past that
-    /// agent's last position up by one, so the lookup reduces to a rank
-    /// shift plus an ordinary [`Self::state_of_rank`].
+    /// without replacement. The removed agent is the last one in state
+    /// `skip`, so every rank at or past its position moves up by one.
     #[inline]
     pub fn state_of_rank_excluding(&self, i: u64, skip: StateId) -> StateId {
         debug_assert!(self.counts[skip.index()] >= 1);
-        // Rank (in the full order) of the removed agent: the last agent
-        // in state `skip`.
-        let removed = self.cum.prefix(skip.index()) + self.counts[skip.index()] - 1;
-        if i < removed {
-            self.state_of_rank(i)
-        } else {
-            self.state_of_rank(i + 1)
-        }
+        let counts =
+            self.counts.iter().enumerate().map(
+                |(idx, &c)| {
+                    if idx == skip.index() {
+                        c - 1
+                    } else {
+                        c
+                    }
+                },
+            );
+        rank_in(counts, i).unwrap_or_else(|| {
+            unreachable!("rank out of range: population has {} agents", self.n - 1)
+        })
     }
 
     /// True if the count vector exactly equals `target`.
     pub fn matches(&self, target: &[u64]) -> bool {
         self.counts == target
     }
+}
+
+/// The state owning rank `i` when agents are sorted by state index and
+/// state `idx` holds `counts[idx]` of them; `None` when `i` is at least
+/// the total. With |Q| = 3k − 2 states the scan is short, and the
+/// naive kernel is the only caller.
+#[inline]
+fn rank_in(counts: impl Iterator<Item = u64>, mut i: u64) -> Option<StateId> {
+    for (idx, c) in counts.enumerate() {
+        if i < c {
+            return Some(StateId(idx as u16));
+        }
+        i -= c;
+    }
+    None
 }
 
 impl Population for CountPopulation {
@@ -245,7 +169,7 @@ impl Population for CountPopulation {
 }
 
 /// Per-agent population: explicit state for each of `n` agents.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct AgentPopulation {
     states: Vec<StateId>,
     counts: Vec<u64>,

@@ -8,13 +8,12 @@
 //! distinct agents chosen uniformly at random each step), which produces
 //! globally fair executions with probability 1.
 //!
-//! Two scheduler families exist because the two population representations
-//! expose different sampling surfaces: [`PairScheduler`] picks an ordered
-//! *state* pair from a [`CountPopulation`] (weighted by counts, without
-//! replacement), and [`AgentScheduler`] picks an ordered *agent index* pair
-//! from an [`AgentPopulation`]. [`UniformRandomScheduler`] implements both
-//! with identical distributions, which tests exploit to cross-validate the
-//! representations.
+//! A [`PairScheduler`] picks an ordered *state* pair from a
+//! [`CountPopulation`] (weighted by counts, without replacement) for the
+//! naive kernel. Per-agent runs schedule agent pairs on an interaction
+//! graph, which pp-topo's edge schedulers do;
+//! [`UniformRandomScheduler::select_agents`] is the complete-graph draw
+//! they are checked against.
 
 use crate::population::{AgentPopulation, CountPopulation, Population};
 use crate::protocol::StateId;
@@ -27,14 +26,6 @@ pub trait PairScheduler {
     /// Select an ordered pair of states `(p, q)` of two *distinct* agents.
     /// Requires `pop.num_agents() ≥ 2`.
     fn select_pair(&mut self, pop: &CountPopulation) -> (StateId, StateId);
-}
-
-/// Chooses the ordered agent pair for the next interaction of a per-agent
-/// population.
-pub trait AgentScheduler {
-    /// Select an ordered pair of distinct agent indices.
-    /// Requires `pop.num_agents() ≥ 2`.
-    fn select_agents(&mut self, pop: &AgentPopulation) -> (usize, usize);
 }
 
 /// The paper's scheduler: each step, an ordered pair of distinct agents is
@@ -62,22 +53,11 @@ impl UniformRandomScheduler {
     pub fn rng_mut(&mut self) -> &mut SmallRng {
         &mut self.rng
     }
-}
 
-impl PairScheduler for UniformRandomScheduler {
+    /// Select an ordered pair of distinct agent indices of `pop`,
+    /// uniformly. Requires `pop.num_agents() ≥ 2`.
     #[inline]
-    fn select_pair(&mut self, pop: &CountPopulation) -> (StateId, StateId) {
-        let n = pop.num_agents();
-        debug_assert!(n >= 2, "need at least two agents to interact");
-        let p = pop.state_of_rank(self.rng.gen_range(0..n));
-        let q = pop.state_of_rank_excluding(self.rng.gen_range(0..n - 1), p);
-        (p, q)
-    }
-}
-
-impl AgentScheduler for UniformRandomScheduler {
-    #[inline]
-    fn select_agents(&mut self, pop: &AgentPopulation) -> (usize, usize) {
+    pub fn select_agents(&mut self, pop: &AgentPopulation) -> (usize, usize) {
         let n = pop.num_agents() as usize;
         debug_assert!(n >= 2, "need at least two agents to interact");
         let i = self.rng.gen_range(0..n);
@@ -89,36 +69,14 @@ impl AgentScheduler for UniformRandomScheduler {
     }
 }
 
-/// Deterministic round-robin over ordered agent pairs, cycling through
-/// `(0,1), (0,2), …, (n−1, n−2)` forever.
-///
-/// Round-robin is *weakly* fair but not globally fair in general; it is
-/// provided for deterministic unit tests and to demonstrate executions on
-/// which weaker fairness fails to make progress.
-#[derive(Clone, Debug, Default)]
-pub struct RoundRobinScheduler {
-    cursor: u64,
-}
-
-impl RoundRobinScheduler {
-    /// Start at the first pair.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl AgentScheduler for RoundRobinScheduler {
-    fn select_agents(&mut self, pop: &AgentPopulation) -> (usize, usize) {
-        let n = pop.num_agents() as usize;
-        let pairs = (n * (n - 1)) as u64;
-        let c = (self.cursor % pairs) as usize;
-        self.cursor = self.cursor.wrapping_add(1);
-        let i = c / (n - 1);
-        let mut j = c % (n - 1);
-        if j >= i {
-            j += 1;
-        }
-        (i, j)
+impl PairScheduler for UniformRandomScheduler {
+    #[inline]
+    fn select_pair(&mut self, pop: &CountPopulation) -> (StateId, StateId) {
+        let n = pop.num_agents();
+        debug_assert!(n >= 2, "need at least two agents to interact");
+        let p = pop.state_of_rank(self.rng.gen_range(0..n));
+        let q = pop.state_of_rank_excluding(self.rng.gen_range(0..n - 1), p);
+        (p, q)
     }
 }
 
@@ -368,21 +326,6 @@ mod tests {
             let frac = f64::from(h) / f64::from(trials);
             assert!((frac - 0.25).abs() < 0.02, "frac = {frac}");
         }
-    }
-
-    #[test]
-    fn round_robin_enumerates_all_ordered_pairs() {
-        let p = two_state();
-        let pop = AgentPopulation::new(&p, 4);
-        let mut sched = RoundRobinScheduler::new();
-        let mut seen = std::collections::HashSet::new();
-        for _ in 0..12 {
-            seen.insert(sched.select_agents(&pop));
-        }
-        assert_eq!(seen.len(), 12); // 4 * 3 ordered pairs
-                                    // And it cycles.
-        let again = sched.select_agents(&pop);
-        assert!(seen.contains(&again));
     }
 
     #[test]

@@ -27,14 +27,23 @@
 //!   workhorse.
 //!
 //! [`Kernel`] names the three as a value, and [`Simulator::run_kernel`]
-//! is the one place that dispatches on it.
+//! is the one place that dispatches on it. Each kernel has an observed
+//! form and an unobserved wrapper; the batch kernel also takes an explicit
+//! [`BatchConfig`] through [`Simulator::run_batch_configured`].
+//!
+//! Under the [`crate::stability::Never`] criterion a run never stops
+//! early, so the naive kernel with `Never` is a fixed-length run of
+//! exactly `max_interactions` interactions (warm-ups, property tests).
+//! Per-agent populations run through pp-topo's dynamics loop
+//! (`pp_topo::run_dynamics`), which also covers restricted interaction
+//! graphs and churn.
 
 use crate::batch::{BatchConfig, BatchTrial};
 use crate::leap::{LeapRun, StepOutcome};
 use crate::observer::{NullObserver, Observer};
-use crate::population::{AgentPopulation, CountPopulation, Population};
+use crate::population::{CountPopulation, Population};
 use crate::protocol::CompiledProtocol;
-use crate::scheduler::{AgentScheduler, PairScheduler, UniformRandomScheduler};
+use crate::scheduler::{PairScheduler, UniformRandomScheduler};
 use crate::stability::StabilityCriterion;
 use std::fmt;
 
@@ -460,111 +469,6 @@ impl<'a> Simulator<'a> {
         pop.set_counts(&counts);
         finish(outcome, trial.result(), max_interactions)
     }
-
-    /// Run a per-agent population until stability (on its count
-    /// projection), reporting every interaction to `observer`.
-    pub fn run_agents_observed<S, C, O>(
-        &self,
-        pop: &mut AgentPopulation,
-        scheduler: &mut S,
-        criterion: &C,
-        max_interactions: u64,
-        observer: &mut O,
-    ) -> Result<RunResult, RunError>
-    where
-        S: AgentScheduler,
-        C: StabilityCriterion,
-        O: Observer,
-    {
-        if criterion.is_stable(self.proto, pop.counts()) {
-            return Ok(RunResult {
-                interactions: 0,
-                effective_interactions: 0,
-            });
-        }
-        if pop.num_agents() < 2 {
-            return Err(RunError::PopulationTooSmall);
-        }
-        let mut interactions: u64 = 0;
-        let mut effective: u64 = 0;
-        while interactions < max_interactions {
-            let (i, j) = scheduler.select_agents(pop);
-            let (p, q, p2, q2) = pop.interact(self.proto, i, j);
-            interactions += 1;
-            let changed = p2 != p || q2 != q;
-            if changed {
-                effective += 1;
-            }
-            observer.on_interaction(interactions, p, q, p2, q2, pop.counts());
-            if changed && criterion.is_stable(self.proto, pop.counts()) {
-                return Ok(RunResult {
-                    interactions,
-                    effective_interactions: effective,
-                });
-            }
-        }
-        Err(RunError::InteractionLimit {
-            limit: max_interactions,
-        })
-    }
-
-    /// Run a per-agent population without observation.
-    pub fn run_agents<S, C>(
-        &self,
-        pop: &mut AgentPopulation,
-        scheduler: &mut S,
-        criterion: &C,
-        max_interactions: u64,
-    ) -> Result<RunResult, RunError>
-    where
-        S: AgentScheduler,
-        C: StabilityCriterion,
-    {
-        self.run_agents_observed(
-            pop,
-            scheduler,
-            criterion,
-            max_interactions,
-            &mut NullObserver,
-        )
-    }
-
-    /// Perform exactly `steps` interactions on a count population,
-    /// reporting each (identity or not) to `observer` exactly as
-    /// [`Simulator::run_observed`] would — but with **no stability
-    /// criterion**: the run never short-circuits, and no stability check
-    /// is evaluated (not even initially). Useful for warm-up and for
-    /// protocols without a stability notion.
-    ///
-    /// Returns a [`FixedRunSummary`] whose `interactions` always equals
-    /// `steps` and whose `effective_interactions` counts the
-    /// state-changing subset, mirroring [`RunResult`]'s fields.
-    pub fn run_fixed<S, O>(
-        &self,
-        pop: &mut CountPopulation,
-        scheduler: &mut S,
-        steps: u64,
-        observer: &mut O,
-    ) -> FixedRunSummary
-    where
-        S: PairScheduler,
-        O: Observer,
-    {
-        let mut effective: u64 = 0;
-        for step in 1..=steps {
-            let (p, q) = scheduler.select_pair(pop);
-            let (p2, q2) = self.proto.delta(p, q);
-            if p2 != p || q2 != q {
-                pop.apply(p, q, p2, q2);
-                effective += 1;
-            }
-            observer.on_interaction(step, p, q, p2, q2, pop.counts());
-        }
-        FixedRunSummary {
-            interactions: steps,
-            effective_interactions: effective,
-        }
-    }
 }
 
 /// The result of a run of the leap or batch kernel that ended in
@@ -580,16 +484,6 @@ fn finish(
             limit: max_interactions,
         }),
     }
-}
-
-/// Summary of a [`Simulator::run_fixed`] run (which cannot fail and does
-/// not stop early, hence no `Result`).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub struct FixedRunSummary {
-    /// Interactions performed — always the requested `steps`.
-    pub interactions: u64,
-    /// Of those, interactions whose transition changed at least one state.
-    pub effective_interactions: u64,
 }
 
 #[cfg(test)]
@@ -670,63 +564,6 @@ mod tests {
     }
 
     #[test]
-    fn agent_and_count_representations_agree_in_distribution() {
-        // Same protocol, same seed policy; expect identical *final* states
-        // and statistically indistinguishable interaction counts. Here we
-        // only check final-state agreement per run.
-        let p = epidemic();
-        let s = p.state_by_name("S").unwrap();
-        let i = p.state_by_name("I").unwrap();
-        for seed in 0..10 {
-            let mut cpop = CountPopulation::new(&p, 30);
-            cpop.set_count(s, 29);
-            cpop.set_count(i, 1);
-            let mut sched = UniformRandomScheduler::from_seed(seed);
-            Simulator::new(&p)
-                .run(&mut cpop, &mut sched, &Silent, 1_000_000)
-                .unwrap();
-
-            let mut apop = AgentPopulation::new(&p, 30);
-            apop.set_state(0, i);
-            let mut sched = UniformRandomScheduler::from_seed(seed);
-            Simulator::new(&p)
-                .run_agents(&mut apop, &mut sched, &Silent, 1_000_000)
-                .unwrap();
-
-            assert_eq!(cpop.count(i), 30);
-            assert_eq!(apop.count(i), 30);
-        }
-    }
-
-    #[test]
-    fn run_fixed_performs_exact_step_count() {
-        let p = epidemic();
-        let s = p.state_by_name("S").unwrap();
-        let i = p.state_by_name("I").unwrap();
-        let mut pop = CountPopulation::new(&p, 10);
-        pop.set_count(s, 9);
-        pop.set_count(i, 1);
-        let mut sched = UniformRandomScheduler::from_seed(4);
-        let mut seen = 0u64;
-        struct Counter<'a>(&'a mut u64);
-        impl crate::observer::Observer for Counter<'_> {
-            fn on_interaction(
-                &mut self,
-                _s: u64,
-                _p: crate::protocol::StateId,
-                _q: crate::protocol::StateId,
-                _p2: crate::protocol::StateId,
-                _q2: crate::protocol::StateId,
-                _c: &[u64],
-            ) {
-                *self.0 += 1;
-            }
-        }
-        Simulator::new(&p).run_fixed(&mut pop, &mut sched, 123, &mut Counter(&mut seen));
-        assert_eq!(seen, 123);
-    }
-
-    #[test]
     fn never_criterion_always_hits_limit() {
         let p = epidemic();
         let mut pop = CountPopulation::new(&p, 10);
@@ -738,7 +575,29 @@ mod tests {
     }
 
     #[test]
-    fn run_fixed_counts_effective_interactions() {
+    fn never_criterion_reports_every_interaction_of_the_budget() {
+        // Under `Never` the naive kernel is a fixed-length run: it
+        // performs exactly its budget and reports each interaction,
+        // identities included.
+        #[derive(Default)]
+        struct Tally {
+            seen: u64,
+            effective: u64,
+        }
+        impl Observer for Tally {
+            fn on_interaction(
+                &mut self,
+                _s: u64,
+                p: crate::protocol::StateId,
+                q: crate::protocol::StateId,
+                p2: crate::protocol::StateId,
+                q2: crate::protocol::StateId,
+                _c: &[u64],
+            ) {
+                self.seen += 1;
+                self.effective += u64::from((p, q) != (p2, q2));
+            }
+        }
         let p = epidemic();
         let s = p.state_by_name("S").unwrap();
         let i = p.state_by_name("I").unwrap();
@@ -746,11 +605,15 @@ mod tests {
         pop.set_count(s, 9);
         pop.set_count(i, 1);
         let mut sched = UniformRandomScheduler::from_seed(4);
-        let summary = Simulator::new(&p).run_fixed(&mut pop, &mut sched, 5_000, &mut NullObserver);
-        assert_eq!(summary.interactions, 5_000);
+        let mut tally = Tally::default();
+        let err = Simulator::new(&p)
+            .run_observed(&mut pop, &mut sched, &Never, 5_000, &mut tally)
+            .unwrap_err();
+        assert_eq!(err, RunError::InteractionLimit { limit: 5_000 });
+        assert_eq!(tally.seen, 5_000);
         // 5 000 interactions at n = 10 is ample to infect everyone:
         // exactly 9 effective (infection) interactions happened.
-        assert_eq!(summary.effective_interactions, 9);
+        assert_eq!(tally.effective, 9);
         assert_eq!(pop.count(i), 10);
     }
 

@@ -4,7 +4,7 @@
 use pp_engine::population::{CountPopulation, Population};
 use pp_engine::protocol::StateId;
 use pp_engine::scheduler::UniformRandomScheduler;
-use pp_engine::simulator::Simulator;
+use pp_engine::simulator::{RunError, Simulator};
 use pp_engine::stability::Never;
 use pp_protocols::hierarchical::HierarchicalPartition;
 use proptest::prelude::*;
@@ -61,12 +61,14 @@ proptest! {
         let proto = hp.compile();
         let mut pop = CountPopulation::new(&proto, n);
         let mut sched = UniformRandomScheduler::from_seed(seed);
-        Simulator::new(&proto).run_fixed(
+        let res = Simulator::new(&proto).run_observed(
             &mut pop,
             &mut sched,
+            &Never,
             steps,
             &mut pp_engine::observer::NullObserver,
         );
+        prop_assert_eq!(res, Err(RunError::InteractionLimit { limit: steps }));
         for level in 1..h {
             for prefix in 0..(1usize << (level - 1)) {
                 let left = subtree_population(&hp, pop.counts(), level + 1, 2 * prefix);

@@ -11,6 +11,7 @@
 
 use pp_analysis::runner::{run_trial, TrialOutcome};
 use pp_engine::observer::{GroupCompletionObserver, NullObserver, Observer, TrajectorySampler};
+use pp_engine::population::Population;
 use pp_engine::seeds;
 
 use crate::observer::SweepObserver;
@@ -108,7 +109,7 @@ pub(crate) fn observe_trial<O: Observer>(
     .map_err(|e| failed(&e))?;
     Ok(TrialOutcome {
         interactions: outcome.interactions,
-        final_counts: outcome.final_counts,
+        final_counts: outcome.pop.counts().to_vec(),
     })
 }
 

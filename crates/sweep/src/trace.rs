@@ -158,6 +158,7 @@ pub fn trace_matching(
 mod tests {
     use super::*;
     use crate::spec::{CellMode, CriterionKind, KernelChoice};
+    use pp_engine::population::Population;
 
     fn temp_store(tag: &str) -> ResultStore {
         let dir = std::env::temp_dir().join(format!("pp_sweep_trace_{tag}_{}", std::process::id()));
@@ -264,7 +265,7 @@ mod tests {
             .unwrap();
             let bytes = std::fs::read(&t.path).unwrap();
             let trace = Trace::decode(&bytes).unwrap();
-            assert_eq!(trace.final_counts, outcome.final_counts);
+            assert_eq!(trace.final_counts, outcome.pop.counts());
 
             // And it replays clean — transitions and lifecycle
             // arithmetic checked record by record.

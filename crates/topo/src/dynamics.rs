@@ -1,14 +1,20 @@
-//! The dynamics runner: one trial of a protocol under non-default
-//! dynamics (restricted topology, skewed/adversarial scheduling, churn).
+//! The dynamics runner: one trial of a protocol on a per-agent
+//! population, under any dynamics (topology, scheduler, churn).
 //!
-//! Mirrors `Simulator::run_agents_observed`'s loop and accounting, with
-//! three insertions: lifecycle events are applied between interactions
+//! This is the workspace's one per-agent interaction loop; the engine's
+//! `Simulator` runs count-vector populations only. Its accounting is the
+//! naive kernel's: stability is checked once up front and then after
+//! every count-changing interaction, and the reported interactions are
+//! those performed strictly before the first stable configuration. On
+//! top of that, lifecycle events are applied between interactions
 //! (mutating population *and* topology in lock-step and reporting each
 //! through [`Observer::on_lifecycle`]), the scheduler is an
 //! [`EdgeScheduler`] over the owned topology, and the stability criterion
 //! — built for the *final* population size — is consulted only once the
 //! event stream is exhausted (while events remain, the run cannot be
-//! permanently stable).
+//! permanently stable). Under [`Dynamics::default_dynamics`] (complete
+//! graph, uniform scheduler, no churn) it runs the paper's model agent by
+//! agent.
 //!
 //! Censoring is a first-class outcome here, not just a budget artefact:
 //! on a ring, chain-builders strand when their neighbours settle; under
@@ -115,10 +121,10 @@ pub struct DynRunOutcome {
     pub interactions: Option<u64>,
     /// Interactions whose transition changed at least one state.
     pub effective_interactions: u64,
-    /// The final configuration's count vector.
-    pub final_counts: Vec<u64>,
-    /// The final population size (initial n plus net churn applied).
-    pub final_n: u64,
+    /// The final population, agent by agent: its size is the initial n
+    /// plus the net churn applied, and its count vector is the final
+    /// configuration.
+    pub pop: AgentPopulation,
     /// Lifecycle events applied, by kind (join, leave, crash).
     pub applied: [u32; 3],
     /// The scheduler's fairness certificate, when it carries one.
@@ -261,8 +267,7 @@ where
     Ok(DynRunOutcome {
         interactions: outcome,
         effective_interactions: effective,
-        final_n: pop.num_agents(),
-        final_counts: pop.counts().to_vec(),
+        pop,
         applied,
         certificate,
     })
@@ -385,7 +390,7 @@ mod tests {
         .unwrap();
         // All agents susceptible: no enabled transition, Silent holds.
         assert_eq!(out.interactions, Some(0));
-        assert_eq!(out.final_n, 10);
+        assert_eq!(out.pop.num_agents(), 10);
     }
 
     #[test]
@@ -515,7 +520,7 @@ mod tests {
                 &mut steps,
             )
             .unwrap();
-            assert_eq!(out.final_n, 3);
+            assert_eq!(out.pop.num_agents(), 3);
             assert!(out.interactions.is_none(), "Never criterion censors");
             if steps.0 == 0 {
                 hit = true;
@@ -614,13 +619,13 @@ mod tests {
         )
         .unwrap();
         assert_eq!(out.interactions, None, "Never criterion censors");
-        assert_eq!(out.final_n, 8);
+        assert_eq!(out.pop.num_agents(), 8);
         assert_eq!(out.applied, [2, 0, 0]);
         assert_eq!(
             log.0,
             vec![(3, LifecycleKind::Join), (6, LifecycleKind::Join)]
         );
-        let total: u64 = out.final_counts.iter().sum();
+        let total: u64 = out.pop.counts().iter().sum();
         assert_eq!(total, 8, "counts track the final population");
     }
 
@@ -658,6 +663,10 @@ mod tests {
             .unwrap()
         };
         assert_eq!(run(5), run(5));
-        assert_eq!(run(5).final_n, 11, "net churn is 1 join - 2 departures");
+        assert_eq!(
+            run(5).pop.num_agents(),
+            11,
+            "net churn is 1 join - 2 departures"
+        );
     }
 }

@@ -48,8 +48,8 @@ pub use dynamics::{
 };
 pub use metrics::{topo_metrics, TopoMetrics};
 pub use scheduler::{
-    AdversarialFairScheduler, EdgeScheduler, FairnessCertificate, TopologyScheduler,
-    UniformEdgeScheduler, ZipfScheduler,
+    AdversarialFairScheduler, EdgeScheduler, FairnessCertificate, UniformEdgeScheduler,
+    ZipfScheduler,
 };
 pub use spec::{ChurnSpec, Dynamics, SchedSpec, SpecError, TopoSpec};
 pub use topology::{CompleteTopology, EdgeListTopology, Topology};

@@ -3,7 +3,9 @@
 //! The engine's `UniformRandomScheduler` hard-codes the paper's model
 //! (uniform ordered pair on the complete graph). An [`EdgeScheduler`]
 //! generalises it to arbitrary [`Topology`] values and three activation
-//! regimes:
+//! regimes. Edge schedulers are the only agent-pair schedulers of the
+//! workspace: the dynamics loop ([`crate::dynamics`]) builds one from a
+//! [`crate::spec::SchedSpec`] and passes it the topology it owns.
 //!
 //! * [`UniformEdgeScheduler`] — uniform over enabled edges, uniform
 //!   orientation. On the complete graph it reproduces
@@ -17,18 +19,17 @@
 //!   machine-checkable [`FairnessCertificate`].
 
 use crate::topology::Topology;
-use pp_engine::population::{AgentPopulation, Population};
-use pp_engine::scheduler::AgentScheduler;
+use pp_engine::population::AgentPopulation;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
 
 /// Chooses the next ordered agent pair on a topology.
 ///
-/// Unlike `pp_engine::scheduler::AgentScheduler`, the topology is passed
-/// per call: under churn the graph mutates between interactions and the
-/// dynamics runner owns it. [`Self::on_topology_changed`] notifies
-/// stateful schedulers of mutations.
+/// The topology is passed per call: under churn the graph mutates
+/// between interactions and the dynamics runner owns it.
+/// [`Self::on_topology_changed`] notifies stateful schedulers of
+/// mutations.
 pub trait EdgeScheduler {
     /// Select an ordered pair of distinct agents joined by an enabled
     /// edge. Requires `topo.num_edges() > 0` and the population/topology
@@ -239,53 +240,6 @@ impl EdgeScheduler for AdversarialFairScheduler {
     }
 }
 
-/// Adapter running an [`EdgeScheduler`] over a *static* topology as an
-/// engine [`AgentScheduler`], so `Simulator::run_agents*` works unchanged
-/// on restricted graphs. (Churn needs the dynamics runner in
-/// [`crate::dynamics`], which owns and mutates the topology instead.)
-pub struct TopologyScheduler {
-    topo: Box<dyn Topology>,
-    sched: Box<dyn EdgeScheduler>,
-}
-
-impl TopologyScheduler {
-    /// Combine a topology and an edge scheduler.
-    ///
-    /// # Panics
-    /// If the topology has no edges to schedule.
-    pub fn new(topo: Box<dyn Topology>, sched: Box<dyn EdgeScheduler>) -> Self {
-        assert!(topo.num_edges() > 0, "graph has no edges to schedule");
-        TopologyScheduler { topo, sched }
-    }
-
-    /// The historical `GraphScheduler` construction: uniform edge
-    /// scheduling over a fixed graph, deterministically seeded.
-    pub fn uniform(topo: Box<dyn Topology>, seed: u64) -> Self {
-        Self::new(topo, Box::new(UniformEdgeScheduler::from_seed(seed)))
-    }
-
-    /// The underlying topology.
-    pub fn topology(&self) -> &dyn Topology {
-        &*self.topo
-    }
-
-    /// The inner scheduler's fairness certificate, if it carries one.
-    pub fn certificate(&self) -> Option<FairnessCertificate> {
-        self.sched.certificate()
-    }
-}
-
-impl AgentScheduler for TopologyScheduler {
-    fn select_agents(&mut self, pop: &AgentPopulation) -> (usize, usize) {
-        debug_assert_eq!(
-            pop.num_agents() as usize,
-            self.topo.num_agents(),
-            "population size does not match scheduler topology"
-        );
-        self.sched.next_pair(&*self.topo, pop)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -301,26 +255,26 @@ mod tests {
         (p, pop)
     }
 
-    // Migrated from the old `pp_engine::graph` module.
     #[test]
     fn graph_scheduler_respects_edges() {
         let (_p, pop) = one_state_pop(4);
-        let mut sched = TopologyScheduler::uniform(Box::new(EdgeListTopology::ring(4)), 7);
+        let topo = EdgeListTopology::ring(4);
+        let mut sched = UniformEdgeScheduler::from_seed(7);
         for _ in 0..200 {
-            let (i, j) = sched.select_agents(&pop);
+            let (i, j) = sched.next_pair(&topo, &pop);
             let d = (i as i64 - j as i64).rem_euclid(4);
             assert!(d == 1 || d == 3, "non-ring pair ({i}, {j})");
         }
     }
 
-    // Migrated from the old `pp_engine::graph` module.
     #[test]
     fn complete_graph_scheduler_covers_all_pairs() {
         let (_p, pop) = one_state_pop(3);
-        let mut sched = TopologyScheduler::uniform(Box::new(CompleteTopology::new(3)), 7);
+        let topo = CompleteTopology::new(3);
+        let mut sched = UniformEdgeScheduler::from_seed(7);
         let mut seen = std::collections::HashSet::new();
         for _ in 0..500 {
-            seen.insert(sched.select_agents(&pop));
+            seen.insert(sched.next_pair(&topo, &pop));
         }
         assert_eq!(seen.len(), 6);
     }
@@ -337,7 +291,7 @@ mod tests {
             for _ in 0..300 {
                 assert_eq!(
                     a.next_pair(&topo, &pop),
-                    pp_engine::scheduler::AgentScheduler::select_agents(&mut b, &pop),
+                    b.select_agents(&pop),
                     "seed {seed}"
                 );
             }

@@ -13,6 +13,7 @@
 //! meant to keep every trajectory moves no draw, counter or count.
 
 use pp_engine::observer::{LifecycleKind, NullObserver};
+use pp_engine::population::Population;
 use pp_engine::seeds::{derive, fnv1a64};
 use pp_protocols::kpartition::UniformKPartition;
 use pp_topo::{ChurnEvent, ChurnPlan, Dynamics};
@@ -60,7 +61,7 @@ fn record_run(seed: u64, plan: &ChurnPlan) -> (Vec<u8>, pp_topo::DynRunOutcome) 
         &mut recorder,
     )
     .expect("dynamics run starts");
-    let bytes = recorder.finish(&outcome.final_counts);
+    let bytes = recorder.finish(outcome.pop.counts());
     (bytes, outcome)
 }
 
@@ -120,11 +121,12 @@ fn recorded_churn_trace_replays_and_verifies() {
         .expect("recorded trace verifies against the rule table");
     assert_eq!(summary.lifecycle, 3, "all three lifecycle events recorded");
     assert_eq!(
-        trace.final_counts, outcome.final_counts,
+        trace.final_counts,
+        outcome.pop.counts(),
         "replayed final configuration matches the live run"
     );
     assert_eq!(
-        outcome.final_counts.iter().sum::<u64>(),
+        outcome.pop.num_agents(),
         N as u64 - 1,
         "leave + join + crash nets one agent below the initial population"
     );
@@ -153,7 +155,7 @@ fn recorded_churn_trace_replays_and_verifies() {
 
 /// The final count vector of a dynamics run.
 fn final_counts(outcome: &pp_topo::DynRunOutcome) -> Vec<u64> {
-    outcome.final_counts.clone()
+    outcome.pop.counts().to_vec()
 }
 
 /// Digest of `trials` seeds of Algorithm 1 at k = 3, n = 12 under the

@@ -9,7 +9,7 @@
 //! frequencies cannot tell independently seeded runs of the two apart).
 
 use pp_engine::population::AgentPopulation;
-use pp_engine::scheduler::{AgentScheduler, UniformRandomScheduler};
+use pp_engine::scheduler::UniformRandomScheduler;
 use pp_protocols::kpartition::UniformKPartition;
 use pp_topo::scheduler::{EdgeScheduler, UniformEdgeScheduler};
 use pp_topo::topology::{CompleteTopology, EdgeListTopology};

@@ -15,36 +15,45 @@
 //!    initial states and is *not* self-stabilizing, so it cannot repair
 //!    itself: the survivors' states are frozen).
 //! 3. A reset wave re-initialises the survivors (in practice a broadcast
-//!    or epidemic reset), and the protocol re-partitions the 29 survivors
-//!    into 8+7+7+7 from scratch.
+//!    or epidemic reset), and the protocol re-partitions them from
+//!    scratch into 4 groups whose sizes differ by at most one.
 //!
 //! The per-agent [`AgentPopulation`] representation is what makes step 2
-//! expressible: we remove specific agents, not just counts.
+//! expressible: we remove specific agents, not just counts. Per-agent
+//! runs go through pp-topo's dynamics loop, which on the default
+//! dynamics is the paper's model (complete graph, uniform scheduler).
 
-use pp_engine::scheduler::AgentScheduler;
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
+use uniform_k_partition::engine::observer::NullObserver;
 use uniform_k_partition::prelude::*;
+use uniform_k_partition::topo::{run_dynamics, Dynamics, TopoSpec};
 
 fn main() {
     let k = 4;
     let n = 40usize;
     let kp = UniformKPartition::new(k);
     let proto = kp.compile();
+    let complete = Dynamics::default_dynamics();
 
     // Phase 1: partition the healthy swarm.
-    let mut pop = AgentPopulation::new(&proto, n);
-    let mut sched = UniformRandomScheduler::from_seed(13);
-    let sig = kp.stable_signature(n as u64);
-    let run = Simulator::new(&proto)
-        .run_agents(&mut pop, &mut sched, &sig, kp.interaction_budget(n as u64))
-        .expect("initial partition stabilises");
+    let run = run_dynamics(
+        &proto,
+        n,
+        &complete,
+        &kp.stable_signature(n as u64),
+        kp.interaction_budget(n as u64),
+        13,
+        &mut NullObserver,
+    )
+    .expect("the swarm is large enough to run");
+    let mut pop = run.pop;
     println!(
         "phase 1: {} sensors -> groups {:?} after {} interactions",
         n,
         pop.group_sizes(&proto),
-        run.interactions
+        run.interactions.expect("initial partition stabilises")
     );
 
     // Phase 2: the storm. Kill 8 of group 1's sensors and 3 others.
@@ -80,42 +89,49 @@ fn main() {
     // is already group-stable (settled g-agents never interact usefully).
     let survivors = pop.num_agents();
 
-    // Phase 3: reset wave re-initialises every survivor; re-partition.
-    for i in 0..survivors as usize {
-        pop.set_state(i, proto.initial_state());
-    }
-    let sig = kp.stable_signature(survivors);
-    let mut sched = UniformRandomScheduler::from_seed(14);
-    let run = Simulator::new(&proto)
-        .run_agents(&mut pop, &mut sched, &sig, kp.interaction_budget(survivors))
-        .expect("re-partition stabilises");
-    let healed = pop.group_sizes(&proto);
+    // Phase 3: the reset wave puts every survivor back in the initial
+    // state, which is the population a fresh run starts from; re-partition.
+    let run = run_dynamics(
+        &proto,
+        survivors as usize,
+        &complete,
+        &kp.stable_signature(survivors),
+        kp.interaction_budget(survivors),
+        14,
+        &mut NullObserver,
+    )
+    .expect("the survivors are enough to run");
+    let healed = run.pop.group_sizes(&proto);
     println!(
         "phase 3: re-partitioned {survivors} survivors -> {:?} after {} interactions",
-        healed, run.interactions
+        healed,
+        run.interactions.expect("re-partition stabilises")
     );
     assert_eq!(healed, kp.expected_group_sizes(survivors));
     println!("uniformity restored  ✓");
 
-    // Bonus: the same machinery runs on restricted interaction graphs.
-    // On a ring the chain-builder can still meet everyone eventually, but
+    // Bonus: the same loop runs on restricted interaction graphs. On a
+    // ring the chain-builder can still meet everyone eventually, but
     // scheduling is graph-limited; this is outside the paper's model
     // (complete graphs) and shown here only as an engine capability.
-    let g = uniform_k_partition::topo::EdgeListTopology::ring(survivors as usize);
-    let mut ring_sched = uniform_k_partition::topo::TopologyScheduler::uniform(Box::new(g), 15);
-    let mut ring_pop = AgentPopulation::new(&proto, survivors as usize);
-    let _ = ring_sched.select_agents(&ring_pop);
-    let res = Simulator::new(&proto).run_agents(
-        &mut ring_pop,
-        &mut ring_sched,
+    let ring = Dynamics {
+        topo: TopoSpec::Ring,
+        ..Dynamics::default_dynamics()
+    };
+    let run = run_dynamics(
+        &proto,
+        survivors as usize,
+        &ring,
         &kp.stable_signature(survivors),
         5_000_000,
-    );
-    match res {
-        Ok(r) => println!(
-            "ring topology: stabilised anyway after {} interactions (slower mixing)",
-            r.interactions
+        15,
+        &mut NullObserver,
+    )
+    .expect("a ring of survivors is a valid topology");
+    match run.interactions {
+        Some(i) => println!("ring topology: stabilised anyway after {i} interactions (slower mixing)"),
+        None => println!(
+            "ring topology: no stable configuration within 5000000 interactions — the complete-graph assumption matters"
         ),
-        Err(e) => println!("ring topology: {e} — the complete-graph assumption matters"),
     }
 }

@@ -5,7 +5,8 @@
 
 use pp_engine::observer::Observer;
 use pp_engine::protocol::StateId;
-use pp_engine::stability::StabilityCriterion;
+use pp_engine::simulator::RunError;
+use pp_engine::stability::{Never, StabilityCriterion};
 use proptest::prelude::*;
 use uniform_k_partition::prelude::*;
 
@@ -80,7 +81,8 @@ proptest! {
             }
         }
         let mut chk = SumCheck { n, bad: false };
-        Simulator::new(&proto).run_fixed(&mut pop, &mut sched, steps, &mut chk);
+        let res = Simulator::new(&proto).run_observed(&mut pop, &mut sched, &Never, steps, &mut chk);
+        prop_assert_eq!(res, Err(RunError::InteractionLimit { limit: steps }));
         prop_assert!(!chk.bad);
         prop_assert_eq!(pop.counts().iter().sum::<u64>(), n);
     }
