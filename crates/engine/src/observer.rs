@@ -5,7 +5,8 @@
 //! vanishes from the hot loop entirely. Observers power the paper's
 //! Figure 4 (interactions per *i-th grouping*: the simulator watches the
 //! count of `g_k` — each increment marks the completion of one full set
-//! `g_1..g_k`) and the trace renderings of Figures 1–2.
+//! `g_1..g_k`), trajectory sampling, telemetry and pp-trace's recorded
+//! executions.
 
 use crate::protocol::StateId;
 
@@ -268,69 +269,6 @@ impl Observer for GroupCompletionObserver {
     }
 }
 
-/// Records full configurations after every *state-changing* interaction
-/// (identity interactions repeat the previous configuration and are
-/// skipped), up to a cap. Used to render example executions.
-#[derive(Clone, Debug)]
-pub struct ConfigurationRecorder {
-    /// Recorded count vectors, starting configuration excluded.
-    configs: Vec<Vec<u64>>,
-    /// Transitions `(step, p, q, p2, q2)` that produced each configuration.
-    transitions: Vec<(u64, StateId, StateId, StateId, StateId)>,
-    cap: usize,
-    truncated: bool,
-}
-
-impl ConfigurationRecorder {
-    /// Record at most `cap` configurations; further ones are counted but
-    /// dropped (see [`Self::truncated`]).
-    pub fn with_capacity(cap: usize) -> Self {
-        ConfigurationRecorder {
-            configs: Vec::new(),
-            transitions: Vec::new(),
-            cap,
-            truncated: false,
-        }
-    }
-
-    /// Recorded configurations (after each state-changing interaction).
-    pub fn configs(&self) -> &[Vec<u64>] {
-        &self.configs
-    }
-
-    /// The transition that produced each recorded configuration.
-    pub fn transitions(&self) -> &[(u64, StateId, StateId, StateId, StateId)] {
-        &self.transitions
-    }
-
-    /// Whether the cap was hit and later configurations were dropped.
-    pub fn truncated(&self) -> bool {
-        self.truncated
-    }
-}
-
-impl Observer for ConfigurationRecorder {
-    fn on_interaction(
-        &mut self,
-        step: u64,
-        p: StateId,
-        q: StateId,
-        p2: StateId,
-        q2: StateId,
-        counts: &[u64],
-    ) {
-        if p == p2 && q == q2 {
-            return;
-        }
-        if self.configs.len() >= self.cap {
-            self.truncated = true;
-            return;
-        }
-        self.configs.push(counts.to_vec());
-        self.transitions.push((step, p, q, p2, q2));
-    }
-}
-
 /// Samples the full count vector every `period` interactions — the raw
 /// material for trajectory plots (e.g. "#g_k over time", the ratchet the
 /// paper's Lemma 4 describes). Sampling by period keeps memory
@@ -468,20 +406,6 @@ mod tests {
     }
 
     #[test]
-    fn recorder_skips_identities_and_caps() {
-        let mut rec = ConfigurationRecorder::with_capacity(2);
-        let a = StateId(0);
-        let b = StateId(1);
-        rec.on_interaction(1, a, a, a, a, &[2, 0]); // identity: skipped
-        rec.on_interaction(2, a, a, b, b, &[0, 2]);
-        rec.on_interaction(3, b, b, a, a, &[2, 0]);
-        rec.on_interaction(4, a, a, b, b, &[0, 2]); // over cap
-        assert_eq!(rec.configs().len(), 2);
-        assert!(rec.truncated());
-        assert_eq!(rec.transitions()[0].0, 2);
-    }
-
-    #[test]
     fn trajectory_sampler_periods() {
         let mut t = TrajectorySampler::every(3);
         let s = StateId(0);
@@ -526,12 +450,12 @@ mod tests {
     fn chain_calls_both() {
         let mut chained = Chain(
             GroupCompletionObserver::new(StateId(0)),
-            ConfigurationRecorder::with_capacity(8),
+            TrajectorySampler::every(1),
         );
         let a = StateId(0);
         let b = StateId(1);
         chained.on_interaction(1, b, b, a, a, &[2, 0]);
         assert_eq!(chained.0.completions(), &[1, 1]);
-        assert_eq!(chained.1.configs().len(), 1);
+        assert_eq!(chained.1.samples().len(), 1);
     }
 }
