@@ -149,7 +149,8 @@ fn cmd_record(args: &[String]) -> Result<(), String> {
     let kernel = kernel_from(&opts)?;
     let out_path = opt(&opts, "out").ok_or("--out is required")?;
     UniformKPartition::try_new(k).map_err(|e| e.to_string())?;
-    let out = record_kpartition(k, n, seed, kernel, budget);
+    let out = record_kpartition(k, n, seed, kernel, budget)
+        .map_err(|e| format!("cannot record uniform-{k}-partition n={n}: {e}"))?;
     write_atomic(Path::new(out_path), &out.bytes)
         .map_err(|e| format!("cannot write {out_path}: {e}"))?;
     println!(
@@ -385,5 +386,24 @@ mod tests {
         let args = vec!["verify".to_string(), path.to_string_lossy().into_owned()];
         assert_eq!(main_with_args(&args), 0);
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_run_that_cannot_start_fails_without_writing() {
+        // n = 2³² + 1: the leap kernel (batch's stand-in) refuses before
+        // any draw, so nothing is recorded.
+        let dir = std::env::temp_dir().join("pp-trace-cli-test");
+        for kernel in ["leap", "batch"] {
+            let path = dir.join(format!("too-large-{kernel}.trace"));
+            let _ = std::fs::remove_file(&path);
+            let args: Vec<String> = ["record", "--k", "3", "--n", "4294967297", "--kernel"]
+                .iter()
+                .map(|s| s.to_string())
+                .chain([kernel.to_string(), "--out".to_string()])
+                .chain([path.to_string_lossy().into_owned()])
+                .collect();
+            assert_eq!(main_with_args(&args), 1, "{kernel}");
+            assert!(!path.exists(), "{kernel}: a trace was written");
+        }
     }
 }

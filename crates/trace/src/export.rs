@@ -67,7 +67,7 @@ mod tests {
     fn diagnostics_land_in_registry() {
         let reg = Registry::new();
         register_series(&reg);
-        let out = record_kpartition(3, 8, 5, TraceKernel::Leap, None);
+        let out = record_kpartition(3, 8, 5, TraceKernel::Leap, None).unwrap();
         let trace = Trace::decode(&out.bytes).unwrap();
         let diag = crate::classify::classify(&trace).unwrap();
         export_trace_stats(&reg, &trace, out.bytes.len());

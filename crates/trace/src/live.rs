@@ -34,13 +34,18 @@ pub struct RecordOutcome {
 /// Record a live uniform-k-partition run (all agents starting in
 /// `initial`) under the given kernel. `budget` defaults to the
 /// protocol's [`UniformKPartition::interaction_budget`].
+///
+/// A run that hits its budget is a censored recording. A run that
+/// cannot start ([`RunError::PopulationTooSmall`],
+/// [`RunError::PopulationTooLarge`]) records nothing and returns the
+/// error.
 pub fn record_kpartition(
     k: usize,
     n: u64,
     seed: u64,
     kernel: TraceKernel,
     budget: Option<u64>,
-) -> RecordOutcome {
+) -> Result<RecordOutcome, RunError> {
     let kp = UniformKPartition::new(k);
     let proto = kp.compile();
     let mut pop = CountPopulation::new(&proto, n);
@@ -59,16 +64,16 @@ pub fn record_kpartition(
     let (interactions, censored) = match outcome {
         Ok(res) => (res.interactions, false),
         Err(RunError::InteractionLimit { limit }) => (limit, true),
-        Err(RunError::PopulationTooSmall | RunError::PopulationTooLarge { .. }) => (0, false),
+        Err(e) => return Err(e),
     };
     let effective = rec.effective_recorded();
-    RecordOutcome {
+    Ok(RecordOutcome {
         bytes: rec.finish(pop.counts()),
         interactions,
         effective,
         censored,
         final_counts: pop.counts().to_vec(),
-    }
+    })
 }
 
 /// A successful live verification.
@@ -148,7 +153,7 @@ mod tests {
     #[test]
     fn record_and_verify_both_kernels() {
         for kernel in [TraceKernel::Naive, TraceKernel::Leap] {
-            let out = record_kpartition(3, 9, 12345, kernel, None);
+            let out = record_kpartition(3, 9, 12345, kernel, None).unwrap();
             assert!(!out.censored);
             let trace = Trace::decode(&out.bytes).unwrap();
             assert_eq!(trace.header.kernel, kernel);
@@ -161,8 +166,18 @@ mod tests {
     }
 
     #[test]
+    fn a_run_that_cannot_start_records_nothing() {
+        // n = 2³² + 1: the leap kernel refuses before any draw.
+        let n = (1u64 << 32) + 1;
+        assert_eq!(
+            record_kpartition(3, n, 1, TraceKernel::Leap, None).unwrap_err(),
+            RunError::PopulationTooLarge { n }
+        );
+    }
+
+    #[test]
     fn tampered_record_fails_verification() {
-        let out = record_kpartition(3, 9, 99, TraceKernel::Naive, None);
+        let out = record_kpartition(3, 9, 99, TraceKernel::Naive, None).unwrap();
         let mut trace = Trace::decode(&out.bytes).unwrap();
         // Tamper with a decoded record: swap the results of the first
         // effective interaction with distinct result states (swapping a

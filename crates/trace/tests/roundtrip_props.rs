@@ -107,7 +107,7 @@ proptest! {
         leap in any::<bool>(),
     ) {
         let kernel = kernel_of(leap);
-        let out = record_kpartition(k, n, seed, kernel, None);
+        let out = record_kpartition(k, n, seed, kernel, None).unwrap();
         let trace = Trace::decode(&out.bytes).unwrap();
         let report = verify_against_live(&trace).unwrap();
         prop_assert_eq!(report.live_interactions, out.interactions);
