@@ -104,8 +104,7 @@ impl CountPopulation {
     /// of the count vector, O(|Q|).
     #[inline]
     pub fn state_of_rank(&self, i: u64) -> StateId {
-        rank_in(self.counts.iter().copied(), i)
-            .unwrap_or_else(|| unreachable!("rank out of range: population has {} agents", self.n))
+        state_at_rank(self.counts.iter().copied(), i)
     }
 
     /// Like [`Self::state_of_rank`] but with one agent of state `skip`
@@ -115,19 +114,8 @@ impl CountPopulation {
     #[inline]
     pub fn state_of_rank_excluding(&self, i: u64, skip: StateId) -> StateId {
         debug_assert!(self.counts[skip.index()] >= 1);
-        let counts =
-            self.counts.iter().enumerate().map(
-                |(idx, &c)| {
-                    if idx == skip.index() {
-                        c - 1
-                    } else {
-                        c
-                    }
-                },
-            );
-        rank_in(counts, i).unwrap_or_else(|| {
-            unreachable!("rank out of range: population has {} agents", self.n - 1)
-        })
+        let skipped = |(idx, &c): (usize, &u64)| if idx == skip.index() { c - 1 } else { c };
+        state_at_rank(self.counts.iter().enumerate().map(skipped), i)
     }
 
     /// True if the count vector exactly equals `target`.
@@ -136,19 +124,18 @@ impl CountPopulation {
     }
 }
 
-/// The state owning rank `i` when agents are sorted by state index and
-/// state `idx` holds `counts[idx]` of them; `None` when `i` is at least
-/// the total. With |Q| = 3k − 2 states the scan is short, and the
-/// naive kernel is the only caller.
+/// The state owning rank `i` (`i` < the total) when agents are sorted
+/// by state index and state `idx` holds `counts[idx]` of them. A linear
+/// scan: protocols have few states (3k − 2 for Algorithm 1).
 #[inline]
-fn rank_in(counts: impl Iterator<Item = u64>, mut i: u64) -> Option<StateId> {
+fn state_at_rank(counts: impl Iterator<Item = u64>, mut i: u64) -> StateId {
     for (idx, c) in counts.enumerate() {
         if i < c {
-            return Some(StateId(idx as u16));
+            return StateId(idx as u16);
         }
         i -= c;
     }
-    None
+    unreachable!("rank out of range")
 }
 
 impl Population for CountPopulation {

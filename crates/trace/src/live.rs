@@ -166,16 +166,6 @@ mod tests {
     }
 
     #[test]
-    fn a_run_that_cannot_start_records_nothing() {
-        // n = 2³² + 1: the leap kernel refuses before any draw.
-        let n = (1u64 << 32) + 1;
-        assert_eq!(
-            record_kpartition(3, n, 1, TraceKernel::Leap, None).unwrap_err(),
-            RunError::PopulationTooLarge { n }
-        );
-    }
-
-    #[test]
     fn tampered_record_fails_verification() {
         let out = record_kpartition(3, 9, 99, TraceKernel::Naive, None).unwrap();
         let mut trace = Trace::decode(&out.bytes).unwrap();
