@@ -11,7 +11,7 @@
 //!   store live (default `<workspace root>/results`).
 //!
 //! The simulation kernel is not among them: library code takes it as a
-//! [`pp_engine::Kernel`] value, and only the `pp-sweep` and `pp-trace`
+//! `pp_engine::Kernel` value, and only the `pp-sweep` and `pp-trace`
 //! command lines read the `PP_KERNEL` knob.
 
 use std::path::PathBuf;

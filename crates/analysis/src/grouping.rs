@@ -8,8 +8,18 @@
 //! tail (`total − NI_{⌊n/k⌋}`) is the "last part" the paper's Figure 4
 //! plots on top of each bar.
 
-use crate::runner::WatchedTrial;
 use crate::stats::Summary;
+
+/// One instrumented trial: completion times of each watched-state
+/// increment, plus the total if the run stabilised.
+#[derive(Clone, Debug)]
+pub struct WatchedTrial {
+    /// Total interactions to stability; `None` if censored.
+    pub total: Option<u64>,
+    /// `completions[i]` = interaction at which the watched count first
+    /// reached `i + 1`.
+    pub completions: Vec<u64>,
+}
 
 /// Aggregated grouping decomposition across trials.
 #[derive(Clone, Debug)]
@@ -24,9 +34,8 @@ pub struct GroupingBreakdown {
     pub trials_used: usize,
 }
 
-/// Aggregate per-trial completion logs (a
-/// [`pp_engine::observer::GroupCompletionObserver`] per trial, see
-/// [`crate::experiments::kpartition_grouping_cell`]) into mean `NI'_i`
+/// Aggregate per-trial completion logs (a `GroupCompletionObserver` per
+/// trial, which a `Watched` sweep cell records) into mean `NI'_i`
 /// increments.
 ///
 /// All non-censored trials must have completed the same number of

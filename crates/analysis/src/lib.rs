@@ -1,27 +1,24 @@
-//! # pp-analysis — experiment harness and statistics
+//! # pp-analysis — statistics and tables
 //!
-//! Everything between "a protocol and a simulator" and "the rows of the
-//! paper's figures": deterministic parallel trial fan-out ([`runner`]),
-//! streaming statistics ([`stats`]), the Figure 4 grouping-time
-//! decomposition ([`grouping`]), growth-law fitting for the paper's
-//! scaling claims ([`fit`]), and CSV/markdown emission ([`table`]).
+//! Everything between "a batch of trial outcomes" and "the rows of the
+//! paper's figures": streaming statistics ([`stats`]), the Figure 4
+//! grouping-time decomposition ([`grouping`]), growth-law fitting for
+//! the paper's scaling claims ([`fit`]), histograms ([`histogram`]),
+//! CSV/markdown emission ([`table`]) and the environment knobs every
+//! experiment reads ([`config`]).
 //!
-//! The paper's methodology (§5): for each data point, run 100 simulations
-//! under the uniform random scheduler and report the mean number of
-//! interactions to reach a stable configuration. [`runner::run_trials`]
-//! reproduces exactly that, fanned out over threads with rayon — each
-//! trial's RNG is derived from `(master_seed, trial_index)` so results are
-//! independent of thread interleaving and bit-reproducible.
+//! The trials themselves run in `pp-sweep`'s cell executor, which
+//! reproduces the paper's methodology (§5: 100 seeded runs per data
+//! point under the uniform random scheduler). This crate depends on no
+//! other workspace crate.
 
 #![forbid(unsafe_code)]
 #![deny(clippy::dbg_macro, clippy::todo, clippy::print_stdout)]
 #![warn(missing_docs)]
 
 pub mod config;
-pub mod experiments;
 pub mod fit;
 pub mod grouping;
 pub mod histogram;
-pub mod runner;
 pub mod stats;
 pub mod table;

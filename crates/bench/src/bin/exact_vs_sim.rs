@@ -13,15 +13,22 @@
 #![forbid(unsafe_code)]
 
 use pp_analysis::config;
-use pp_analysis::experiments::kpartition_cell;
 use pp_analysis::table::{fmt_f64, Table};
 use pp_protocols::kpartition::UniformKPartition;
+use pp_sweep::exec::{run_cell, ExecOptions};
+use pp_sweep::observer::NullObserver;
+use pp_sweep::plan::{ukp_cell, PlanConfig};
+use pp_sweep::spec::CellMode;
+use pp_sweep::store::ResultStore;
 use pp_verify::hitting::{hitting_moments, SolverOptions};
 use pp_verify::ConfigGraph;
 
 fn main() {
-    let trials = config::trials().max(100);
-    let seed = config::master_seed();
+    let cfg = PlanConfig {
+        trials: config::trials().max(100),
+        master_seed: config::master_seed(),
+    };
+    let store = ResultStore::in_memory();
     println!(
         "== Exact vs simulated — Markov-chain expectations vs sample means \
          (paper's metric, solved exactly)"
@@ -29,7 +36,7 @@ fn main() {
     println!(
         "   trials/cell = {}, master seed = {} (override with PP_TRIALS / PP_SEED)",
         config::trials(),
-        seed
+        cfg.master_seed
     );
     println!();
 
@@ -78,8 +85,11 @@ fn main() {
             })
             .expect("stable set reachable");
 
-        let cell = kpartition_cell(k, n, trials, seed).expect("k-partition trials run");
-        let s = cell.summary();
+        let spec = ukp_cell(k, n, cfg, CellMode::Summary);
+        let s = run_cell(&spec, &store, &NullObserver, &ExecOptions::default())
+            .expect("k-partition trials run")
+            .expect_complete()
+            .summary();
         let z = (s.mean - exact.mean) / s.sem.max(1e-12);
         table.row(vec![
             k.to_string(),

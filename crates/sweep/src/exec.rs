@@ -1,18 +1,27 @@
 //! Cell execution: cache check → journal recovery → simulate the missing
 //! trials → atomically promote to the store.
 //!
+//! This is the workspace's one trial runner: the paper's method (§5) of
+//! seeded trials per `(k, n)` point runs here, whether a sweep plan, a
+//! `pp-serve` request or a test asks for it (tests and pp-bench's
+//! `exact_vs_sim` run cells on [`ResultStore::in_memory`]).
+//!
 //! Determinism contract: trial `i` of a cell always runs with seed
 //! `seeds::derive(spec.seed, i)` (trajectory cells use `spec.seed`
-//! directly, matching the legacy single-run binaries), independent of
-//! which trials already exist in the journal and of scheduling. A cell
-//! resumed after a crash therefore produces the same records, bit for
-//! bit, as an uninterrupted run — the property the
+//! directly, so a trajectory is one run seeded by the cell),
+//! independent of which trials already exist in the journal and of
+//! scheduling. A cell resumed after a crash therefore produces the same
+//! records, bit for bit, as an uninterrupted run — the property the
 //! `resume_equals_fresh` proptest pins down.
 
-use pp_analysis::runner::{run_trial, TrialOutcome};
-use pp_engine::observer::{GroupCompletionObserver, NullObserver, Observer, TrajectorySampler};
-use pp_engine::population::Population;
+use pp_engine::metrics::TelemetryObserver;
+use pp_engine::observer::{
+    Chain, GroupCompletionObserver, NullObserver, Observer, TrajectorySampler,
+};
+use pp_engine::population::{CountPopulation, Population};
+use pp_engine::scheduler::UniformRandomScheduler;
 use pp_engine::seeds;
+use pp_engine::simulator::{RunError, Simulator};
 
 use crate::observer::SweepObserver;
 use crate::spec::{CellMode, CellSpec, KernelChoice, MaterializedCell};
@@ -57,11 +66,21 @@ impl CellOutcome {
     }
 }
 
+/// One trial's outcome: its interaction count and final configuration
+/// (available even for a censored run).
+#[derive(Clone, Debug)]
+pub struct TrialOutcome {
+    /// Interactions to stability; `None` if the budget was hit.
+    pub interactions: Option<u64>,
+    /// Final count vector.
+    pub final_counts: Vec<u64>,
+}
+
 /// The seed trial `trial` of a cell runs with.
 pub(crate) fn trial_seed(spec: &CellSpec, trial: u64) -> u64 {
     match spec.mode {
-        // Trajectory cells are single seeded runs; the legacy binary fed
-        // the scheduler its seed undirected, so keep that byte-for-byte.
+        // A trajectory cell is one run, and its scheduler takes the
+        // cell seed as it is.
         CellMode::Trajectory { .. } => spec.seed,
         _ => seeds::derive(spec.seed, trial),
     }
@@ -69,12 +88,12 @@ pub(crate) fn trial_seed(spec: &CellSpec, trial: u64) -> u64 {
 
 /// Run trial `trial` of a materialized cell on `kernel` with `observer`
 /// attached — the one trial path of every cell mode, and of the trace
-/// and timeline re-runs of trial 0. Default dynamics run through
-/// [`pp_analysis::runner::run_trial`]; any other dynamics through the
-/// topology / scheduler / churn loop in `pp_topo` (always the naive
-/// kernel — [`CellSpec::validate_dynamics`] rejects any other before we
-/// get here). A trial that hits its budget is censored; any other run
-/// error is returned.
+/// and timeline re-runs of trial 0. Default dynamics run on a count
+/// population under a seeded uniform random scheduler; any other
+/// dynamics through the topology / scheduler / churn loop in `pp_topo`
+/// (always the naive kernel — [`CellSpec::validate_dynamics`] rejects
+/// any other before we get here). A trial that hits its budget is
+/// censored; any other run error is returned.
 pub(crate) fn observe_trial<O: Observer>(
     spec: &CellSpec,
     cell: &MaterializedCell,
@@ -85,31 +104,47 @@ pub(crate) fn observe_trial<O: Observer>(
     let seed = trial_seed(spec, trial);
     let failed =
         |e: &dyn std::fmt::Display| format!("trial {trial} of {} failed: {e}", spec.file_stem());
-    if spec.dynamics.is_default() {
-        return run_trial(
+    if !spec.dynamics.is_default() {
+        let outcome = pp_topo::run_dynamics(
             &cell.proto,
-            spec.n,
+            spec.n as usize,
+            &spec.dynamics,
             &cell.criterion,
-            seed,
             spec.budget,
-            kernel,
+            seed,
             observer,
         )
-        .map_err(|e| failed(&e));
+        .map_err(|e| failed(&e))?;
+        return Ok(TrialOutcome {
+            interactions: outcome.interactions,
+            final_counts: outcome.pop.counts().to_vec(),
+        });
     }
-    let outcome = pp_topo::run_dynamics(
-        &cell.proto,
-        spec.n as usize,
-        &spec.dynamics,
+    let mut pop = CountPopulation::new(&cell.proto, spec.n);
+    let mut sched = UniformRandomScheduler::from_seed(seed);
+    // Telemetry rides along as an observer: it never touches scheduling
+    // or RNG state, so trajectories — and the content hashes built on
+    // them — are bit-identical to an unobserved run.
+    let mut observers = Chain(observer, TelemetryObserver::new());
+    let res = Simulator::new(&cell.proto).run_kernel(
+        kernel,
+        &mut pop,
+        &mut sched,
         &cell.criterion,
         spec.budget,
-        seed,
-        observer,
-    )
-    .map_err(|e| failed(&e))?;
+        &mut observers,
+    );
+    let interactions = match res {
+        Ok(r) => Some(r.interactions),
+        Err(RunError::InteractionLimit { .. }) => {
+            observers.1.mark_censored();
+            None
+        }
+        Err(e) => return Err(failed(&e)),
+    };
     Ok(TrialOutcome {
-        interactions: outcome.interactions,
-        final_counts: outcome.pop.counts().to_vec(),
+        interactions,
+        final_counts: pop.counts().to_vec(),
     })
 }
 
@@ -308,6 +343,14 @@ mod tests {
         assert_eq!(obs.trials.load(Ordering::Relaxed), 6, "no re-simulation");
         assert_eq!(obs.cache_hits.load(Ordering::Relaxed), 1);
         assert_eq!(r1.records, r2.records);
+        // Every trial makes at least the n − 1 = 11 state changes, and
+        // another cell seed draws other trials.
+        assert!(r1.summary().min >= 11.0);
+        let reseeded = CellSpec { seed: 42, ..s };
+        let r3 = run_cell(&reseeded, &store, &NullObserver, &ExecOptions::default())
+            .unwrap()
+            .expect_complete();
+        assert_ne!(r1.interactions(), r3.interactions());
     }
 
     #[test]
@@ -357,11 +400,12 @@ mod tests {
         )
         .unwrap()
         .expect_complete();
-        // n = 12, k = 3: g_3 count reaches n/k · … — completions non-empty
-        // and monotone.
+        // n = 12, k = 3: ⌊n/k⌋ = 4 groupings, completed in order, and
+        // since k divides n the last one is the stabilising interaction.
         for t in w.watched() {
-            assert!(!t.completions.is_empty());
+            assert_eq!(t.completions.len(), 4);
             assert!(t.completions.windows(2).all(|p| p[0] <= p[1]));
+            assert_eq!(t.completions.last().copied(), t.total);
         }
         let f = run_cell(
             &spec(CellMode::Full),
@@ -480,28 +524,38 @@ mod tests {
     }
 
     #[test]
-    fn matches_legacy_runner_output() {
-        // The sweep path must reproduce pp_analysis::runner bit for bit —
-        // this is what makes migrating the figure binaries lossless.
-        let store = temp_store("legacy");
-        let s = spec(CellMode::Summary);
-        let r = run_cell(&s, &store, &NullObserver, &ExecOptions::default())
-            .unwrap()
-            .expect_complete();
-        let kp = pp_protocols::kpartition::UniformKPartition::new(3);
-        let batch = pp_analysis::runner::run_trials(
-            &kp.compile(),
-            12,
-            &kp.stable_signature(12),
-            pp_analysis::runner::TrialConfig {
-                trials: 6,
-                master_seed: 41,
-                max_interactions: 10_000_000,
-            },
-            s.kernel,
-        )
-        .unwrap();
-        assert_eq!(r.interactions(), batch.interactions);
-        assert_eq!(r.censored(), batch.censored);
+    fn budget_hits_are_censored_on_every_kernel() {
+        // n = 12 needs at least n − 1 = 11 state changes, so a budget of
+        // one interaction censors every trial.
+        let store = temp_store("censor");
+        for kernel in KernelChoice::ALL {
+            let s = CellSpec {
+                budget: 1,
+                kernel,
+                ..spec(CellMode::Summary)
+            };
+            let r = run_cell(&s, &store, &NullObserver, &ExecOptions::default())
+                .unwrap()
+                .expect_complete();
+            assert_eq!(r.censored(), 6, "{kernel}");
+            assert!(r.interactions().is_empty(), "{kernel}");
+        }
+    }
+
+    #[test]
+    fn run_errors_reach_the_caller_and_store_nothing() {
+        // n(n − 1) overflows 64 bits, so neither kernel can start a trial.
+        let store = temp_store("too_large");
+        for kernel in [KernelChoice::Leap, KernelChoice::Batch] {
+            let s = CellSpec {
+                n: (1 << 32) + 1,
+                kernel,
+                ..spec(CellMode::Summary)
+            };
+            let err = run_cell(&s, &store, &NullObserver, &ExecOptions::default()).unwrap_err();
+            assert!(err.to_string().contains("too large"), "{kernel}: {err}");
+            assert!(store.load(&s).is_none(), "{kernel}");
+            assert!(!store.has_journal(&s), "{kernel}");
+        }
     }
 }

@@ -61,9 +61,8 @@ impl PlanConfig {
 
 /// The paper's-protocol cell at `(k, n)`: stable-signature criterion,
 /// the protocol's own interaction budget, cell seed
-/// `derive_labelled(master, k, n)` — exactly the legacy
-/// `kpartition_cell` wiring, so cached sweeps reproduce the old
-/// binaries' numbers.
+/// `derive_labelled(master, k, n)`, so every `(k, n)` point is
+/// reproducible from the master seed alone, whichever plan runs it.
 pub fn ukp_cell(k: usize, n: u64, cfg: PlanConfig, mode: CellMode) -> CellSpec {
     let kp = UniformKPartition::new(k);
     CellSpec {

@@ -15,8 +15,8 @@ const NS: [u64; 2] = [240, 480];
 const KS: [usize; 5] = [3, 4, 5, 6, 8];
 
 /// The variant's cell: identical to the paper's (same cell seed, same
-/// interaction budget — the legacy binary shared one `TrialConfig`),
-/// only the protocol differs.
+/// interaction budget), only the protocol differs, so the two run the
+/// same scheduler streams.
 fn variant_cell(k: usize, n: u64, cfg: PlanConfig) -> CellSpec {
     CellSpec {
         protocol: ProtocolId::OneSidedAbort { k },

@@ -136,8 +136,7 @@ pub struct CellResult {
 }
 
 impl CellResult {
-    /// Interactions of completed trials, in trial order — the shape
-    /// [`TrialBatch`](pp_analysis::runner::TrialBatch) exposes.
+    /// Interactions of completed trials, in trial order.
     pub fn interactions(&self) -> Vec<u64> {
         self.records.iter().filter_map(|r| r.interactions).collect()
     }
@@ -162,10 +161,10 @@ impl CellResult {
     ///
     /// # Panics
     /// If any record lacks completions (i.e. the cell was not `Watched`).
-    pub fn watched(&self) -> Vec<pp_analysis::runner::WatchedTrial> {
+    pub fn watched(&self) -> Vec<pp_analysis::grouping::WatchedTrial> {
         self.records
             .iter()
-            .map(|r| pp_analysis::runner::WatchedTrial {
+            .map(|r| pp_analysis::grouping::WatchedTrial {
                 total: r.interactions,
                 completions: r.completions.clone().expect("watched-mode record"),
             })
@@ -176,10 +175,10 @@ impl CellResult {
     ///
     /// # Panics
     /// If any record lacks final counts (i.e. the cell was not `Full`).
-    pub fn outcomes(&self) -> Vec<pp_analysis::runner::TrialOutcome> {
+    pub fn outcomes(&self) -> Vec<crate::exec::TrialOutcome> {
         self.records
             .iter()
-            .map(|r| pp_analysis::runner::TrialOutcome {
+            .map(|r| crate::exec::TrialOutcome {
                 interactions: r.interactions,
                 final_counts: r.final_counts.clone().expect("full-mode record"),
             })

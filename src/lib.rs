@@ -14,8 +14,8 @@
 //!   ([`pp_protocols`]).
 //! * [`verify`] — exhaustive correctness checking under global fairness
 //!   ([`pp_verify`]).
-//! * [`analysis`] — trial runners, statistics, and table output
-//!   ([`pp_analysis`]).
+//! * [`analysis`] — statistics, grouping-time decomposition, and table
+//!   output ([`pp_analysis`]).
 //! * [`telemetry`] — zero-dependency metrics registry and JSONL export
 //!   ([`pp_telemetry`]).
 //! * [`trace`] — recordable, replayable execution traces with

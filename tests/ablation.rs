@@ -2,27 +2,47 @@
 //! on random executions with measurable probability, while the full
 //! protocol succeeds on every one — the quantitative form of §3.2.
 
-use pp_analysis::runner::{run_trials_with, TrialConfig, TrialOutcome};
-use pp_engine::observer::NullObserver;
 use pp_engine::population::{CountPopulation, Population};
-use pp_engine::stability::{Silent, StabilityCriterion};
-use pp_engine::Kernel;
+use pp_sweep::exec::{run_cell, ExecOptions, TrialOutcome};
+use pp_sweep::observer::NullObserver;
+use pp_sweep::spec::{CellMode, CellSpec, CriterionKind, KernelChoice, ProtocolId};
+use pp_sweep::store::ResultStore;
 use uniform_k_partition::prelude::*;
 use uniform_k_partition::protocols::kpartition::ablation::BasicStrategyKPartition;
 
 /// Every trial's outcome, final configuration included, on the leap
-/// kernel.
-fn full_outcomes<C: StabilityCriterion + Sync>(
-    proto: &CompiledProtocol,
-    n: u64,
-    criterion: &C,
-    cfg: TrialConfig,
-) -> Vec<TrialOutcome> {
-    run_trials_with(proto, n, criterion, cfg, Kernel::Leap, || NullObserver)
-        .expect("no trial fails")
-        .into_iter()
-        .map(|(outcome, _)| outcome)
-        .collect()
+/// kernel: trial `i` runs with `derive(seed, i)`. The basic strategy
+/// stops at silence within a 10⁹-interaction budget, the full protocol
+/// at its stable signature within its own budget.
+fn full_outcomes(protocol: ProtocolId, n: u64, trials: usize, seed: u64) -> Vec<TrialOutcome> {
+    let (criterion, budget) = match protocol {
+        ProtocolId::BasicStrategy { .. } => (CriterionKind::Silent, 1_000_000_000),
+        ProtocolId::UniformKPartition { k } => (
+            CriterionKind::Stable,
+            UniformKPartition::new(k).interaction_budget(n),
+        ),
+        other => panic!("no ablation cell for {other:?}"),
+    };
+    let spec = CellSpec {
+        protocol,
+        n,
+        trials,
+        seed,
+        criterion,
+        budget,
+        mode: CellMode::Full,
+        kernel: KernelChoice::Leap,
+        dynamics: pp_topo::Dynamics::default_dynamics(),
+    };
+    run_cell(
+        &spec,
+        &ResultStore::in_memory(),
+        &NullObserver,
+        &ExecOptions::default(),
+    )
+    .expect("no trial fails")
+    .expect_complete()
+    .outcomes()
 }
 
 #[test]
@@ -30,16 +50,7 @@ fn basic_strategy_deadlocks_with_positive_probability() {
     let bp = BasicStrategyKPartition::new(4);
     let proto = bp.compile();
     let n = 12u64;
-    let outcomes = full_outcomes(
-        &proto,
-        n,
-        &Silent,
-        TrialConfig {
-            trials: 60,
-            master_seed: 2,
-            max_interactions: 1_000_000_000,
-        },
-    );
+    let outcomes = full_outcomes(ProtocolId::BasicStrategy { k: 4 }, n, 60, 2);
     let mut deadlocks = 0;
     for o in &outcomes {
         assert!(
@@ -70,16 +81,7 @@ fn full_protocol_never_deadlocks_on_same_cells() {
     for (k, n) in [(4usize, 12u64), (5, 20), (6, 24)] {
         let kp = UniformKPartition::new(k);
         let proto = kp.compile();
-        let outcomes = full_outcomes(
-            &proto,
-            n,
-            &kp.stable_signature(n),
-            TrialConfig {
-                trials: 30,
-                master_seed: 3,
-                max_interactions: kp.interaction_budget(n),
-            },
-        );
+        let outcomes = full_outcomes(ProtocolId::UniformKPartition { k }, n, 30, 3);
         for o in &outcomes {
             assert!(o.interactions.is_some(), "k={k} n={n}: censored run");
             let pop = CountPopulation::from_counts(o.final_counts.clone());
@@ -99,36 +101,12 @@ fn full_protocol_never_deadlocks_on_same_cells() {
 /// the ablation table is meaningful.
 #[test]
 fn ablation_costs_are_comparable() {
-    let kp = UniformKPartition::new(4);
-    let full = {
-        let proto = kp.compile();
-        let out = full_outcomes(
-            &proto,
-            12,
-            &kp.stable_signature(12),
-            TrialConfig {
-                trials: 20,
-                master_seed: 4,
-                max_interactions: kp.interaction_budget(12),
-            },
-        );
+    let mean = |protocol| {
+        let out = full_outcomes(protocol, 12, 20, 4);
         out.iter().map(|o| o.interactions.unwrap()).sum::<u64>() as f64 / 20.0
     };
-    let bp = BasicStrategyKPartition::new(4);
-    let basic = {
-        let proto = bp.compile();
-        let out = full_outcomes(
-            &proto,
-            12,
-            &Silent,
-            TrialConfig {
-                trials: 20,
-                master_seed: 4,
-                max_interactions: 1_000_000_000,
-            },
-        );
-        out.iter().map(|o| o.interactions.unwrap()).sum::<u64>() as f64 / 20.0
-    };
+    let full = mean(ProtocolId::UniformKPartition { k: 4 });
+    let basic = mean(ProtocolId::BasicStrategy { k: 4 });
     assert!(basic > 0.0 && full > 0.0);
     assert!(full / basic < 100.0 && basic / full < 100.0);
 }

@@ -2,8 +2,37 @@
 //! deliberately loose (few trials, generous margins) so they are stable
 //! in CI while still catching order-of-magnitude regressions.
 
-use pp_analysis::experiments::{kpartition_cell, kpartition_grouping_cell};
 use pp_analysis::fit;
+use pp_analysis::grouping::grouping_breakdown;
+use pp_sweep::exec::{run_cell, ExecOptions};
+use pp_sweep::observer::NullObserver;
+use pp_sweep::plan::{ukp_cell, PlanConfig};
+use pp_sweep::spec::CellMode;
+use pp_sweep::store::{CellResult, ResultStore};
+
+/// `trials` runs of the paper's protocol at `(k, n)` on the leap kernel,
+/// seeded from `master_seed` as every sweep plan seeds its cells.
+fn cell(k: usize, n: u64, trials: usize, master_seed: u64, mode: CellMode) -> CellResult {
+    let cfg = PlanConfig {
+        trials,
+        master_seed,
+    };
+    run_cell(
+        &ukp_cell(k, n, cfg, mode),
+        &ResultStore::in_memory(),
+        &NullObserver,
+        &ExecOptions::default(),
+    )
+    .expect("k-partition trials run")
+    .expect_complete()
+}
+
+/// Mean interactions to stability over the cell's trials.
+fn mean(k: usize, n: u64, trials: usize, master_seed: u64) -> f64 {
+    cell(k, n, trials, master_seed, CellMode::Summary)
+        .summary()
+        .mean
+}
 
 /// "The number of interactions increases exponentially with k": at fixed
 /// n, doubling k from 3 to 6 should multiply the cost well beyond the
@@ -12,8 +41,8 @@ use pp_analysis::fit;
 fn cost_grows_quickly_in_k() {
     let n = 120u64;
     let trials = 12;
-    let mean3 = kpartition_cell(3, n, trials, 7).unwrap().summary().mean;
-    let mean6 = kpartition_cell(6, n, trials, 7).unwrap().summary().mean;
+    let mean3 = mean(3, n, trials, 7);
+    let mean6 = mean(6, n, trials, 7);
     assert!(
         mean6 > 2.0 * mean3,
         "k=6 ({mean6}) should cost well over 2x k=3 ({mean3})"
@@ -30,12 +59,7 @@ fn cost_superlinear_subexponential_in_n() {
     let ns = [60u64, 120, 240, 480];
     let pts: Vec<(f64, f64)> = ns
         .iter()
-        .map(|&n| {
-            (
-                n as f64,
-                kpartition_cell(4, n, trials, 11).unwrap().summary().mean,
-            )
-        })
+        .map(|&n| (n as f64, mean(4, n, trials, 11)))
         .collect();
     let (b, r2) = fit::power_law_exponent(&pts);
     assert!(b > 1.1, "expected superlinear growth, got exponent {b}");
@@ -52,9 +76,9 @@ fn cost_superlinear_subexponential_in_n() {
 fn final_grouping_dominates() {
     let k = 4usize;
     let n = 24u64; // c·k with c = 6
-    let cell = kpartition_grouping_cell(k, n, 16, 3).unwrap();
-    let first = cell.breakdown.increments.first().unwrap().mean;
-    let last = cell.breakdown.increments.last().unwrap().mean;
+    let breakdown = grouping_breakdown(&cell(k, n, 16, 3, CellMode::Watched).watched());
+    let first = breakdown.increments.first().unwrap().mean;
+    let last = breakdown.increments.last().unwrap().mean;
     assert!(
         last > 3.0 * first,
         "last grouping ({last}) should dwarf the first ({first})"
@@ -69,8 +93,8 @@ fn final_grouping_dominates() {
 #[test]
 fn remainder_effect_visible() {
     let trials = 24;
-    let just_past = kpartition_cell(4, 25, trials, 19).unwrap().summary().mean;
-    let just_before = kpartition_cell(4, 23, trials, 19).unwrap().summary().mean;
+    let just_past = mean(4, 25, trials, 19);
+    let just_before = mean(4, 23, trials, 19);
     assert!(
         just_past > just_before,
         "n=25 (r=1, {just_past}) should cost more than n=23 (r=3, {just_before})"
