@@ -64,7 +64,8 @@ pub enum DynamicsError {
     },
     /// The dynamics specification is invalid for this population size.
     Spec(crate::spec::SpecError),
-    /// Fewer than two agents: no interaction is possible.
+    /// Fewer than two agents, and the population does not start stable:
+    /// it needs an interaction, and none is possible.
     PopulationTooSmall,
 }
 
@@ -192,7 +193,16 @@ where
     O: Observer,
 {
     dynamics.topo.validate(n)?;
-    if n < 2 {
+    let mut pop = AgentPopulation::new(proto, n);
+    let events = plan.events();
+    // Once the event stream is exhausted the population is final; from
+    // then on stability is checked like the engine's naive loop: once
+    // up-front, then after every count-changing interaction.
+    let mut check_stability = events.is_empty();
+    // As on every `Simulator` kernel, a population that starts stable is
+    // done after 0 interactions; only a run that must interact needs two
+    // agents.
+    if n < 2 && !(check_stability && criterion.is_stable(proto, pop.counts())) {
         return Err(DynamicsError::PopulationTooSmall);
     }
     let metrics = topo_metrics();
@@ -205,17 +215,11 @@ where
     // Stream for victim/attachment draws; distinct from the plan-
     // materialisation stream so hand-built plans stay deterministic too.
     let mut churn_rng = SmallRng::seed_from_u64(seeds::derive_labelled(seed, LBL_CHURN, 1));
-    let mut pop = AgentPopulation::new(proto, n);
 
-    let events = plan.events();
     let mut next_event = 0usize;
     let mut applied = [0u32; 3];
     let mut step: u64 = 0;
     let mut effective: u64 = 0;
-    // Once the event stream is exhausted the population is final; from
-    // then on stability is checked like the engine's naive loop: once
-    // up-front, then after every count-changing interaction.
-    let mut check_stability = events.is_empty();
 
     let outcome = loop {
         while next_event < events.len() && events[next_event].at <= step {
@@ -350,7 +354,7 @@ mod tests {
     use crate::spec::{ChurnSpec, SchedSpec, TopoSpec};
     use pp_engine::observer::NullObserver;
     use pp_engine::spec::ProtocolSpec;
-    use pp_engine::stability::Silent;
+    use pp_engine::stability::{Never, Silent};
 
     fn epidemic() -> CompiledProtocol {
         let mut spec = ProtocolSpec::new("epidemic");
@@ -435,18 +439,14 @@ mod tests {
 
     #[test]
     fn too_small_population_is_rejected() {
+        // One agent that starts stable needs no interaction, as on every
+        // `Simulator` kernel; one that must interact cannot.
         let proto = epidemic();
-        let err = run_dynamics(
-            &proto,
-            1,
-            &Dynamics::default_dynamics(),
-            &Silent,
-            100,
-            0,
-            &mut NullObserver,
-        )
-        .unwrap_err();
-        assert_eq!(err, DynamicsError::PopulationTooSmall);
+        let one = Dynamics::default_dynamics();
+        let stable = run_dynamics(&proto, 1, &one, &Silent, 100, 0, &mut NullObserver);
+        assert_eq!(stable.unwrap().interactions, Some(0));
+        let never = run_dynamics(&proto, 1, &one, &Never, 100, 0, &mut NullObserver);
+        assert_eq!(never.unwrap_err(), DynamicsError::PopulationTooSmall);
     }
 
     #[test]
