@@ -13,7 +13,9 @@
 //! how far exhaustive verification currently reaches — written as
 //! `BENCH_verify.json`:
 //!
-//! * integer-only numbers (micros, counts);
+//! * integer-only numbers (counts; the wall time of each cell goes to
+//!   the console line only, so the file is a pure function of the
+//!   options);
 //! * per-cell `censored` flags — a cell that blew the configuration
 //!   budget is reported with how far exploration got, not dropped;
 //! * explicit `speedup_basis` on every speedup-style ratio. Here the
@@ -154,7 +156,7 @@ fn cell_json(c: &Cell) -> String {
     if let Some(why) = c.gap_omitted {
         s.push_str(&format!(",\"gap_omitted\":\"{why}\""));
     }
-    s.push_str(&format!(",\"k\":{},\"micros\":{}", c.k, c.micros));
+    s.push_str(&format!(",\"k\":{}", c.k));
     if let Some((min, _, _)) = c.gap {
         s.push_str(&format!(",\"min_interactions\":{min}"));
     }
@@ -171,7 +173,7 @@ fn cell_json(c: &Cell) -> String {
     s
 }
 
-fn report_json(cells: &[Cell], envelope: &[EnvelopeRow], opts: &Opts, wall_micros: u64) -> String {
+fn report_json(cells: &[Cell], envelope: &[EnvelopeRow], opts: &Opts) -> String {
     let cells_json: Vec<String> = cells.iter().map(cell_json).collect();
     let rows_json: Vec<String> = envelope
         .iter()
@@ -188,15 +190,13 @@ fn report_json(cells: &[Cell], envelope: &[EnvelopeRow], opts: &Opts, wall_micro
         .unwrap_or(0);
     format!(
         "{{\"bench\":\"verify_envelope\",\"cells\":[{}],\"configs_total\":{},\
-         \"envelope\":[{}],\"frontier_peak\":{},\"k_max\":{},\"max_configs\":{},\
-         \"micros\":{}}}",
+         \"envelope\":[{}],\"frontier_peak\":{},\"k_max\":{},\"max_configs\":{}}}",
         cells_json.join(","),
         configs_total,
         rows_json.join(","),
         frontier_peak,
         opts.k_max,
         opts.max_configs,
-        wall_micros,
     )
 }
 
@@ -333,8 +333,7 @@ fn run_report(opts: &Opts) -> ExitCode {
         });
     }
 
-    let wall_micros = t_start.elapsed().as_micros() as u64;
-    let json = report_json(&cells, &envelope, opts, wall_micros);
+    let json = report_json(&cells, &envelope, opts);
     if let Err(e) = std::fs::write(&opts.out, format!("{json}\n")) {
         eprintln!("pp-verify: cannot write {}: {e}", opts.out);
         return ExitCode::FAILURE;
@@ -417,7 +416,7 @@ mod tests {
         assert_eq!(
             cell_json(&cell),
             "{\"censored\":false,\"configs\":10,\"expected_interactions\":9,\
-             \"k\":2,\"micros\":123,\"min_interactions\":4,\"n\":4,\
+             \"k\":2,\"min_interactions\":4,\"n\":4,\
              \"speedup\":2,\"speedup_basis\":\"interactions\",\
              \"terminal_sccs\":1,\"verified\":true}"
         );
@@ -427,11 +426,12 @@ mod tests {
             n_max: 4,
             censored: false,
         };
-        let json = report_json(&[cell], &[row], &opts, 456);
+        let json = report_json(&[cell], &[row], &opts);
         assert!(json.starts_with("{\"bench\":\"verify_envelope\""));
         assert!(json.contains("\"configs_total\":10"));
         assert!(json.contains("\"envelope\":[{\"censored\":false,\"k\":2,\"n_max\":4}]"));
-        assert!(json.ends_with("\"micros\":456}"));
+        assert!(json.ends_with(&format!("\"max_configs\":{}}}", opts.max_configs)));
+        assert!(!json.contains("micros"));
 
         // A verified cell over the hitting cap says why it has no gap,
         // with the reason in its alphabetical place.
@@ -449,7 +449,7 @@ mod tests {
         assert_eq!(
             cell_json(&capped),
             "{\"censored\":false,\"configs\":20115,\"gap_omitted\":\"hitting_cap\",\
-             \"k\":4,\"micros\":789,\"n\":28,\"terminal_sccs\":1,\"verified\":true}"
+             \"k\":4,\"n\":28,\"terminal_sccs\":1,\"verified\":true}"
         );
     }
 
