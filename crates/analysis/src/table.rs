@@ -38,11 +38,6 @@ impl Table {
         self
     }
 
-    /// Number of data rows.
-    pub fn num_rows(&self) -> usize {
-        self.rows.len()
-    }
-
     /// Render as a GitHub-flavoured markdown table.
     pub fn to_markdown(&self) -> String {
         let mut widths: Vec<usize> = self.headers.iter().map(String::len).collect();

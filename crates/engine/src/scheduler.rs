@@ -208,11 +208,6 @@ impl LeastVisitedScheduler {
     pub fn new() -> Self {
         Self::default()
     }
-
-    /// Number of distinct configurations visited so far.
-    pub fn distinct_configs(&self) -> usize {
-        self.visits.len()
-    }
 }
 
 impl PairScheduler for LeastVisitedScheduler {

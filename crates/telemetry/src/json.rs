@@ -72,15 +72,6 @@ impl Value {
         }
     }
 
-    /// Signed integer contents: an `I64` directly, or a `U64` that fits.
-    pub fn as_i64(&self) -> Option<i64> {
-        match self {
-            Value::I64(x) => Some(*x),
-            Value::U64(x) => i64::try_from(*x).ok(),
-            _ => None,
-        }
-    }
-
     /// String contents, if that is what this is.
     pub fn as_str(&self) -> Option<&str> {
         match self {
@@ -95,12 +86,6 @@ impl Value {
             Value::Arr(a) => Some(a),
             _ => None,
         }
-    }
-
-    /// `Some(x)` for `U64(x)`, `None` for `Null`; `Err`-like `None`
-    /// collapses to `None` as well (callers validate shape separately).
-    pub fn as_opt_u64(&self) -> Option<u64> {
-        self.as_u64()
     }
 
     /// Encode to a compact canonical string (object keys sorted).

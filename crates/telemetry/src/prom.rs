@@ -4,14 +4,14 @@
 //!
 //! Rendering stays within the workspace's no-float discipline: every
 //! sample value is a `u64`, and histogram `le` bounds are the inclusive
-//! integer upper bounds of the log₂ buckets ([`bucket_hi`]), with the
+//! integer upper bounds of the log₂ buckets
+//! ([`bucket_hi`](crate::metrics::bucket_hi)), with the
 //! mandatory `+Inf` bucket, `_sum`, and `_count` series. Metric names are
 //! mangled to the Prometheus charset (`.` → `_`), labels are escaped per
 //! the exposition format, and all series of one metric are grouped under
 //! a single `# TYPE` line as the format requires.
 
 use crate::export::{MetricData, MetricSnapshot, Snapshot};
-use crate::metrics::bucket_hi;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -328,12 +328,6 @@ pub fn validate_exposition(text: &str) -> Result<(), String> {
         }
     }
     Ok(())
-}
-
-/// `bucket_hi` re-exported check helper for downstream code that wants
-/// the `le` bound of bucket `b` exactly as the renderer emits it.
-pub fn le_bound(b: usize) -> u64 {
-    bucket_hi(b)
 }
 
 #[cfg(test)]

@@ -95,19 +95,6 @@ impl TopoSpec {
         }
     }
 
-    /// How many neighbours a joining agent attaches to under churn
-    /// (the family's characteristic degree; complete graphs ignore it).
-    pub fn join_degree(&self) -> usize {
-        match self {
-            TopoSpec::Complete => usize::MAX,
-            TopoSpec::Ring => 2,
-            TopoSpec::Star => 1,
-            TopoSpec::Torus { .. } => 4,
-            TopoSpec::RandomRegular { degree } => *degree as usize,
-            TopoSpec::PowerLaw { .. } | TopoSpec::Explicit { .. } => 2,
-        }
-    }
-
     /// Canonical string form, e.g. `complete`, `torus:3x8`, `rr:d=4`,
     /// `pl:g=25`, `explicit:0-1.1-2`.
     pub fn key_fragment(&self) -> String {

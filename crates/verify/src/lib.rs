@@ -34,7 +34,6 @@
 pub mod hitting;
 pub mod oracle;
 
-use pp_engine::population::Population;
 use pp_engine::protocol::{CompiledProtocol, StateId};
 use std::collections::HashMap;
 use std::fmt;
@@ -668,30 +667,6 @@ impl VerifyReport {
     pub fn verified(&self) -> bool {
         self.failure.is_none()
     }
-}
-
-/// Convenience: verify a protocol against an expected stable group-size
-/// vector (order-sensitive, as in the paper's Lemma 6).
-pub fn verify_partition_sizes(
-    proto: &CompiledProtocol,
-    n: u64,
-    expected: &[u64],
-    max_configs: usize,
-) -> Result<VerifyReport, ExploreError> {
-    let graph = ConfigGraph::explore(proto, n, max_configs)?;
-    Ok(graph.verify_stable_partition(|groups| groups == expected))
-}
-
-/// Sanity cross-check between the simulator and the model checker:
-/// whether a count population's configuration appears in the graph.
-pub fn contains_population(
-    graph: &ConfigGraph<'_>,
-    pop: &pp_engine::population::CountPopulation,
-) -> bool {
-    let as_u32: Vec<u32> = pop.counts().iter().map(|&c| c as u32).collect();
-    !graph
-        .matching_configs(|cfg| cfg == as_u32.as_slice())
-        .is_empty()
 }
 
 #[cfg(test)]
