@@ -13,9 +13,9 @@
 //! how far exhaustive verification currently reaches — written as
 //! `BENCH_verify.json`:
 //!
-//! * integer-only numbers (counts; the wall time of each cell goes to
-//!   the console line only, so the file is a pure function of the
-//!   options);
+//! * integer-only numbers, and no timing: each cell's wall time goes to
+//!   the console line only, so a rerun with the same options writes the
+//!   same file unless `--wall-budget-secs` cuts the ladder short;
 //! * per-cell `censored` flags — a cell that blew the configuration
 //!   budget is reported with how far exploration got, not dropped;
 //! * explicit `speedup_basis` on every speedup-style ratio. Here the
