@@ -12,22 +12,28 @@
 
 #![forbid(unsafe_code)]
 
-use pp_analysis::config;
+use std::process::ExitCode;
+
 use pp_analysis::table::{fmt_f64, Table};
 use pp_protocols::kpartition::UniformKPartition;
 use pp_sweep::exec::{run_cell, ExecOptions};
 use pp_sweep::observer::NullObserver;
-use pp_sweep::plan::{ukp_cell, PlanConfig};
+use pp_sweep::plan::{results_path, ukp_cell, PlanConfig};
 use pp_sweep::spec::CellMode;
 use pp_sweep::store::ResultStore;
 use pp_verify::hitting::{hitting_moments, SolverOptions};
 use pp_verify::ConfigGraph;
 
-fn main() {
-    let cfg = PlanConfig {
-        trials: config::trials().max(100),
-        master_seed: config::master_seed(),
+fn main() -> ExitCode {
+    let mut cfg = match PlanConfig::from_env() {
+        Ok(cfg) => cfg,
+        Err(e) => {
+            eprintln!("exact_vs_sim: {e}");
+            return ExitCode::from(2);
+        }
     };
+    // The 4σ comparison runs at least the paper's 100 trials per cell.
+    cfg.trials = cfg.trials.max(100);
     let store = ResultStore::in_memory();
     println!(
         "== Exact vs simulated — Markov-chain expectations vs sample means \
@@ -35,8 +41,7 @@ fn main() {
     );
     println!(
         "   trials/cell = {}, master seed = {} (override with PP_TRIALS / PP_SEED)",
-        config::trials(),
-        cfg.master_seed
+        cfg.trials, cfg.master_seed
     );
     println!();
 
@@ -114,7 +119,8 @@ fn main() {
         "All |z| < 4: the simulator's sample means are statistically \
          indistinguishable from the exact Markov-chain expectations."
     );
-    let path = config::results_path("exact_vs_sim.csv");
+    let path = results_path("exact_vs_sim.csv");
     table.write_csv(&path).expect("write csv");
     println!("wrote {}", path.display());
+    ExitCode::SUCCESS
 }

@@ -49,29 +49,31 @@
 //! ## Fallback policy (terminal behaviour is exact)
 //!
 //! Before each leap the kernel re-checks eligibility and hands control to
-//! the **exact leap kernel** for a burst of [`BatchConfig::exact_burst`]
-//! composite steps, each one call of the exact step
+//! the **exact leap kernel** for a burst of `EXACT_BURST` composite
+//! steps, each one call of the exact step
 //! [`crate::simulator::Simulator::run_leap`] repeats, when:
 //!
 //! * **near convergence** — the stability tracker's
 //!   [`crate::stability::StabilityTracker::violations_hint`] is at most
-//!   [`BatchConfig::near_convergence_violations`]: the endgame that
-//!   decides the paper's §5 metric is simulated exactly;
-//! * **low counts** — channels whose reactant counts are at or below
-//!   [`BatchConfig::safety_threshold`] carry enough propensity that a
-//!   leap of useful size would likely fire them (`tau` is capped so the
-//!   *expected* number of low-count firings per leap stays below one;
-//!   when that cap squeezes the leap under [`BatchConfig::min_batch`]
-//!   expected firings, the kernel steps exactly instead) — low-count
-//!   species are where tau-leaping's error concentrates;
-//! * **small leap** — the ε bound itself yields fewer than
-//!   [`BatchConfig::min_batch`] expected firings: exact stepping is
-//!   cheaper than a degenerate multinomial;
-//! * **overdraw** — [`BatchConfig::max_retries`] tau-halvings could not
-//!   produce a draw keeping every count non-negative.
+//!   `NEAR_CONVERGENCE_VIOLATIONS`: the endgame that decides the
+//!   paper's §5 metric is simulated exactly;
+//! * **low counts** — channels whose reactant counts are at or below the
+//!   safety threshold ([`SAFETY_THRESHOLD`] unless
+//!   [`crate::simulator::Simulator::run_batch_configured`] is given
+//!   another) carry enough propensity that a leap of useful size would
+//!   likely fire them (`tau` is capped so the *expected* number of
+//!   low-count firings per leap stays below one; when that cap squeezes
+//!   the leap under `MIN_BATCH` expected firings, the kernel steps
+//!   exactly instead) — low-count species are where tau-leaping's error
+//!   concentrates;
+//! * **small leap** — the ε bound itself yields fewer than `MIN_BATCH`
+//!   expected firings: exact stepping is cheaper than a degenerate
+//!   multinomial;
+//! * **overdraw** — `MAX_RETRIES` tau-halvings could not produce a draw
+//!   keeping every count non-negative.
 //!
-//! Eligibility checks consume **no randomness**, so a configuration that
-//! always falls back (e.g. `safety_threshold = n`) makes `run_batch`
+//! Eligibility checks consume **no randomness**, so a safety threshold of
+//! at least `n`, under which every step falls back, makes the kernel
 //! consume the RNG identically to `run_leap` — the bit-identity contract
 //! `tests/batch_kernel.rs` pins down.
 
@@ -83,43 +85,32 @@ use crate::stability::StabilityCriterion;
 use rand::rngs::SmallRng;
 use rand::RngCore;
 
-/// Tuning knobs of the batch kernel. The defaults are deliberately
-/// conservative; `safety_threshold = n` turns the kernel into a
-/// bit-identical replica of the leap kernel (every step falls back).
-#[derive(Clone, Copy, Debug)]
-pub struct BatchConfig {
-    /// Relative propensity-drift bound ε per leap (Cao-style tau
-    /// selection): expected count change of any reactant state inside one
-    /// leap stays within `max(ε · c_s, 1)`.
-    pub epsilon: f64,
-    /// Reactant counts at or below this are *low*: leaps are capped so
-    /// low-count channels are not expected to fire inside them.
-    pub safety_threshold: u64,
-    /// Minimum expected effective firings for a leap to be worth taking;
-    /// below it the kernel steps exactly.
-    pub min_batch: u64,
-    /// Number of exact composite steps per fallback burst before
-    /// eligibility is re-evaluated.
-    pub exact_burst: u64,
-    /// Fall back for good-measure exactness once the stability tracker
-    /// reports at most this many violated constraints.
-    pub near_convergence_violations: u64,
-    /// Tau-halving retries when a drawn leap would push a count negative.
-    pub max_retries: u32,
-}
+/// Relative propensity-drift bound ε per leap (Cao-style tau selection):
+/// expected count change of any reactant state inside one leap stays
+/// within `max(ε · c_s, 1)`.
+pub const EPSILON: f64 = 0.05;
 
-impl Default for BatchConfig {
-    fn default() -> Self {
-        BatchConfig {
-            epsilon: 0.05,
-            safety_threshold: 16,
-            min_batch: 16,
-            exact_burst: 64,
-            near_convergence_violations: 3,
-            max_retries: 3,
-        }
-    }
-}
+/// The default safety threshold: reactant counts at or below it are
+/// *low*, and leaps are capped so low-count channels are not expected to
+/// fire inside them. A threshold of at least `n` makes every step fall
+/// back, which turns the kernel into a bit-identical replica of the leap
+/// kernel.
+pub const SAFETY_THRESHOLD: u64 = 16;
+
+/// Minimum expected effective firings for a leap to be worth taking;
+/// below it the kernel steps exactly.
+const MIN_BATCH: u64 = 16;
+
+/// Number of exact composite steps per fallback burst before
+/// eligibility is re-evaluated.
+const EXACT_BURST: u64 = 64;
+
+/// Fall back for good-measure exactness once the stability tracker
+/// reports at most this many violated constraints.
+const NEAR_CONVERGENCE_VIOLATIONS: u64 = 3;
+
+/// Tau-halving retries when a drawn leap would push a count negative.
+const MAX_RETRIES: u32 = 3;
 
 /// Reusable per-step workspace, fully reinitialised by every leap
 /// attempt, so the hot loop allocates nothing.
@@ -195,15 +186,22 @@ impl<'a> BatchTrial<'a> {
         counts: &mut [u64],
         rng: &mut SmallRng,
         max_interactions: u64,
-        cfg: &BatchConfig,
+        safety_threshold: u64,
         observer: &mut O,
     ) -> StepOutcome {
         if self.exact_left == 0 {
-            match self.try_leap(proto, counts, rng, max_interactions, cfg, observer) {
+            match self.try_leap(
+                proto,
+                counts,
+                rng,
+                max_interactions,
+                safety_threshold,
+                observer,
+            ) {
                 LeapOutcome::Done(out) => return out,
                 LeapOutcome::Fallback(reason) => {
                     observer.on_batch_fallback(reason);
-                    self.exact_left = cfg.exact_burst.max(1);
+                    self.exact_left = EXACT_BURST;
                 }
             }
         }
@@ -220,7 +218,7 @@ impl<'a> BatchTrial<'a> {
         counts: &mut [u64],
         rng: &mut SmallRng,
         max_interactions: u64,
-        cfg: &BatchConfig,
+        safety_threshold: u64,
         observer: &mut O,
     ) -> LeapOutcome {
         let run = &mut self.run;
@@ -229,7 +227,7 @@ impl<'a> BatchTrial<'a> {
         let channels = proto.pair_effects();
         // Terminal exactness first: close to stability, hand over.
         if let Some(v) = run.tracker.violations_hint() {
-            if v <= cfg.near_convergence_violations {
+            if v <= NEAR_CONVERGENCE_VIOLATIONS {
                 return LeapOutcome::Fallback(FallbackReason::NearConvergence);
             }
         }
@@ -248,7 +246,7 @@ impl<'a> BatchTrial<'a> {
             };
             scratch.weights[i] = w;
             w_eff += w;
-            if w > 0 && (cp <= cfg.safety_threshold || cq <= cfg.safety_threshold) {
+            if w > 0 && (cp <= safety_threshold || cq <= safety_threshold) {
                 w_low += w;
             }
         }
@@ -282,7 +280,7 @@ impl<'a> BatchTrial<'a> {
                 continue;
             }
             for s in [ch.p.index(), ch.q.index()] {
-                let bound = (cfg.epsilon * counts[s] as f64).max(1.0);
+                let bound = (EPSILON * counts[s] as f64).max(1.0);
                 let mu = scratch.mu[s];
                 if mu != 0.0 {
                     tau = tau.min(bound * total_f / mu.abs());
@@ -293,14 +291,14 @@ impl<'a> BatchTrial<'a> {
                 }
             }
         }
-        if tau * w_eff_f / total_f < cfg.min_batch as f64 {
+        if tau * w_eff_f / total_f < MIN_BATCH as f64 {
             return LeapOutcome::Fallback(FallbackReason::SmallLeap);
         }
         if w_low > 0 {
             // Cap so low-count channels are not *expected* to fire within
             // the leap (hybrid tau-leap/exact partitioning).
             let tau_low = total_f / w_low as f64;
-            if tau_low * w_eff_f / total_f < cfg.min_batch as f64 {
+            if tau_low * w_eff_f / total_f < MIN_BATCH as f64 {
                 return LeapOutcome::Fallback(FallbackReason::LowCount);
             }
             tau = tau.min(tau_low);
@@ -308,7 +306,7 @@ impl<'a> BatchTrial<'a> {
         let mut tau = (tau.floor() as u64).clamp(1, remaining);
 
         // Draw the leap, halving tau when a draw would overdraw a state.
-        for attempt in 0..=cfg.max_retries {
+        for attempt in 0..=MAX_RETRIES {
             let f = sample_binomial(rng, tau, w_eff_f / total_f);
             // Binomial splitting of the multinomial over channels.
             scratch.deltas.iter_mut().for_each(|d| *d = 0);
@@ -344,7 +342,7 @@ impl<'a> BatchTrial<'a> {
                 .enumerate()
                 .any(|(s, &d)| (counts[s] as i128) + i128::from(d) < 0);
             if overdraw {
-                if attempt == cfg.max_retries {
+                if attempt == MAX_RETRIES {
                     return LeapOutcome::Fallback(FallbackReason::Overdraw);
                 }
                 tau = (tau / 2).max(1);
@@ -625,17 +623,13 @@ mod tests {
             pop_b.set_count(s, n - 1);
             pop_b.set_count(i, 1);
             let mut sched_b = UniformRandomScheduler::from_seed(seed);
-            let cfg = BatchConfig {
-                safety_threshold: n,
-                ..BatchConfig::default()
-            };
             let batch = Simulator::new(&proto)
                 .run_batch_configured(
                     &mut pop_b,
                     &mut sched_b,
                     &Silent,
                     u64::MAX,
-                    &cfg,
+                    n,
                     &mut NullObserver,
                 )
                 .unwrap();

@@ -90,7 +90,6 @@ pub mod spec;
 pub mod stability;
 pub mod trace;
 
-pub use batch::BatchConfig;
 pub use functional::Functional;
 pub use metrics::{engine_metrics, EngineMetrics, TelemetryObserver};
 pub use population::{AgentPopulation, CountPopulation, Population};

@@ -29,7 +29,7 @@
 //! [`Kernel`] names the three as a value, and [`Simulator::run_kernel`]
 //! is the one place that dispatches on it. Each kernel has an observed
 //! form and an unobserved wrapper; the batch kernel also takes an explicit
-//! [`BatchConfig`] through [`Simulator::run_batch_configured`].
+//! safety threshold through [`Simulator::run_batch_configured`].
 //!
 //! Under the [`crate::stability::Never`] criterion a run never stops
 //! early, so the naive kernel with `Never` is a fixed-length run of
@@ -38,7 +38,7 @@
 //! (`pp_topo::run_dynamics`), which also covers restricted interaction
 //! graphs and churn.
 
-use crate::batch::{BatchConfig, BatchTrial};
+use crate::batch::{BatchTrial, SAFETY_THRESHOLD};
 use crate::leap::{LeapRun, StepOutcome};
 use crate::observer::{NullObserver, Observer};
 use crate::population::{CountPopulation, Population};
@@ -124,7 +124,7 @@ impl Kernel {
     pub const ALL: [Kernel; 3] = [Kernel::Naive, Kernel::Leap, Kernel::Batch];
 
     /// The kernel's name. It is persisted: sweep cache keys, pp-serve's
-    /// wire JSON and the `PP_KERNEL` knob all spell kernels this way.
+    /// wire JSON and `pp-trace --kernel` all spell kernels this way.
     pub fn name(self) -> &'static str {
         match self {
             Kernel::Naive => "naive",
@@ -363,8 +363,8 @@ impl<'a> Simulator<'a> {
     }
 
     /// Run a count-vector population until stability with the **batch
-    /// kernel** and its default [`BatchConfig`], without observation. Same
-    /// contract as [`Simulator::run`]; see
+    /// kernel** and its default [`SAFETY_THRESHOLD`], without
+    /// observation. Same contract as [`Simulator::run`]; see
     /// [`Simulator::run_batch_configured`] for semantics.
     pub fn run_batch<C>(
         &self,
@@ -381,13 +381,13 @@ impl<'a> Simulator<'a> {
             scheduler,
             criterion,
             max_interactions,
-            &BatchConfig::default(),
+            SAFETY_THRESHOLD,
             &mut NullObserver,
         )
     }
 
     /// Run a count-vector population until stability with the **batch
-    /// kernel** and its default [`BatchConfig`], reporting leaps and
+    /// kernel** and its default [`SAFETY_THRESHOLD`], reporting leaps and
     /// interactions to `observer`.
     pub fn run_batch_observed<C, O>(
         &self,
@@ -406,7 +406,7 @@ impl<'a> Simulator<'a> {
             scheduler,
             criterion,
             max_interactions,
-            &BatchConfig::default(),
+            SAFETY_THRESHOLD,
             observer,
         )
     }
@@ -422,8 +422,8 @@ impl<'a> Simulator<'a> {
     /// Identical `RunResult`/`RunError` contract to
     /// [`Simulator::run_leap_observed`]. Statistics follow the leap
     /// kernel's law up to the tau-leap approximation (bounded propensity
-    /// drift of O(ε) per leap); with `cfg.safety_threshold ≥ n` every
-    /// step falls back and the run is **bit-identical** to
+    /// drift of O(ε) per leap); with `safety_threshold ≥ n` every step
+    /// falls back and the run is **bit-identical** to
     /// [`Simulator::run_leap_observed`] for the same seed.
     ///
     /// Observers see exact-fallback stretches through
@@ -437,7 +437,7 @@ impl<'a> Simulator<'a> {
         scheduler: &mut UniformRandomScheduler,
         criterion: &C,
         max_interactions: u64,
-        cfg: &BatchConfig,
+        safety_threshold: u64,
         observer: &mut O,
     ) -> Result<RunResult, RunError>
     where
@@ -459,7 +459,7 @@ impl<'a> Simulator<'a> {
                 &mut counts,
                 rng,
                 max_interactions,
-                cfg,
+                safety_threshold,
                 observer,
             ) {
                 StepOutcome::Continue => {}

@@ -18,9 +18,7 @@
 //!   ([`install_panic_hook`]).
 //!
 //! Nothing here touches simulation hot loops: the engine's kernels remain
-//! instrumented only through the `Observer` seam, and a disabled recorder
-//! (capacity 0 via `PP_FLIGHT_CAPACITY=0`) turns every write into an
-//! early-return no-op.
+//! instrumented only through the `Observer` seam.
 
 #![forbid(unsafe_code)]
 #![deny(clippy::dbg_macro, clippy::todo, clippy::print_stdout)]

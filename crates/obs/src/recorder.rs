@@ -184,8 +184,8 @@ impl Interner {
 /// A fixed-size lock-free ring of recent [`Record`]s.
 ///
 /// Capacity 0 disables the recorder entirely: writes become no-ops and
-/// snapshots are empty. The process-wide instance ([`recorder`]) sizes
-/// itself from `PP_FLIGHT_CAPACITY` (default 4096).
+/// snapshots are empty. The process-wide instance ([`recorder`]) holds
+/// 4096 records.
 pub struct FlightRecorder {
     slots: Box<[Slot]>,
     next: AtomicU64,
@@ -389,17 +389,10 @@ impl FlightRecorder {
     }
 }
 
-/// The process-wide recorder. Capacity comes from `PP_FLIGHT_CAPACITY`
-/// on first use (default 4096; `0` disables recording).
+/// The process-wide recorder, holding the last 4096 records.
 pub fn recorder() -> &'static FlightRecorder {
     static GLOBAL: OnceLock<FlightRecorder> = OnceLock::new();
-    GLOBAL.get_or_init(|| {
-        let capacity = std::env::var("PP_FLIGHT_CAPACITY")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .unwrap_or(4096);
-        FlightRecorder::with_capacity(capacity)
-    })
+    GLOBAL.get_or_init(|| FlightRecorder::with_capacity(4096))
 }
 
 static DUMP_OVERRIDE: OnceLock<std::path::PathBuf> = OnceLock::new();
@@ -412,15 +405,11 @@ pub fn set_dump_path(path: impl Into<std::path::PathBuf>) {
 }
 
 /// Where panic/SIGTERM dumps land: [`set_dump_path`]'s override if any,
-/// else `PP_FLIGHT_DUMP` if set, else `pp-flight-<pid>.ndjson` in the
-/// temp dir.
+/// else `pp-flight-<pid>.ndjson` in the temp dir.
 pub fn default_dump_path() -> std::path::PathBuf {
-    if let Some(p) = DUMP_OVERRIDE.get() {
-        return p.clone();
-    }
-    match std::env::var_os("PP_FLIGHT_DUMP") {
-        Some(p) if !p.is_empty() => std::path::PathBuf::from(p),
-        _ => std::env::temp_dir().join(format!("pp-flight-{}.ndjson", std::process::id())),
+    match DUMP_OVERRIDE.get() {
+        Some(p) => p.clone(),
+        None => std::env::temp_dir().join(format!("pp-flight-{}.ndjson", std::process::id())),
     }
 }
 

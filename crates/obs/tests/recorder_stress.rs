@@ -106,12 +106,15 @@ fn wraparound_under_contention_keeps_only_the_newest() {
     }
 }
 
+/// Marks the child process of `panic_hook_dumps_parseable_ndjson`.
+const CHILD_MARKER: &str = "PANIC_HOOK_CHILD";
+
 /// Child-process half of `panic_hook_dumps_parseable_ndjson`: records a
 /// span tree, installs the hook, panics.
 #[test]
 #[ignore = "helper: runs only as a child of panic_hook_dumps_parseable_ndjson"]
 fn panic_hook_child() {
-    if std::env::var("PP_FLIGHT_DUMP").is_err() {
+    if std::env::var_os(CHILD_MARKER).is_none() {
         return; // invoked by a bare `--ignored` sweep, not by the parent
     }
     pp_obs::install_panic_hook();
@@ -125,14 +128,17 @@ fn panic_hook_child() {
 #[test]
 fn panic_hook_dumps_parseable_ndjson() {
     let exe = std::env::current_exe().unwrap();
-    let dump = std::env::temp_dir().join(format!("pp-obs-panic-{}.ndjson", std::process::id()));
-    let _ = std::fs::remove_file(&dump);
-    let out = std::process::Command::new(exe)
+    let child = std::process::Command::new(exe)
         .args(["--ignored", "--exact", "panic_hook_child"])
-        .env("PP_FLIGHT_DUMP", &dump)
+        .env(CHILD_MARKER, "1")
         .env("RUST_BACKTRACE", "0")
-        .output()
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
         .unwrap();
+    // The hook dumps to the child's default path, named by its pid.
+    let dump = std::env::temp_dir().join(format!("pp-flight-{}.ndjson", child.id()));
+    let out = child.wait_with_output().unwrap();
     assert!(
         !out.status.success(),
         "child was expected to die by panic: {}",

@@ -6,7 +6,7 @@
 //! ```
 //!
 //! Backend selection: `--backend`/`--store` when given, otherwise the
-//! `PP_STORE_BACKEND` environment convention the sweep CLI uses. Port
+//! file store at `<results>/store`, the sweep CLI's store. Port
 //! `0` binds a free port; the actual address is printed on startup
 //! (machine-greppable `listening on` line). SIGTERM/SIGINT trigger the
 //! same graceful shutdown as `POST /shutdown`: drain workers, flush
@@ -14,8 +14,8 @@
 //!
 //! `--flight-dump PATH` names where the flight-recorder NDJSON lands —
 //! written on clean shutdown *and* by the panic hook, so a crashed or
-//! killed server leaves its last spans behind. Without the flag the
-//! dump goes to `PP_FLIGHT_DUMP` (if set) on panic only.
+//! killed server leaves its last spans behind. Without the flag only a
+//! panic dumps, to `pp-flight-<pid>.ndjson` in the temp dir.
 
 #![deny(unsafe_code)]
 
@@ -23,6 +23,7 @@ use std::process::ExitCode;
 
 use pp_serve::server::{ServeConfig, Server};
 use pp_serve::telemetry::serve_metrics;
+use pp_sweep::plan::results_dir;
 use pp_sweep::store::ResultStore;
 
 // The only unsafe in the whole binary lives in this module: one FFI
@@ -118,17 +119,16 @@ fn open_store(args: &Args) -> std::io::Result<ResultStore> {
         args.store_path
             .clone()
             .map(std::path::PathBuf::from)
-            .unwrap_or_else(|| pp_analysis::config::results_dir().join("store"))
+            .unwrap_or_else(|| results_dir().join("store"))
     };
     match args.backend.as_deref() {
-        None if args.store_path.is_none() => ResultStore::from_env(),
         None | Some("fs") => Ok(ResultStore::at(store_dir())),
         Some("mem") => Ok(ResultStore::in_memory()),
         Some("log") => ResultStore::log_at(
             args.store_path
                 .clone()
                 .map(std::path::PathBuf::from)
-                .unwrap_or_else(|| pp_analysis::config::results_dir().join("store.log")),
+                .unwrap_or_else(|| results_dir().join("store.log")),
         ),
         Some(other) => Err(std::io::Error::new(
             std::io::ErrorKind::InvalidInput,

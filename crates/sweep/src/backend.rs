@@ -2,11 +2,10 @@
 //!
 //! The [`StoreBackend`] trait is the persistence seam under
 //! [`ResultStore`](crate::store::ResultStore). All three implementations
-//! persist the *same* canonical cell document
-//! ([`encode_cell_doc`](crate::store::encode_cell_doc)) and verify loads
-//! against the requesting spec's canonical key, so cells are
-//! byte-portable between backends and a hash collision can never serve
-//! the wrong cell.
+//! persist the *same* canonical cell document ([`encode_cell_doc`]) and
+//! verify loads against the requesting spec's canonical key, so cells
+//! are byte-portable between backends and a hash collision can never
+//! serve the wrong cell.
 //!
 //! * [`FsBackend`] — one `<stem>.json` per cell plus a `<stem>.jsonl`
 //!   crash journal, exactly the pre-trait layout: existing stores keep

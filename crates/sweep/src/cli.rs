@@ -19,12 +19,11 @@
 //! convergence phases and writes `<store>/<stem>.timeline.json` (see
 //! [`crate::timeline`]).
 //!
-//! Environment: `PP_TRIALS`, `PP_SEED`, `PP_RESULTS_DIR`, `PP_FIG6_KMAX`,
-//! `PP_KERNEL` — all participate in cell identity, so changing them
-//! addresses different store entries rather than corrupting existing
-//! ones. `PP_KERNEL` (`naive`, `leap` or `batch`; `auto` or unset means
-//! leap) moves every cell the plans leave on the default leap kernel onto
-//! the named kernel; trajectory and dynamics cells stay pinned to naive.
+//! Environment: `PP_TRIALS` and `PP_SEED` participate in cell identity,
+//! so changing them addresses different store entries rather than
+//! corrupting existing ones; `PP_RESULTS_DIR` moves the file store at
+//! `<results>/store` and the report CSVs (see [`crate::plan`]). A value
+//! that does not parse, or `PP_TRIALS=0`, exits 2 before any work.
 
 use std::collections::HashSet;
 
@@ -32,21 +31,18 @@ use crate::exec::ExecOptions;
 use crate::observer::ConsoleProgress;
 use crate::plan::{self, Plan, PlanConfig};
 use crate::runner;
-use crate::spec::{CellSpec, KernelChoice};
 use crate::store::ResultStore;
 
 /// Entry point; returns the process exit code.
 pub fn main_with_args(args: &[String]) -> i32 {
-    let cfg = PlanConfig::from_env();
-    // `PP_STORE_BACKEND` selects where cells live (fs — the default —,
-    // mem, or log); see crate::backend.
-    let store = match ResultStore::from_env() {
-        Ok(s) => s,
+    let cfg = match PlanConfig::from_env() {
+        Ok(cfg) => cfg,
         Err(e) => {
-            eprintln!("pp-sweep: cannot open store: {e}");
-            return 1;
+            eprintln!("pp-sweep: {e}");
+            return 2;
         }
     };
+    let store = ResultStore::default_location();
     // Split off the options run/resume accept: `--metrics [path]`,
     // `--trace <glob>`, and `--timelines [glob]`. An explicit metrics
     // path duplicates the export there; the default export next to the
@@ -114,13 +110,13 @@ pub fn main_with_args(args: &[String]) -> i32 {
             timelines_glob.as_deref(),
         ),
         [cmd] if *cmd == "status" => {
-            for p in plans(cfg) {
+            for p in plan::plans(cfg) {
                 status(&p, &store);
             }
             status_telemetry(&store);
             0
         }
-        [cmd, name] if *cmd == "status" => match find(name, cfg) {
+        [cmd, name] if *cmd == "status" => match plan::find(name, cfg) {
             Some(p) => {
                 status(&p, &store);
                 status_telemetry(&store);
@@ -138,59 +134,6 @@ pub fn main_with_args(args: &[String]) -> i32 {
     }
 }
 
-/// The registered plans with the `PP_KERNEL` knob applied — the only
-/// place pp-sweep reads it, so `run`, `status` and `gc` agree on the
-/// cells. Unrecognised values keep the plans' kernels, like the other
-/// knobs' lenient parsing.
-fn plans(cfg: PlanConfig) -> Vec<Plan> {
-    let knob = std::env::var("PP_KERNEL").unwrap_or_default();
-    match KernelChoice::parse(&knob.to_ascii_lowercase()) {
-        Some(kernel) if kernel != KernelChoice::Leap => plan::plans(cfg)
-            .into_iter()
-            .map(|p| on_kernel(p, kernel))
-            .collect(),
-        _ => plan::plans(cfg),
-    }
-}
-
-/// Find a plan by name among [`plans`].
-fn find(name: &str, cfg: PlanConfig) -> Option<Plan> {
-    plans(cfg).into_iter().find(|p| p.name == name)
-}
-
-/// Move a plan's leap cells onto `kernel`. Leap is every cell's default
-/// kernel except where a plan pins naive (trajectory and dynamics cells),
-/// and pinned cells stay put. The reporter still derives the default
-/// specs, so it renders from an in-memory view holding each moved cell's
-/// result under the spec the reporter asks for.
-fn on_kernel(plan: Plan, kernel: KernelChoice) -> Plan {
-    let moved: Vec<(CellSpec, CellSpec)> = plan
-        .cells
-        .iter()
-        .map(|asked| {
-            let mut ran = asked.clone();
-            if ran.kernel == KernelChoice::Leap {
-                ran.kernel = kernel;
-            }
-            (asked.clone(), ran)
-        })
-        .collect();
-    let report = plan.report;
-    Plan {
-        cells: moved.iter().map(|(_, ran)| ran.clone()).collect(),
-        report: Box::new(move |store| {
-            let view = ResultStore::in_memory();
-            for (asked, ran) in &moved {
-                if let Some(result) = store.load(ran) {
-                    view.save(asked, result.records)?;
-                }
-            }
-            report(&view)
-        }),
-        ..plan
-    }
-}
-
 const USAGE: &str = "usage: pp-sweep <list | run <plan|all> [--metrics [path]] [--trace <glob>] \
 [--timelines [glob]] | resume <plan|all> [--metrics [path]] [--trace <glob>] [--timelines [glob]] | \
 status [plan] | metrics [path] | gc>";
@@ -202,7 +145,7 @@ fn default_metrics_path(store: &ResultStore) -> std::path::PathBuf {
         Some(dir) => dir.join("metrics.jsonl"),
         // mem/log backends have no store directory; export next to the
         // rest of the results.
-        None => pp_analysis::config::results_dir().join("metrics.jsonl"),
+        None => plan::results_dir().join("metrics.jsonl"),
     }
 }
 
@@ -222,7 +165,7 @@ fn list(cfg: PlanConfig) {
         "registered plans (PP_TRIALS={}, PP_SEED={}):",
         cfg.trials, cfg.master_seed
     );
-    for p in plans(cfg) {
+    for p in plan::plans(cfg) {
         println!(
             "  {:<18} {:>4} cells  {:>7} trials  — {}",
             p.name,
@@ -237,8 +180,10 @@ fn list(cfg: PlanConfig) {
 fn banner(p: &Plan, cfg: PlanConfig) {
     println!("== {} — {}", p.title, p.description);
     println!(
-        "   trials/cell = {}, master seed = {} (override with PP_TRIALS / PP_SEED)",
-        cfg.trials, cfg.master_seed
+        "   {} cells, {} trials, master seed = {} (override with PP_TRIALS / PP_SEED)",
+        p.cells.len(),
+        p.total_trials(),
+        cfg.master_seed
     );
     println!();
 }
@@ -252,9 +197,9 @@ fn run(
     timelines_glob: Option<&str>,
 ) -> i32 {
     let selected: Vec<Plan> = if name == "all" {
-        plans(cfg)
+        plan::plans(cfg)
     } else {
-        match find(name, cfg) {
+        match plan::find(name, cfg) {
             Some(p) => vec![p],
             None => return unknown_plan(name, cfg),
         }
@@ -548,7 +493,7 @@ fn status(p: &Plan, store: &ResultStore) {
 }
 
 fn gc(cfg: PlanConfig, store: &ResultStore) -> i32 {
-    // Everything a *current* plan (under the current env knobs) can
+    // Everything a *current* plan (under the current settings) can
     // address is live; anything else — stale KEY_VERSION entries, cells
     // from other PP_TRIALS/PP_SEED settings, leftover .tmp files — is
     // garbage. That is the point: gc reclaims results the current
@@ -557,7 +502,7 @@ fn gc(cfg: PlanConfig, store: &ResultStore) -> i32 {
     // store drops dead index entries and compacts, the memory store
     // forgets.
     let mut live: HashSet<String> = HashSet::new();
-    for p in plans(cfg) {
+    for p in plan::plans(cfg) {
         for c in &p.cells {
             live.insert(c.file_stem());
         }
@@ -584,7 +529,7 @@ fn gc(cfg: PlanConfig, store: &ResultStore) -> i32 {
 
 fn unknown_plan(name: &str, cfg: PlanConfig) -> i32 {
     eprintln!("pp-sweep: unknown plan '{name}'; available:");
-    for p in plans(cfg) {
+    for p in plan::plans(cfg) {
         eprintln!("  {}", p.name);
     }
     2
@@ -632,39 +577,24 @@ mod tests {
     }
 
     #[test]
-    fn kernel_knob_moves_leap_cells_and_reports_them() {
-        use crate::exec::ExecOptions;
-        use crate::observer::NullObserver;
+    fn gc_keeps_every_fig6_cell() {
         use crate::spec::CellMode;
+        use crate::store::TrialRecord;
+        let dir = std::env::temp_dir().join(format!("pp_sweep_gc_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = ResultStore::at(&dir);
         let cfg = PlanConfig {
-            trials: 2,
-            master_seed: 5,
+            trials: 1,
+            master_seed: 1,
         };
-        let summary = plan::ukp_cell(3, 12, cfg, CellMode::Summary);
-        let trajectory = plan::ukp_cell(3, 12, cfg, CellMode::Trajectory { sample_every: 16 });
-        let asked = summary.clone();
-        let test_plan = Plan {
-            name: "test",
-            title: "Test",
-            description: "test plan",
-            cells: vec![summary.clone(), trajectory.clone()],
-            report: Box::new(move |store| {
-                let c = plan::must_load(store, &asked);
-                Ok(format!("trials={}", c.records.len()))
-            }),
-        };
-        let moved = on_kernel(test_plan, KernelChoice::Batch);
-        let on_batch = CellSpec {
-            kernel: KernelChoice::Batch,
-            ..summary.clone()
-        };
-        assert_eq!(moved.cells, vec![on_batch.clone(), trajectory]);
-
-        let store = ResultStore::in_memory();
-        let text = runner::run_plan(&moved, &store, &NullObserver, &ExecOptions::default());
-        assert_eq!(text.unwrap(), "trials=2");
-        assert!(store.load(&on_batch).is_some());
-        assert!(store.load(&summary).is_none(), "the leap cell never ran");
+        let k16 = plan::ukp_cell(16, 960, cfg, CellMode::Summary);
+        store
+            .save(&k16, vec![TrialRecord::summary(0, Some(7))])
+            .unwrap();
+        assert_eq!(gc(cfg, &store), 0);
+        let kept = store.load(&k16).is_some();
+        let _ = std::fs::remove_dir_all(&dir);
+        assert!(kept, "gc removed fig6's k = 16 cell");
     }
 
     #[test]

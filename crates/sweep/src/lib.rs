@@ -12,10 +12,10 @@
 //!   stored under a stable hash of everything that determines its output;
 //!   re-running a finished plan is a no-op and figures regenerate
 //!   incrementally when only part of a grid changed. Storage is
-//!   pluggable ([`backend`]): the historical file store, an in-memory
-//!   store for tests and ephemeral serving, and a compacting
-//!   append-only log sized for millions of cells (`pp-serve`'s cache
-//!   tier; select with `PP_STORE_BACKEND`).
+//!   pluggable ([`backend`]): the historical file store (the CLI's
+//!   store), an in-memory store for tests and ephemeral serving, and a
+//!   compacting append-only log sized for millions of cells (`pp-serve`'s
+//!   cache tier; select with `pp-serve --backend`).
 //! * **Crash-safe resume** ([`journal`], [`exec`]) — every finished trial
 //!   is appended to a per-cell JSONL journal; after an interruption the
 //!   next run replays the journal and simulates only the missing trials.
@@ -26,7 +26,9 @@
 //! Execution ([`runner`]) shards cells across the worker pool with live
 //! progress via a metrics hook ([`observer`]) modeled on
 //! `pp_engine::observer`. The [`cli`] module backs the `pp-sweep` binary
-//! (`run`, `resume`, `status`, `gc`, `list`).
+//! (`run`, `resume`, `status`, `gc`, `list`). The three settings the
+//! process environment holds — `PP_TRIALS`, `PP_SEED` and
+//! `PP_RESULTS_DIR` — are read in [`plan`] and nowhere else.
 
 #![forbid(unsafe_code)]
 #![deny(clippy::dbg_macro, clippy::todo, clippy::print_stdout)]

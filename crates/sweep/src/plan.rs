@@ -6,6 +6,13 @@
 //! the store afterwards. Because rendering is separated from running,
 //! figures regenerate incrementally: a plan whose cells are all cached
 //! re-renders without simulating anything.
+//!
+//! This module also reads the process environment's three sweep
+//! settings, and it is the only code that does: `PP_TRIALS` and `PP_SEED`
+//! ([`PlanConfig::from_env`]) and `PP_RESULTS_DIR` ([`results_dir`]).
+
+use std::ffi::OsString;
+use std::path::PathBuf;
 
 use pp_engine::seeds;
 use pp_protocols::kpartition::UniformKPartition;
@@ -39,9 +46,9 @@ impl Plan {
     }
 }
 
-/// Sweep-wide knobs, read once from the environment (`PP_TRIALS`,
+/// Sweep-wide settings, read once from the environment (`PP_TRIALS`,
 /// `PP_SEED`) so every cell of a run agrees on them.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PlanConfig {
     /// Trials per cell.
     pub trials: usize,
@@ -50,13 +57,65 @@ pub struct PlanConfig {
 }
 
 impl PlanConfig {
-    /// Read `PP_TRIALS` / `PP_SEED` (with the paper defaults).
-    pub fn from_env() -> Self {
-        PlanConfig {
-            trials: pp_analysis::config::trials(),
-            master_seed: pp_analysis::config::master_seed(),
-        }
+    /// Read `PP_TRIALS` (default 100, the paper's count) and `PP_SEED`
+    /// (default 20180725, the paper's submission date).
+    ///
+    /// # Errors
+    /// A message naming the variable when a value does not parse, or
+    /// when `PP_TRIALS` is zero.
+    pub fn from_env() -> Result<Self, String> {
+        PlanConfig::parse(|name| std::env::var_os(name))
     }
+
+    /// [`Self::from_env`] over any variable lookup.
+    fn parse(var: impl Fn(&str) -> Option<OsString>) -> Result<Self, String> {
+        fn number<T: std::str::FromStr>(
+            var: &impl Fn(&str) -> Option<OsString>,
+            name: &str,
+        ) -> Result<Option<T>, String> {
+            var(name)
+                .map(|raw| {
+                    raw.to_str()
+                        .and_then(|v| v.parse().ok())
+                        .ok_or_else(|| format!("{name}={raw:?} is not an unsigned integer"))
+                })
+                .transpose()
+        }
+        let trials = number(&var, "PP_TRIALS")?.unwrap_or(100);
+        if trials == 0 {
+            return Err("PP_TRIALS=0: a cell needs at least one trial".into());
+        }
+        Ok(PlanConfig {
+            trials,
+            master_seed: number(&var, "PP_SEED")?.unwrap_or(20_180_725),
+        })
+    }
+}
+
+/// The results directory: `PP_RESULTS_DIR` if set, else `results/` under
+/// the workspace root (resolved from this crate's compile-time location),
+/// else `./results` as a last resort. CSVs, logs and the default result
+/// store live here.
+pub fn results_dir() -> PathBuf {
+    results_dir_or(std::env::var_os("PP_RESULTS_DIR"))
+}
+
+/// [`results_dir`] with the override given.
+fn results_dir_or(dir: Option<OsString>) -> PathBuf {
+    if let Some(dir) = dir {
+        return PathBuf::from(dir);
+    }
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .parent()
+        .and_then(|p| p.parent())
+        .map(PathBuf::from)
+        .unwrap_or_else(|| PathBuf::from("."));
+    root.join("results")
+}
+
+/// Path of a named artifact inside [`results_dir`].
+pub fn results_path(name: &str) -> PathBuf {
+    results_dir().join(name)
 }
 
 /// The paper's-protocol cell at `(k, n)`: stable-signature criterion,
@@ -140,6 +199,49 @@ mod tests {
             trials: 3,
             master_seed: 99,
         }
+    }
+
+    #[test]
+    fn settings_default_to_the_papers_and_reject_malformed_values() {
+        let parse = |vars: &[(&str, &str)]| {
+            PlanConfig::parse(|name| {
+                vars.iter()
+                    .find(|(k, _)| *k == name)
+                    .map(|(_, v)| OsString::from(v))
+            })
+        };
+        assert_eq!(
+            parse(&[]),
+            Ok(PlanConfig {
+                trials: 100,
+                master_seed: 20_180_725,
+            })
+        );
+        assert_eq!(parse(&[("PP_TRIALS", "3"), ("PP_SEED", "99")]), Ok(cfg()));
+        for (name, value) in [
+            ("PP_TRIALS", "0"),
+            ("PP_TRIALS", "five"),
+            ("PP_TRIALS", ""),
+            ("PP_TRIALS", "-1"),
+            ("PP_SEED", "-1"),
+            ("PP_SEED", "18446744073709551616"),
+        ] {
+            let err = parse(&[(name, value)]).unwrap_err();
+            assert!(err.starts_with(name), "{name}={value}: {err}");
+        }
+    }
+
+    #[test]
+    fn results_path_resolution_and_override() {
+        let default = results_dir_or(None);
+        assert!(default.ends_with("results"), "{}", default.display());
+        if std::env::var_os("PP_RESULTS_DIR").is_none() {
+            assert_eq!(results_path("x.csv"), default.join("x.csv"));
+        }
+        assert_eq!(
+            results_dir_or(Some("/tmp/pp-override".into())).join("y.csv"),
+            PathBuf::from("/tmp/pp-override/y.csv")
+        );
     }
 
     #[test]

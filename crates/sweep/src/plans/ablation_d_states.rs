@@ -111,7 +111,7 @@ pub fn plan(cfg: PlanConfig) -> Plan {
                  k-partition; the D states (rules 8-10) are what make every globally fair \
                  execution stabilise uniformly."
             );
-            let path = pp_analysis::config::results_path("ablation_d_states.csv");
+            let path = crate::plan::results_path("ablation_d_states.csv");
             table.write_csv(&path)?;
             let _ = writeln!(out, "wrote {}", path.display());
             Ok(out)

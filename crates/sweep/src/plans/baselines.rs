@@ -129,7 +129,7 @@ pub fn plan(cfg: PlanConfig) -> Plan {
                  baseline trades uniformity for (sometimes) fewer interactions, and the \
                  approximate baseline only promises the n/(2k) floor."
             );
-            let path = pp_analysis::config::results_path("baselines.csv");
+            let path = crate::plan::results_path("baselines.csv");
             table.write_csv(&path)?;
             let _ = writeln!(out, "wrote {}", path.display());
             Ok(out)

@@ -83,7 +83,7 @@ pub fn plan(cfg: PlanConfig) -> Plan {
                 "Right skew throughout: means sit above medians and worst cases run \
                  several times the typical — concurrent chain collisions are the tail."
             );
-            let path = pp_analysis::config::results_path("distributions.csv");
+            let path = crate::plan::results_path("distributions.csv");
             csv.write_csv(&path)?;
             let _ = writeln!(out, "wrote {}", path.display());
             Ok(out)

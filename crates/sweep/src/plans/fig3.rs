@@ -54,7 +54,7 @@ pub fn plan(cfg: PlanConfig) -> Plan {
                 }
                 let _ = writeln!(out, "### k = {k}\n");
                 let _ = writeln!(out, "{}", table.to_markdown());
-                let path = pp_analysis::config::results_path(&format!("fig3_k{k}.csv"));
+                let path = crate::plan::results_path(&format!("fig3_k{k}.csv"));
                 table.write_csv(&path)?;
                 let _ = writeln!(out, "wrote {}\n", path.display());
             }

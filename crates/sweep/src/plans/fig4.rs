@@ -75,7 +75,7 @@ pub fn plan(cfg: PlanConfig) -> Plan {
                     5 * ku + 1
                 );
                 let _ = writeln!(out, "{}", shown.to_markdown());
-                let path = pp_analysis::config::results_path(&format!("fig4_k{k}.csv"));
+                let path = crate::plan::results_path(&format!("fig4_k{k}.csv"));
                 csv.write_csv(&path)?;
                 let _ = writeln!(out, "wrote {}\n", path.display());
             }

@@ -83,7 +83,7 @@ pub fn plan(cfg: PlanConfig) -> Plan {
                 "### Power-law fits mean ∝ n^b (superlinear, subexponential expected)\n"
             );
             let _ = writeln!(out, "{}", fits.to_markdown());
-            let path = pp_analysis::config::results_path("fig5.csv");
+            let path = crate::plan::results_path("fig5.csv");
             csv.write_csv(&path)?;
             let _ = writeln!(out, "wrote {}", path.display());
             Ok(out)

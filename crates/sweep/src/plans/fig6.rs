@@ -4,9 +4,8 @@
 //! `log10(mean)`. (The legacy CSV interleaved `log10(mean)` into the
 //! middle and lacked `min`/`median`/`max`.)
 //!
-//! Grid `k ∈ {2,…,12}` by default; `PP_FIG6_KMAX=16` extends it — the
-//! knob participates in cell construction, so different settings address
-//! different store entries.
+//! Grid: the divisors `k` of 960 from 2 to 16, so every group is exactly
+//! `960 / k` agents.
 
 use std::fmt::Write as _;
 
@@ -18,21 +17,12 @@ use crate::spec::CellMode;
 
 const N: u64 = 960;
 
-/// The k grid: divisors of 960 up to `PP_FIG6_KMAX` (default 12).
-pub fn ks() -> Vec<usize> {
-    let kmax: usize = std::env::var("PP_FIG6_KMAX")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(12);
-    [2usize, 3, 4, 5, 6, 8, 10, 12, 15, 16]
-        .into_iter()
-        .filter(|&k| k <= kmax)
-        .collect()
-}
+/// The k grid: the divisors of 960 from 2 to 16.
+const KS: [usize; 10] = [2, 3, 4, 5, 6, 8, 10, 12, 15, 16];
 
 /// Build the Figure 6 plan.
 pub fn plan(cfg: PlanConfig) -> Plan {
-    let cells: Vec<_> = ks()
+    let cells: Vec<_> = KS
         .into_iter()
         .map(|k| ukp_cell(k, N, cfg, CellMode::Summary))
         .collect();
@@ -50,7 +40,7 @@ pub fn plan(cfg: PlanConfig) -> Plan {
                     .collect::<Vec<_>>(),
             );
             let mut points: Vec<(f64, f64)> = Vec::new();
-            for k in ks() {
+            for k in KS {
                 let cell = must_load(store, &ukp_cell(k, N, cfg, CellMode::Summary));
                 let s = cell.summary();
                 let _ = writeln!(out, "k = {k:2}: mean = {:>14}", fmt_f64(s.mean));
@@ -78,7 +68,7 @@ pub fn plan(cfg: PlanConfig) -> Plan {
                 ratios.iter().map(|r| format!("{r:.2}")).collect::<Vec<_>>()
             );
 
-            let path = pp_analysis::config::results_path("fig6.csv");
+            let path = crate::plan::results_path("fig6.csv");
             table.write_csv(&path)?;
             let _ = writeln!(out, "wrote {}", path.display());
             Ok(out)

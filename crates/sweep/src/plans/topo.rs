@@ -149,7 +149,7 @@ pub fn plan(cfg: PlanConfig) -> Plan {
                  cannot replace, so sub-1.00 rates are the expected, honest reading; \
                  the gap column compares converged trials only."
             );
-            let path = pp_analysis::config::results_path("topo_gap.csv");
+            let path = crate::plan::results_path("topo_gap.csv");
             csv.write_csv(&path)?;
             let _ = writeln!(out, "wrote {}", path.display());
             Ok(out)

@@ -104,7 +104,7 @@ pub fn plan(cfg: PlanConfig) -> Plan {
                 let _ = writeln!(out);
             }
 
-            let path = pp_analysis::config::results_path("trajectory.csv");
+            let path = crate::plan::results_path("trajectory.csv");
             csv.write_csv(&path)?;
             let _ = writeln!(out, "wrote {}", path.display());
             Ok(out)

@@ -75,7 +75,7 @@ pub fn plan(cfg: PlanConfig) -> Plan {
                  (Correctness of the variant is model-checked, not proved; see \
                  tests/model_check.rs.)"
             );
-            let path = pp_analysis::config::results_path("variants.csv");
+            let path = crate::plan::results_path("variants.csv");
             table.write_csv(&path)?;
             let _ = writeln!(out, "wrote {}", path.display());
             Ok(out)

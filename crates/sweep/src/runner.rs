@@ -10,7 +10,6 @@ use std::collections::HashMap;
 
 use crate::exec::{run_cell, CellOutcome, ExecOptions};
 use crate::observer::SweepObserver;
-use crate::plan::Plan;
 use crate::spec::CellSpec;
 use crate::store::ResultStore;
 
@@ -119,17 +118,6 @@ pub fn run_cells(
     })
 }
 
-/// Run one plan end to end: execute its cells, then render its report.
-pub fn run_plan(
-    plan: &Plan,
-    store: &ResultStore,
-    obs: &dyn SweepObserver,
-    opts: &ExecOptions,
-) -> std::io::Result<String> {
-    run_cells(&plan.cells, store, obs, opts)?;
-    (plan.report)(store)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -179,32 +167,5 @@ mod tests {
         run_cells(&cells, &store, &second, &ExecOptions::default()).unwrap();
         assert_eq!(second.cache_hits.load(Ordering::Relaxed), 3, "100% hits");
         assert_eq!(second.trials.load(Ordering::Relaxed), 0, "nothing re-run");
-    }
-
-    #[test]
-    fn plan_report_renders_after_run() {
-        // Smallest real plan: trajectory (3 single-run cells) would still
-        // take seconds; use a throwaway plan instead.
-        let store = temp_store("plan");
-        let cell = ukp_cell(3, 12, cfg(), CellMode::Summary);
-        let report_cell = cell.clone();
-        let plan = Plan {
-            name: "test",
-            title: "Test",
-            description: "test plan",
-            cells: vec![cell],
-            report: Box::new(move |store| {
-                let c = crate::plan::must_load(store, &report_cell);
-                Ok(format!("mean={}", c.summary().mean))
-            }),
-        };
-        let text = run_plan(
-            &plan,
-            &store,
-            &CountingObserver::default(),
-            &ExecOptions::default(),
-        )
-        .unwrap();
-        assert!(text.starts_with("mean="));
     }
 }

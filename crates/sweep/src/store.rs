@@ -7,14 +7,14 @@
 //! records. *Where* the records live is now pluggable (see
 //! [`crate::backend`]):
 //!
-//! * [`FsBackend`](crate::backend::FsBackend) — one JSON file per cell
-//!   under `<results>/store/`, the historical layout, bit-for-bit
-//!   compatible with every store written before the backend split;
-//! * [`MemBackend`](crate::backend::MemBackend) — a process-local map,
-//!   for tests and ephemeral serving;
-//! * [`LogBackend`](crate::backend::LogBackend) — a single append-only
-//!   journal file with an in-memory index and periodic compaction,
-//!   sized for millions of small cells (the `pp-serve` cache tier).
+//! * [`FsBackend`] — one JSON file per cell under `<results>/store/`,
+//!   the historical layout, bit-for-bit compatible with every store
+//!   written before the backend split;
+//! * [`MemBackend`] — a process-local map, for tests and ephemeral
+//!   serving;
+//! * [`LogBackend`] — a single append-only journal file with an
+//!   in-memory index and periodic compaction, sized for millions of
+//!   small cells (the `pp-serve` cache tier).
 //!
 //! [`ResultStore`] is the handle the rest of the crate (and `pp-serve`)
 //! passes around: a thin, cloneable wrapper over an `Arc<dyn
@@ -252,27 +252,10 @@ impl ResultStore {
         ResultStore { backend }
     }
 
-    /// The default store: `<results>/store`, where `<results>` follows
-    /// [`pp_analysis::config::results_dir`] (including the
-    /// `PP_RESULTS_DIR` override).
+    /// The default store: the file store at `<results>/store`, where
+    /// `<results>` is [`crate::plan::results_dir`].
     pub fn default_location() -> Self {
-        ResultStore::at(pp_analysis::config::results_dir().join("store"))
-    }
-
-    /// The store selected by `PP_STORE_BACKEND` (`fs` — the default —,
-    /// `mem`, or `log`), rooted under the results directory. `log` stores
-    /// live in `<results>/store.log`, next to (not inside) the file
-    /// store, so the two backends never alias.
-    pub fn from_env() -> std::io::Result<Self> {
-        match std::env::var("PP_STORE_BACKEND").as_deref() {
-            Ok("mem") => Ok(ResultStore::in_memory()),
-            Ok("log") => ResultStore::log_at(pp_analysis::config::results_dir().join("store.log")),
-            Ok("fs") | Ok("") | Err(_) => Ok(ResultStore::default_location()),
-            Ok(other) => Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidInput,
-                format!("unknown PP_STORE_BACKEND '{other}' (expected fs, mem, or log)"),
-            )),
-        }
+        ResultStore::at(crate::plan::results_dir().join("store"))
     }
 
     /// The backend's short kind tag (`fs`, `mem`, `log`).
@@ -462,16 +445,5 @@ mod tests {
     fn save_rejects_incomplete_cells() {
         let store = temp_store("incomplete");
         let _ = store.save(&spec(2), vec![TrialRecord::summary(0, Some(1))]);
-    }
-
-    #[test]
-    fn from_env_rejects_unknown_backends() {
-        // Uses the parse helper indirectly: an unknown name must error
-        // rather than silently falling back to fs. (Env mutation is
-        // avoided — other tests read PP_* concurrently — so exercise the
-        // match arm through a scoped process would be overkill; instead
-        // assert the known names construct.)
-        assert_eq!(ResultStore::in_memory().kind(), "mem");
-        assert_eq!(temp_store("env").kind(), "fs");
     }
 }

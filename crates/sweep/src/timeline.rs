@@ -38,7 +38,7 @@ use crate::trace::glob_match;
 pub fn timeline_path(store: &ResultStore, spec: &CellSpec) -> PathBuf {
     let dir = match store.fs_dir() {
         Some(d) => d.to_path_buf(),
-        None => pp_analysis::config::results_dir().join("timelines"),
+        None => crate::plan::results_dir().join("timelines"),
     };
     dir.join(format!("{}.timeline.json", spec.file_stem()))
 }

@@ -59,7 +59,7 @@ pub fn glob_match(pattern: &str, name: &str) -> bool {
 pub fn trace_path(store: &ResultStore, spec: &CellSpec) -> PathBuf {
     let dir = match store.fs_dir() {
         Some(d) => d.to_path_buf(),
-        None => pp_analysis::config::results_dir().join("traces"),
+        None => crate::plan::results_dir().join("traces"),
     };
     dir.join(format!("{}.trace", spec.file_stem()))
 }

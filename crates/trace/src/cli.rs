@@ -9,11 +9,10 @@
 //! pp-trace lemma1 FILE          online Lemma-1 invariant check
 //! ```
 //!
-//! `record` honours the `PP_KERNEL` knob when `--kernel` is not given
-//! (`auto` resolves to the leap kernel, the default). The batch kernel
-//! reports tau-leaps only in bulk, so a batch request records on its
-//! stand-in, the exact leap kernel — as `pp-sweep run --trace` does —
-//! and the header says `leap`.
+//! `record` runs the leap kernel unless `--kernel` names another one.
+//! The batch kernel reports tau-leaps only in bulk, so a batch request
+//! records on its stand-in, the exact leap kernel — as `pp-sweep run
+//! --trace` does — and the header says `leap`.
 
 use crate::classify::{check_lemma1, classify, Event, Lemma1Report};
 use crate::format::{TraceError, TraceKernel};
@@ -106,21 +105,13 @@ fn parse_u64(opts: &[(String, String)], name: &str) -> Result<Option<u64>, Strin
         .transpose()
 }
 
-/// The kernel `record` runs on: `--kernel`, else the `PP_KERNEL` knob.
+/// The trace kernel that records the kernel `--kernel` names
+/// (case-insensitive; leap when absent).
 fn kernel_from(opts: &[(String, String)]) -> Result<TraceKernel, String> {
-    let chosen = opt(opts, "kernel")
-        .map(str::to_string)
-        .or_else(|| std::env::var("PP_KERNEL").ok());
-    resolve_kernel(chosen.as_deref())
-}
-
-/// Resolve a kernel name (case-insensitive; absent or `auto` means leap)
-/// to the trace kernel that records it.
-fn resolve_kernel(name: Option<&str>) -> Result<TraceKernel, String> {
-    let kernel = match name.unwrap_or("auto").to_ascii_lowercase().as_str() {
-        "auto" => Kernel::Leap,
-        name => Kernel::parse(name)
-            .ok_or_else(|| format!("unknown kernel `{name}` (naive|leap|batch|auto)"))?,
+    let kernel = match opt(opts, "kernel") {
+        None => Kernel::Leap,
+        Some(name) => Kernel::parse(&name.to_ascii_lowercase())
+            .ok_or_else(|| format!("unknown kernel `{name}` (naive|leap|batch)"))?,
     };
     Ok(TraceKernel::recording(kernel))
 }
@@ -339,13 +330,17 @@ mod tests {
 
     #[test]
     fn kernel_names_resolve_to_their_recording_kernel() {
-        assert_eq!(resolve_kernel(Some("naive")), Ok(TraceKernel::Naive));
-        assert_eq!(resolve_kernel(Some("leap")), Ok(TraceKernel::Leap));
-        assert_eq!(resolve_kernel(Some("batch")), Ok(TraceKernel::Leap));
-        assert_eq!(resolve_kernel(Some("BATCH")), Ok(TraceKernel::Leap));
-        assert_eq!(resolve_kernel(Some("auto")), Ok(TraceKernel::Leap));
-        assert_eq!(resolve_kernel(None), Ok(TraceKernel::Leap));
-        assert!(resolve_kernel(Some("fleet")).is_err());
+        let kernel = |args: &[&str]| {
+            let args: Vec<String> = args.iter().map(|s| s.to_string()).collect();
+            kernel_from(&parse_opts(&args).unwrap().0)
+        };
+        assert_eq!(kernel(&["--kernel", "naive"]), Ok(TraceKernel::Naive));
+        assert_eq!(kernel(&["--kernel", "leap"]), Ok(TraceKernel::Leap));
+        assert_eq!(kernel(&["--kernel", "batch"]), Ok(TraceKernel::Leap));
+        assert_eq!(kernel(&["--kernel", "BATCH"]), Ok(TraceKernel::Leap));
+        assert_eq!(kernel(&[]), Ok(TraceKernel::Leap));
+        assert!(kernel(&["--kernel", "auto"]).is_err());
+        assert!(kernel(&["--kernel", "fleet"]).is_err());
     }
 
     #[test]

@@ -23,13 +23,9 @@ use pp_engine::seeds::fnv1a64;
 /// call [`TraceRecorder::finish`] with the final configuration to obtain
 /// the complete byte stream.
 ///
-/// A recorder built with [`TraceRecorder::disabled`] keeps the same type
-/// (so call sites can toggle recording without re-monomorphising the
-/// simulation) but skips all encoding, leaving one branch per observer
-/// callback. On a leap run to stability at k = 8, n = 10⁴ that measured
-/// +2% to +4% over `NullObserver`, and a recording recorder +36% to
-/// +43% (median of 25 interleaved pairs, four sessions on a 2-vCPU
-/// host). No test or benchmark gates either cost.
+/// On a leap run to stability at k = 8, n = 10⁴, recording measured
+/// +36% to +43% over `NullObserver` (median of 25 interleaved pairs,
+/// four sessions on a 2-vCPU host). No test or benchmark gates the cost.
 #[derive(Clone, Debug)]
 pub struct TraceRecorder {
     buf: Vec<u8>,
@@ -40,7 +36,6 @@ pub struct TraceRecorder {
     effective: u64,
     identity: u64,
     lifecycle: u64,
-    enabled: bool,
 }
 
 impl TraceRecorder {
@@ -53,7 +48,6 @@ impl TraceRecorder {
             effective: 0,
             identity: 0,
             lifecycle: 0,
-            enabled: true,
         }
     }
 
@@ -77,24 +71,6 @@ impl TraceRecorder {
             initial_counts: pop.counts().to_vec(),
         };
         TraceRecorder::new(&header)
-    }
-
-    /// A recorder that ignores every event and produces no bytes.
-    pub fn disabled() -> Self {
-        TraceRecorder {
-            buf: Vec::new(),
-            emitted_step: 0,
-            pending_identities: 0,
-            effective: 0,
-            identity: 0,
-            lifecycle: 0,
-            enabled: false,
-        }
-    }
-
-    /// Whether this recorder is actually encoding.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
     }
 
     /// Effective interactions recorded so far.
@@ -131,7 +107,6 @@ impl TraceRecorder {
     /// Seal the trace: flush any coalesced identities, append the footer
     /// with `final_counts` and the checksum, and return the byte stream.
     pub fn finish(mut self, final_counts: &[u64]) -> Vec<u8> {
-        assert!(self.enabled, "cannot finish a disabled recorder");
         self.flush_identities();
         put_varint(&mut self.buf, TAG_FOOTER);
         for &c in final_counts {
@@ -154,9 +129,6 @@ impl Observer for TraceRecorder {
         q2: StateId,
         _counts: &[u64],
     ) {
-        if !self.enabled {
-            return;
-        }
         if p == p2 && q == q2 {
             // Naive kernel reporting an identity: coalesce.
             self.pending_identities += 1;
@@ -176,9 +148,6 @@ impl Observer for TraceRecorder {
 
     #[inline]
     fn on_identity_run(&mut self, last_step: u64, skipped: u64, _counts: &[u64]) {
-        if !self.enabled {
-            return;
-        }
         debug_assert_eq!(self.pending_identities, 0, "mixed kernel reporting");
         put_varint(&mut self.buf, TAG_IDENTITY_RUN);
         put_varint(&mut self.buf, last_step - self.emitted_step);
@@ -189,9 +158,6 @@ impl Observer for TraceRecorder {
 
     #[inline]
     fn on_lifecycle(&mut self, step: u64, kind: LifecycleKind, state: StateId, _counts: &[u64]) {
-        if !self.enabled {
-            return;
-        }
         // A lifecycle event may share its step with the interaction that
         // preceded it, so a zero delta is legal here (unlike effective
         // records). Pending identities must flush first to keep records
@@ -277,17 +243,6 @@ mod tests {
         let trace = Trace::decode(&bytes).unwrap();
         assert_eq!(trace.records.len(), 2);
         assert_eq!(trace.last_step(), 8);
-    }
-
-    #[test]
-    fn disabled_recorder_emits_nothing() {
-        let a = StateId(0);
-        let mut rec = TraceRecorder::disabled();
-        rec.on_interaction(1, a, a, a, a, &[4, 0]);
-        rec.on_identity_run(9, 8, &[4, 0]);
-        rec.on_lifecycle(2, LifecycleKind::Join, a, &[5, 0]);
-        assert_eq!(rec.bytes_so_far(), 0);
-        assert!(!rec.is_enabled());
     }
 
     #[test]

@@ -15,12 +15,12 @@ cd "$(dirname "$0")/.."
 cargo build --release -q
 
 echo "=== pp-sweep run all (executes every plan's cells, cached + resumable)"
-PP_FIG6_KMAX=16 cargo run --release -q -p pp-sweep --bin pp-sweep -- run all \
+cargo run --release -q -p pp-sweep --bin pp-sweep -- run all \
   > results/run_all.log 2>&1
 
 echo "=== re-rendering per-plan logs from the store (cache hits)"
 for plan in fig3 fig4 fig5 fig6 ablation_d_states baselines variants distributions trajectory; do
-  PP_FIG6_KMAX=16 cargo run --release -q -p pp-sweep --bin pp-sweep -- run $plan \
+  cargo run --release -q -p pp-sweep --bin pp-sweep -- run $plan \
     > results/$plan.log 2>&1
 done
 

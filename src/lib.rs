@@ -59,7 +59,6 @@ pub mod prelude {
     pub use pp_engine::simulator::{RunResult, Simulator};
     pub use pp_engine::spec::ProtocolSpec;
     pub use pp_engine::stability::{GroupClosure, Signature, Silent, StabilityCriterion};
-    pub use pp_engine::BatchConfig;
     pub use pp_protocols::kpartition::UniformKPartition;
 }
 

@@ -48,10 +48,6 @@ proptest! {
             .run_leap(&mut pop_leap, &mut sched_leap, &sig, u64::MAX)
             .unwrap();
 
-        let cfg = BatchConfig {
-            safety_threshold: n,
-            ..BatchConfig::default()
-        };
         let mut pop_batch = CountPopulation::new(&proto, n);
         let mut sched_batch = UniformRandomScheduler::from_seed(seed);
         let batch = sim
@@ -60,7 +56,7 @@ proptest! {
                 &mut sched_batch,
                 &sig,
                 u64::MAX,
-                &cfg,
+                n,
                 &mut uniform_k_partition::engine::observer::NullObserver,
             )
             .unwrap();
@@ -156,7 +152,7 @@ fn ks_statistic(a: &mut [f64], b: &mut [f64]) -> f64 {
 #[test]
 fn batch_and_leap_agree_in_distribution_on_mid_size_cell() {
     let (k, n, trials) = (3usize, 600u64, 120u64);
-    let epsilon = 0.05; // BatchConfig::default().epsilon
+    let epsilon = uniform_k_partition::engine::batch::EPSILON;
     let (mut leap, _) = samples(false, k, n, trials, 300_000);
     let (mut batch, leaps) = samples(true, k, n, trials, 400_000);
     assert!(

@@ -131,7 +131,7 @@ fn leap_trajectories_match_their_pinned_digests() {
 
 #[test]
 fn batch_trajectories_match_their_pinned_digests() {
-    // (k, n, trials, digest), default BatchConfig.
+    // (k, n, trials, digest), default safety threshold.
     let cells: [(usize, u64, u64, u64); 3] = [
         (3, 4_000, 4, 0x45ba13d703598215),
         (3, 20_000, 2, 0x4d137538cd0cf4d3),
