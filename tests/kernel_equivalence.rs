@@ -7,6 +7,7 @@
 
 use proptest::prelude::*;
 
+use uniform_k_partition::engine::observer::NullObserver;
 use uniform_k_partition::prelude::*;
 use uniform_k_partition::verify::hitting::{hitting_moments, SolverOptions};
 use uniform_k_partition::verify::ConfigGraph;
@@ -15,6 +16,9 @@ use uniform_k_partition::verify::ConfigGraph;
 enum Kernel {
     Naive,
     Leap,
+    /// The batch kernel at a safety threshold of `n`, where every step
+    /// is exact.
+    BatchExact,
 }
 
 /// Mean and standard error of interactions-to-stability over `trials`
@@ -32,6 +36,9 @@ fn sample_mean(kernel: Kernel, k: usize, n: u64, trials: u64, seed_base: u64) ->
         let r = match kernel {
             Kernel::Naive => sim.run(&mut pop, &mut sched, &sig, u64::MAX),
             Kernel::Leap => sim.run_leap(&mut pop, &mut sched, &sig, u64::MAX),
+            Kernel::BatchExact => {
+                sim.run_batch_configured(&mut pop, &mut sched, &sig, u64::MAX, n, &mut NullObserver)
+            }
         }
         .unwrap();
         sum += r.interactions;
@@ -62,13 +69,14 @@ fn exact_mean(k: usize, n: u64) -> f64 {
 }
 
 proptest! {
-    // Each case solves a Markov chain and runs 2 × 150 trials; keep the
+    // Each case solves a Markov chain and runs 3 × 150 trials; keep the
     // case count small — the grid below only has a handful of cells
     // anyway.
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Both kernels' sample means sit within 4 standard errors of the
-    /// exact expectation on every small (k, n) cell.
+    /// Every kernel's sample mean sits within 4 standard errors of the
+    /// exact expectation on every small (k, n) cell: naive, leap, and
+    /// the batch kernel's exact steps.
     #[test]
     fn both_kernels_match_exact_hitting_time(
         k in 2usize..=3,
@@ -77,7 +85,7 @@ proptest! {
     ) {
         let trials = 150;
         let exact = exact_mean(k, n);
-        for kernel in [Kernel::Naive, Kernel::Leap] {
+        for kernel in [Kernel::Naive, Kernel::Leap, Kernel::BatchExact] {
             let (mean, sem) = sample_mean(kernel, k, n, trials, seed_base);
             let z = (mean - exact) / sem;
             prop_assert!(
