@@ -55,9 +55,10 @@ impl KernelMeasurement {
 /// Counts effective interactions; works on the censored path too, where
 /// `RunError` carries no counters. The leap kernel only reports
 /// effective interactions, the naive kernel reports identities as well,
-/// so counting `(p, q) != (p2, q2)` is right for both; the batch kernel
-/// reports each tau-leap's effective-firing total through
-/// `on_leap_batch` and its exact-fallback interactions one by one.
+/// so counting `(p, q) != (p2, q2)` is right for both. The batch kernel
+/// reports the effective-firing total of each tau-leap, and of each
+/// lumped stretch of flips in its exact steps, through `on_leap_batch`,
+/// and the last effective interaction of each exact step one by one.
 #[derive(Default)]
 struct EffectiveCounter {
     effective: u64,

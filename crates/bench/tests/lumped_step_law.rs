@@ -14,16 +14,18 @@
 //! count, final configuration, terminating pair) by a two-sample
 //! chi-square test, and the means of the flip count, of the identity
 //! total and of every class count by Welch z-tests, plus a two-sample
-//! Kolmogorov–Smirnov test on the identity totals. The censored cells
-//! add a budget that cuts a third to a half of the runs inside a
-//! stretch and compare the final configurations, and the hierarchical
+//! Kolmogorov–Smirnov test on the identity totals and, for each kernel,
+//! the identity total against its exact mean given the flip count. The
+//! censored cells add a budget that cuts a third to a half of the runs
+//! inside a stretch and compare the final configurations and the
+//! effective interactions completed at the cut, and the hierarchical
 //! cell also runs under `Never` to a budget, across many stretches.
 //!
 //! **False-alarm rate.** Every assertion is set at a one- or two-sided
 //! p-value of about 10⁻⁶ (chi-square z > 4.75 by the Wilson–Hilferty
 //! transform, |Welch z| > 4.9, KS distance above its α = 10⁻⁶ critical
-//! value), and the file makes fewer than 50 of them, so a correct
-//! kernel fails it with probability below 5·10⁻⁵. The seeds are fixed,
+//! value), and the file makes fewer than 60 of them, so a correct
+//! kernel fails it with probability below 6·10⁻⁵. The seeds are fixed,
 //! so a run is reproducible.
 //!
 //! The file takes a few seconds in release and much longer in debug,
@@ -38,7 +40,7 @@ use pp_engine::protocol::{CompiledProtocol, StateId};
 use pp_engine::scheduler::UniformRandomScheduler;
 use pp_engine::seeds::derive;
 use pp_engine::simulator::{RunError, Simulator};
-use pp_engine::stability::{Never, StabilityCriterion};
+use pp_engine::stability::{Never, StabilityCriterion, StabilityTracker};
 use pp_protocols::hierarchical::HierarchicalPartition;
 use pp_protocols::kpartition::UniformKPartition;
 
@@ -69,7 +71,9 @@ fn flip_class(proto: &CompiledProtocol) -> Vec<bool> {
 }
 
 /// Stable once a count outside the flip class differs from the start:
-/// the first interaction that leaves the class ends the run.
+/// the first interaction that leaves the class ends the run. Moves
+/// within the class cannot change that verdict, and its tracker says so,
+/// so the batch kernel lumps the class's flips.
 struct LeavesClass {
     start: Vec<u64>,
     class: Vec<bool>,
@@ -83,13 +87,53 @@ impl StabilityCriterion for LeavesClass {
             .zip(&self.class)
             .any(|((c, s), &inside)| !inside && c != s)
     }
+
+    fn tracker<'a>(
+        &'a self,
+        _proto: &CompiledProtocol,
+        counts: &[u64],
+    ) -> Box<dyn StabilityTracker + 'a> {
+        Box::new(LeavesClassTracker {
+            criterion: self,
+            counts: counts.to_vec(),
+        })
+    }
 }
 
-/// Remembers the last effective pair reported one by one.
-#[derive(Default)]
-struct LastPair(Option<(StateId, StateId)>);
+/// [`LeavesClass`]'s tracker: the counts, folded from the deltas.
+struct LeavesClassTracker<'a> {
+    criterion: &'a LeavesClass,
+    counts: Vec<u64>,
+}
 
-impl Observer for LastPair {
+impl StabilityTracker for LeavesClassTracker<'_> {
+    fn apply_delta(&mut self, s: StateId, delta: i64) {
+        let c = &mut self.counts[s.index()];
+        *c = c
+            .checked_add_signed(delta)
+            .expect("counts stay non-negative");
+    }
+
+    fn is_stable(&mut self, proto: &CompiledProtocol, counts: &[u64]) -> bool {
+        assert_eq!(self.counts, counts, "the tracker saw every delta");
+        self.criterion.is_stable(proto, counts)
+    }
+
+    fn ignores_moves_within(&self, class: &[StateId]) -> bool {
+        class.iter().all(|s| self.criterion.class[s.index()])
+    }
+}
+
+/// Counts effective interactions as observers see them, one by one or
+/// in a lumped stretch, and remembers the last one reported one by one.
+#[derive(Default)]
+struct Tally {
+    effective: u64,
+    stretches: u64,
+    last: Option<(StateId, StateId)>,
+}
+
+impl Observer for Tally {
     fn on_interaction(
         &mut self,
         _step: u64,
@@ -99,7 +143,13 @@ impl Observer for LastPair {
         _q2: StateId,
         _counts: &[u64],
     ) {
-        self.0 = Some((p, q));
+        self.effective += 1;
+        self.last = Some((p, q));
+    }
+
+    fn on_leap_batch(&mut self, _last_step: u64, _tau: u64, effective: u64, _counts: &[u64]) {
+        self.effective += effective;
+        self.stretches += 1;
     }
 }
 
@@ -123,6 +173,23 @@ impl Cell {
 
     fn n(&self) -> u64 {
         self.start.iter().sum()
+    }
+
+    /// `W_id / W_eff` at the start: the mean identity gap before each
+    /// effective interaction, while no non-flip has fired.
+    fn identity_odds(&self) -> f64 {
+        let c = &self.start;
+        let mut w_id = 0;
+        for p in self.proto.states() {
+            for q in self.proto.states() {
+                if self.proto.is_identity(p, q) {
+                    let cq = c[q.index()] - u64::from(p == q).min(c[q.index()]);
+                    w_id += c[p.index()] * cq;
+                }
+            }
+        }
+        let total = self.n() * (self.n() - 1);
+        w_id as f64 / (total - w_id) as f64
     }
 }
 
@@ -188,14 +255,17 @@ fn hierarchical_cell() -> Cell {
 struct Outcome {
     /// Whether the run ended at its budget.
     censored: bool,
-    /// Effective interactions before the terminating pair.
+    /// Effective interactions before the terminating pair, or all of
+    /// them at the cut when censored.
     flips: u64,
-    /// Identity interactions.
+    /// Identity interactions (uncensored runs).
     identities: u64,
     /// The terminating pair, if the run ended on one.
     last: Option<(StateId, StateId)>,
     /// The final configuration.
     counts: Vec<u64>,
+    /// Lumped stretches the run reported.
+    stretches: u64,
 }
 
 impl Outcome {
@@ -222,27 +292,39 @@ fn run<C: StabilityCriterion>(
     let sim = Simulator::new(&cell.proto);
     let mut pop = CountPopulation::from_counts(cell.start.clone());
     let mut sched = UniformRandomScheduler::from_seed(seed);
-    let mut last = LastPair::default();
+    let mut tally = Tally::default();
     let res = if batch {
-        sim.run_batch_configured(&mut pop, &mut sched, criterion, budget, cell.n(), &mut last)
+        sim.run_batch_configured(
+            &mut pop,
+            &mut sched,
+            criterion,
+            budget,
+            cell.n(),
+            &mut tally,
+        )
     } else {
-        sim.run_leap_observed(&mut pop, &mut sched, criterion, budget, &mut last)
+        sim.run_leap_observed(&mut pop, &mut sched, criterion, budget, &mut tally)
     };
     let counts = pop.counts().to_vec();
     match res {
-        Ok(r) => Outcome {
-            censored: false,
-            flips: r.effective_interactions - 1,
-            identities: r.interactions - r.effective_interactions,
-            last: last.0,
-            counts,
-        },
+        Ok(r) => {
+            assert_eq!(tally.effective, r.effective_interactions, "{}", cell.name);
+            Outcome {
+                censored: false,
+                flips: r.effective_interactions - 1,
+                identities: r.interactions - r.effective_interactions,
+                last: tally.last,
+                counts,
+                stretches: tally.stretches,
+            }
+        }
         Err(RunError::InteractionLimit { .. }) => Outcome {
             censored: true,
-            flips: 0,
+            flips: tally.effective,
             identities: 0,
             last: None,
             counts,
+            stretches: tally.stretches,
         },
         Err(e) => panic!("{}: unexpected run error {e}", cell.name),
     }
@@ -341,8 +423,11 @@ fn ks_critical() -> f64 {
 
 /// Compare the two kernels' outcomes on `cell`: the joint law and
 /// every marginal mean, and for runs that end on a terminating pair the
-/// identity totals' laws.
+/// identity totals' laws, between the kernels and against their exact
+/// mean given the flip count.
 fn compare(label: &str, cell: &Cell, batch: &[Outcome], leap: &[Outcome]) {
+    let lumped = batch.iter().map(|o| o.stretches).sum::<u64>();
+    assert!(lumped > 0, "{label}: the batch kernel lumped no stretch");
     let (z, bins) = chi_square_z(batch, leap);
     println!("{label}: joint law over {bins} bins, chi-square z = {z:.2}");
     assert!(
@@ -363,13 +448,31 @@ fn compare(label: &str, cell: &Cell, batch: &[Outcome], leap: &[Outcome]) {
         z.abs() < Z_MEAN,
         "{label}: censoring rates differ (z = {z:.2})"
     );
+    let z = welch_z(batch, leap, |o| o.flips as f64);
+    println!("{label}: flips z = {z:.2}");
+    assert!(
+        z.abs() < Z_MEAN,
+        "{label}: mean flip counts differ (z = {z:.2})"
+    );
     if batch.iter().all(|o| !o.censored) && leap.iter().all(|o| !o.censored) {
-        let z = welch_z(batch, leap, |o| o.flips as f64);
-        println!("{label}: flips z = {z:.2}");
-        assert!(
-            z.abs() < Z_MEAN,
-            "{label}: mean flip counts differ (z = {z:.2})"
-        );
+        // Each of the `flips + 1` effective interactions follows an
+        // i.i.d. geometric gap of mean θ = W_id/W_eff and variance θ(1 + θ).
+        let theta = cell.identity_odds();
+        for (kernel, sample) in [("batch", batch), ("leap", leap)] {
+            let (excess, var) = sample.iter().fold((0.0, 0.0), |(e, v), o| {
+                let events = (o.flips + 1) as f64;
+                (
+                    e + o.identities as f64 - events * theta,
+                    v + events * theta * (1.0 + theta),
+                )
+            });
+            let z = excess / f64::sqrt(var);
+            println!("{label}: {kernel} identities against their exact mean, z = {z:.2}");
+            assert!(
+                z.abs() < Z_MEAN,
+                "{label}: {kernel} identity totals off their exact mean (z = {z:.2})"
+            );
+        }
         let z = welch_z(batch, leap, |o| o.identities as f64);
         let d = ks_distance(batch, leap, |o| o.identities);
         println!("{label}: identities z = {z:.2}, KS distance {d:.4}");

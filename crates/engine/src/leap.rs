@@ -34,9 +34,11 @@
 //!
 //! `LeapRun::step` is the kernel's one exact step (an identity run,
 //! then one effective interaction) on a detached count vector. The leap
-//! kernel repeats it to the end of a run; the batch kernel's exact bursts
-//! call the same step, which is what makes the two bit-identical per seed
-//! whenever the batch kernel never leaps.
+//! kernel repeats it to the end of a run. The batch kernel's exact
+//! bursts share the run state and call the same step whenever no flip
+//! is enabled (otherwise they lump the stretch of flips, see
+//! [`crate::batch`]), which is what makes the two bit-identical per seed
+//! on flip-free protocols whenever the batch kernel never leaps.
 
 use crate::observer::Observer;
 use crate::protocol::{CompiledProtocol, PairEffect, StateId};
@@ -216,12 +218,13 @@ pub(crate) enum StepOutcome {
 ///
 /// [`crate::simulator::Simulator::run_leap_observed`] repeats
 /// [`LeapRun::step`] until the run ends; the batch kernel's exact bursts
-/// ([`crate::batch::BatchTrial`]) call the same step between tau-leaps.
+/// ([`crate::batch::BatchTrial`]) share the run state between tau-leaps
+/// and call the same step when no flip is enabled.
 pub(crate) struct LeapRun<'a> {
     pub(crate) weights: IdentityWeights,
     pub(crate) tracker: Box<dyn StabilityTracker + 'a>,
     /// Number of agents `n`.
-    n: u64,
+    pub(crate) n: u64,
     /// `n(n−1)`: the ordered agent pairs the scheduler draws from.
     pub(crate) total: u64,
     /// Cumulative interactions (identities included), the paper's metric.
@@ -309,6 +312,22 @@ impl<'a> LeapRun<'a> {
         let e = proto
             .pair_effect(p, q)
             .expect("effective pairs are non-identity");
+        self.fire(proto, counts, e, observer)
+    }
+
+    /// Apply one effective interaction, the compiled pair `e`, as the
+    /// next interaction: its net deltas update `counts`, its effect the
+    /// identity weights and the stability tracker, and the observer sees
+    /// it through [`Observer::on_interaction`]. Then ask the tracker
+    /// whether the run is over.
+    #[inline(always)]
+    pub(crate) fn fire<O: Observer>(
+        &mut self,
+        proto: &CompiledProtocol,
+        counts: &mut [u64],
+        e: &PairEffect,
+        observer: &mut O,
+    ) -> StepOutcome {
         self.interactions += 1;
         self.effective += 1;
         self.weights.apply_effect(proto, e);
@@ -318,7 +337,7 @@ impl<'a> LeapRun<'a> {
             *c = c.wrapping_add_signed(d);
         }
         self.tracker.apply_pair(e);
-        observer.on_interaction(self.interactions, p, q, e.p2, e.q2, counts);
+        observer.on_interaction(self.interactions, e.p, e.q, e.p2, e.q2, counts);
         if self.tracker.is_stable(proto, counts) {
             StepOutcome::Stable
         } else {

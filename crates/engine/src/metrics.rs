@@ -18,7 +18,7 @@
 //! | `engine.effective_interactions` | counter   | state-changing interactions |
 //! | `engine.identity_run_len`       | histogram | lengths of maximal identity runs |
 //! | `engine.stability.rescans`      | counter   | O(&#124;Q&#124;) fallback stability rescans |
-//! | `engine.leap_batches`           | counter   | tau-leaps applied by the batch kernel |
+//! | `engine.leap_batches`           | counter   | batches applied by the batch kernel: tau-leaps and lumped stretches of flips |
 //! | `engine.batch_fallbacks`        | counter   | batch→exact fallback transitions |
 
 use crate::observer::{FallbackReason, Observer};
@@ -41,9 +41,10 @@ pub struct EngineMetrics {
     pub identity_run_len: Arc<Histogram>,
     /// Full-rescan stability checks (the O(|Q|) tracker fallback).
     pub stability_rescans: Arc<Counter>,
-    /// Tau-leap batches applied by the batch kernel.
+    /// Batches applied by the batch kernel: tau-leaps and lumped
+    /// stretches of flips.
     pub leap_batches: Arc<Counter>,
-    /// Batch-kernel fallbacks to exact leap stepping (all reasons).
+    /// Batch-kernel fallbacks to exact lumped steps (all reasons).
     pub batch_fallbacks: Arc<Counter>,
 }
 
@@ -206,10 +207,10 @@ impl Observer for TelemetryObserver {
 
     #[inline]
     fn on_leap_batch(&mut self, _last_step: u64, tau: u64, effective: u64, _counts: &[u64]) {
-        // Batch kernel: one tau-leap covers `tau` interactions, of which
-        // `effective` fired rules. The identity mass inside a leap is not
-        // a *maximal* identity run, so it deliberately stays out of
-        // `engine.identity_run_len`.
+        // Batch kernel: one tau-leap or lumped stretch covers `tau`
+        // interactions, of which `effective` fired rules. The identity
+        // mass inside a batch is not one *maximal* identity run, so it
+        // deliberately stays out of `engine.identity_run_len`.
         self.interactions += tau;
         self.effective += effective;
         self.leap_batches += 1;

@@ -10,9 +10,9 @@
 
 use crate::protocol::StateId;
 
-/// Why the batch kernel handed a stretch of the run to the exact leap
-/// kernel. Reported through [`Observer::on_batch_fallback`] and tallied
-/// in `engine.batch_fallbacks`.
+/// Why the batch kernel handed a stretch of the run to exact steps.
+/// Reported through [`Observer::on_batch_fallback`] and tallied in
+/// `engine.batch_fallbacks`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FallbackReason {
     /// Some reactant of an enabled rule is at or below the safety
@@ -112,24 +112,31 @@ pub trait Observer {
 
     /// Called by the batch kernel
     /// ([`crate::simulator::Simulator::run_batch`]) after applying one
-    /// tau-leap of `tau ≥ 1` scheduler interactions, of which `effective`
+    /// batch of `tau ≥ 1` scheduler interactions, of which `effective ≥ 1`
     /// were state-changing rule firings. `last_step` is the (1-based)
-    /// cumulative interaction number of the last interaction in the leap,
-    /// and `counts` is the configuration *after* the whole leap.
+    /// cumulative interaction number of the last interaction in the
+    /// batch, and `counts` is the configuration *after* the whole batch.
+    ///
+    /// A batch is either a tau-leap or a lumped stretch of flips inside
+    /// an exact step: the flips after the step's identity run
+    /// ([`Observer::on_identity_run`]) and the identities between them,
+    /// before the step's last effective interaction
+    /// ([`Observer::on_interaction`]). A stretch cut by the interaction
+    /// budget is reported up to the cut, with `last_step` the budget.
     ///
     /// Unlike [`Observer::on_interaction`] / [`Observer::on_identity_run`]
     /// (under which an observer can reconstruct every intermediate
-    /// configuration exactly), a leap batch coalesces many firings whose
-    /// interleaving was *not* sampled — per-step quantities inside a leap
-    /// are only available to within the tau-leap approximation. Observers
-    /// needing exact trajectories should run under the naive or leap
-    /// kernel. The default implementation does nothing.
+    /// configuration exactly), a batch coalesces many firings whose
+    /// configurations it does not report — per-step quantities inside a
+    /// tau-leap are only available to within the tau-leap approximation,
+    /// and inside a lumped stretch not at all. Observers needing exact
+    /// trajectories should run under the naive or leap kernel. The
+    /// default implementation does nothing.
     #[inline(always)]
     fn on_leap_batch(&mut self, _last_step: u64, _tau: u64, _effective: u64, _counts: &[u64]) {}
 
-    /// Called by the batch kernel when it falls back to exact leap
-    /// stepping, with the trigger. The default implementation does
-    /// nothing.
+    /// Called by the batch kernel when it falls back to exact lumped
+    /// steps, with the trigger. The default implementation does nothing.
     #[inline(always)]
     fn on_batch_fallback(&mut self, _reason: FallbackReason) {}
 

@@ -391,6 +391,25 @@ impl CompiledProtocol {
         &self.pair_marginals[start..start + usize::from(e.marginals_len)]
     }
 
+    /// The *flip class*: the states that no identity pair involves, in
+    /// either position, so that every interaction of an agent in one of
+    /// them changes some state. For Algorithm 1 it is the free agents'
+    /// `{initial, initial'}`.
+    ///
+    /// A pair whose net deltas stay inside the class (a *flip*, such as
+    /// Algorithm 1's rules 1–4) changes no count an identity pair reads,
+    /// so its [`PairEffect`] has `K = 0` and an empty marginal list, and
+    /// `W_id` stays where it was. The batch kernel runs stretches of flips
+    /// as one lumped step ([`crate::batch`]).
+    pub fn flip_class(&self) -> Vec<StateId> {
+        self.states()
+            .filter(|&s| {
+                self.states()
+                    .all(|t| !self.is_identity(s, t) && !self.is_identity(t, s))
+            })
+            .collect()
+    }
+
     /// Whether `δ(p, q)` changes the group (under `f`) of either agent.
     #[inline(always)]
     pub fn is_group_changing(&self, p: StateId, q: StateId) -> bool {

@@ -114,7 +114,7 @@ pub enum Kernel {
     /// ([`Simulator::run_leap_observed`]).
     Leap,
     /// The tau-leap batch kernel: whole batches of rule firings per
-    /// step, exact fallback near convergence
+    /// step, exact lumped steps near convergence
     /// ([`Simulator::run_batch_observed`]).
     Batch,
 }
@@ -140,8 +140,9 @@ impl Kernel {
 
     /// The kernel to run when an observer must see every interaction
     /// (traces, phase probes, trajectory samples). The batch kernel
-    /// reports each tau-leap only in bulk, so the exact leap kernel
-    /// stands in for it; the other kernels run as themselves.
+    /// reports each tau-leap and each lumped stretch of flips only in
+    /// bulk, so the exact leap kernel stands in for it; the other kernels
+    /// run as themselves.
     pub fn per_interaction(self) -> Kernel {
         match self {
             Kernel::Batch => Kernel::Leap,
@@ -415,22 +416,26 @@ impl<'a> Simulator<'a> {
     /// (tau-leap) kernel**: per step the kernel either fires a whole
     /// batch of rule applications in one multinomial draw over the
     /// channel set, or — near convergence, at low counts, or when a leap
-    /// would be degenerate — falls back to exact leap stepping (see
-    /// [`crate::batch`] for the propensity model, error bound, and
-    /// fallback policy).
+    /// would be degenerate — falls back to exact lumped steps, each an
+    /// identity run and a whole stretch of free-agent flips up to the
+    /// next other interaction (see [`crate::batch`] for the propensity
+    /// model, error bound, fallback policy and lumped steps).
     ///
     /// Identical `RunResult`/`RunError` contract to
     /// [`Simulator::run_leap_observed`]. Statistics follow the leap
     /// kernel's law up to the tau-leap approximation (bounded propensity
-    /// drift of O(ε) per leap); with `safety_threshold ≥ n` every step
-    /// falls back and the run is **bit-identical** to
-    /// [`Simulator::run_leap_observed`] for the same seed.
+    /// drift of O(ε) per leap). With `safety_threshold ≥ n` every step
+    /// falls back: on a flip-free protocol (no
+    /// [flip class](crate::protocol::CompiledProtocol::flip_class)) the
+    /// run is then **bit-identical** to [`Simulator::run_leap_observed`]
+    /// for the same seed, and otherwise equal to it in law.
     ///
-    /// Observers see exact-fallback stretches through
-    /// [`Observer::on_interaction`] / [`Observer::on_identity_run`]
-    /// exactly as under the leap kernel, and each applied leap through
-    /// [`Observer::on_leap_batch`]; fallback transitions are reported via
-    /// [`Observer::on_batch_fallback`].
+    /// Observers see an exact step's identity run through
+    /// [`Observer::on_identity_run`] and its last effective interaction
+    /// through [`Observer::on_interaction`], as under the leap kernel; a
+    /// lumped stretch of flips before it, and each applied leap, come
+    /// through [`Observer::on_leap_batch`]. Fallback transitions are
+    /// reported via [`Observer::on_batch_fallback`].
     pub fn run_batch_configured<C, O>(
         &self,
         pop: &mut CountPopulation,

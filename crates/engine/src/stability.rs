@@ -64,7 +64,8 @@ pub trait StabilityCriterion {
     /// [`Signature`]) answer stability in O(1) per interaction instead of
     /// an O(|Q|) rescan. The default implementation falls back to
     /// re-evaluating [`StabilityCriterion::is_stable`] on every query,
-    /// which is always correct.
+    /// which is always correct, and answers `false` to
+    /// [`StabilityTracker::ignores_moves_within`].
     fn tracker<'a>(
         &'a self,
         _proto: &CompiledProtocol,
@@ -73,7 +74,10 @@ pub trait StabilityCriterion {
     where
         Self: Sized,
     {
-        Box::new(RescanTracker { criterion: self })
+        Box::new(RescanTracker {
+            criterion: self,
+            ignores_class_moves: false,
+        })
     }
 }
 
@@ -110,7 +114,7 @@ pub trait StabilityTracker {
     /// tracked constraints are currently violated, if the tracker knows.
     ///
     /// The batch kernel ([`crate::simulator::Simulator::run_batch`]) uses
-    /// this to hand control back to the exact leap kernel when the
+    /// this to hand control back to exact stepping when the
     /// configuration is close to stable, so terminal behaviour is never
     /// approximated. `None` (the default) means the tracker cannot
     /// quantify the distance; the batch kernel then relies on its other
@@ -118,11 +122,29 @@ pub trait StabilityTracker {
     fn violations_hint(&self) -> Option<u64> {
         None
     }
+
+    /// Whether moving agents between the states of `class` can never
+    /// change this tracker's verdict.
+    ///
+    /// The batch kernel asks once per run, with the protocol's
+    /// [flip class](CompiledProtocol::flip_class), whether it may run a
+    /// stretch of flips without a stability query between them. Along
+    /// such a stretch the class total and every count outside the class
+    /// stay fixed, and so does the identity weight `W_id`, so a
+    /// configuration with an enabled non-identity pair keeps one. The
+    /// default, `false`, is always safe: the kernel then treats the class
+    /// as empty and steps flips one at a time.
+    fn ignores_moves_within(&self, _class: &[StateId]) -> bool {
+        false
+    }
 }
 
 /// Default tracker: ignores deltas and rescans via the wrapped criterion.
 struct RescanTracker<'a, C: ?Sized> {
     criterion: &'a C,
+    /// The answer to [`StabilityTracker::ignores_moves_within`], fixed
+    /// by the criterion.
+    ignores_class_moves: bool,
 }
 
 impl<C: StabilityCriterion + ?Sized> StabilityTracker for RescanTracker<'_, C> {
@@ -136,6 +158,10 @@ impl<C: StabilityCriterion + ?Sized> StabilityTracker for RescanTracker<'_, C> {
         // tracker. One relaxed add is noise next to the rescan itself.
         crate::metrics::engine_metrics().stability_rescans.inc();
         self.criterion.is_stable(proto, counts)
+    }
+
+    fn ignores_moves_within(&self, _class: &[StateId]) -> bool {
+        self.ignores_class_moves
     }
 }
 
@@ -169,6 +195,21 @@ pub struct Silent;
 impl StabilityCriterion for Silent {
     fn is_stable(&self, proto: &CompiledProtocol, counts: &[u64]) -> bool {
         enabled_pairs(counts).all(|(p, q)| proto.is_identity(p, q))
+    }
+
+    /// The rescanning tracker, which ignores moves within the flip class:
+    /// a stretch of flips starts with a flip enabled and keeps `W_id`, so
+    /// some non-identity pair stays enabled and no configuration along it
+    /// is silent.
+    fn tracker<'a>(
+        &'a self,
+        _proto: &CompiledProtocol,
+        _counts: &[u64],
+    ) -> Box<dyn StabilityTracker + 'a> {
+        Box::new(RescanTracker {
+            criterion: self,
+            ignores_class_moves: true,
+        })
     }
 }
 
@@ -413,6 +454,23 @@ impl StabilityTracker for SignatureTracker {
     fn violations_hint(&self) -> Option<u64> {
         Some(self.violations as u64)
     }
+
+    /// Yes when `class` lies in one pool, whose sum moves within the
+    /// class keep, or when every state of `class` is fixed at 0: the
+    /// class total is kept too, so those constraints hold throughout or
+    /// fail throughout. These are the two shapes of the k-partition
+    /// signature, for `n mod k = 1` and otherwise.
+    fn ignores_moves_within(&self, class: &[StateId]) -> bool {
+        let mut slots = class.iter().map(|s| self.slots[s.index()]);
+        match slots.next() {
+            None => true,
+            Some(Slot::Pool(i)) => slots.all(|s| matches!(s, Slot::Pool(j) if j == i)),
+            Some(Slot::Fixed { want: 0, .. }) => {
+                slots.all(|s| matches!(s, Slot::Fixed { want: 0, .. }))
+            }
+            Some(Slot::Fixed { .. }) => false,
+        }
+    }
 }
 
 /// Never stable — run until the interaction limit.
@@ -423,6 +481,18 @@ impl StabilityCriterion for Never {
     #[inline(always)]
     fn is_stable(&self, _proto: &CompiledProtocol, _counts: &[u64]) -> bool {
         false
+    }
+
+    /// The rescanning tracker, which ignores moves within any class.
+    fn tracker<'a>(
+        &'a self,
+        _proto: &CompiledProtocol,
+        _counts: &[u64],
+    ) -> Box<dyn StabilityTracker + 'a> {
+        Box::new(RescanTracker {
+            criterion: self,
+            ignores_class_moves: true,
+        })
     }
 }
 
@@ -473,6 +543,9 @@ impl<A: StabilityCriterion, B: StabilityCriterion> StabilityCriterion for Either
                     (Some(a), Some(b)) => Some(a.min(b)),
                     (a, b) => a.or(b),
                 }
+            }
+            fn ignores_moves_within(&self, class: &[StateId]) -> bool {
+                self.a.ignores_moves_within(class) && self.b.ignores_moves_within(class)
             }
         }
         Box::new(EitherTracker {

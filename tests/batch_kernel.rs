@@ -1,10 +1,14 @@
 //! The batch (tau-leap) kernel against its two contracts.
 //!
 //! **Exactness of the fallback path:** with `safety_threshold >= n`
-//! every step of `run_batch` falls back to exact leap stepping, and —
-//! because the fallback eligibility check consumes no randomness — the
-//! whole run is bit-identical to `run_leap` for the same seed. That is a
-//! hard equality, property-tested over a grid of cells.
+//! every step of `run_batch` falls back to an exact lumped step. On a
+//! protocol without flips (no flip class) that step is the leap kernel's
+//! step, draw for draw, and — because the fallback eligibility check
+//! consumes no randomness — the whole run is bit-identical to `run_leap`
+//! for the same seed. That is a hard equality, property-tested over the
+//! registry's flip-free protocols. With flips the two kernels agree in
+//! law; pp-bench's `lumped_step_law` and the exact hitting-time test in
+//! `tests/kernel_equivalence.rs` check that.
 //!
 //! **Bounded error of the leap path:** with the default configuration
 //! the kernel freezes propensities over each leap, a deliberate,
@@ -18,51 +22,62 @@
 //! gross divergence (wrong propensities, broken fallback) while
 //! tolerating the documented O(epsilon) drift.
 
+use pp_lint::registry;
 use proptest::prelude::*;
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 
-use uniform_k_partition::engine::observer::{FallbackReason, Observer};
+use uniform_k_partition::engine::observer::{FallbackReason, NullObserver, Observer};
 use uniform_k_partition::engine::protocol::StateId;
 use uniform_k_partition::prelude::*;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// `run_batch` with `safety_threshold = n` (every step low-count →
-    /// always falls back) is bit-identical to `run_leap`: same
-    /// interaction and effective-interaction counts, same final
-    /// configuration, for the same seed.
+    /// On every flip-free registry protocol (epidemic, leader election,
+    /// approximate majority), `run_batch` with `safety_threshold = n`
+    /// (every step low-count → always falls back) is bit-identical to
+    /// `run_leap` under `Silent`: same outcome, interaction and
+    /// effective-interaction counts, and final configuration, for the
+    /// same seed, from a configuration drawn from the seed.
     #[test]
     fn full_fallback_is_bit_identical_to_leap(
-        k in 2usize..=4,
         n in 10u64..=60,
         seed in 1u64..100_000,
     ) {
-        let kp = UniformKPartition::new(k);
-        let proto = kp.compile();
-        let sig = kp.stable_signature(n);
-        let sim = Simulator::new(&proto);
+        let flip_free: Vec<_> = registry::all()
+            .into_iter()
+            .filter(|e| e.proto.flip_class().is_empty())
+            .collect();
+        prop_assert_eq!(flip_free.len(), 3);
+        for entry in &flip_free {
+            let proto = &entry.proto;
+            let sim = Simulator::new(proto);
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let mut counts = vec![0u64; proto.num_states()];
+            for _ in 0..n {
+                counts[rng.gen_range(0..proto.num_states())] += 1;
+            }
+            let budget = 100 * n * n;
 
-        let mut pop_leap = CountPopulation::new(&proto, n);
-        let mut sched_leap = UniformRandomScheduler::from_seed(seed);
-        let leap = sim
-            .run_leap(&mut pop_leap, &mut sched_leap, &sig, u64::MAX)
-            .unwrap();
+            let mut pop_leap = CountPopulation::from_counts(counts.clone());
+            let mut sched_leap = UniformRandomScheduler::from_seed(seed);
+            let leap = sim.run_leap(&mut pop_leap, &mut sched_leap, &Silent, budget);
 
-        let mut pop_batch = CountPopulation::new(&proto, n);
-        let mut sched_batch = UniformRandomScheduler::from_seed(seed);
-        let batch = sim
-            .run_batch_configured(
+            let mut pop_batch = CountPopulation::from_counts(counts);
+            let mut sched_batch = UniformRandomScheduler::from_seed(seed);
+            let batch = sim.run_batch_configured(
                 &mut pop_batch,
                 &mut sched_batch,
-                &sig,
-                u64::MAX,
+                &Silent,
+                budget,
                 n,
-                &mut uniform_k_partition::engine::observer::NullObserver,
-            )
-            .unwrap();
+                &mut NullObserver,
+            );
 
-        prop_assert_eq!(leap, batch);
-        prop_assert_eq!(pop_leap.counts(), pop_batch.counts());
+            prop_assert_eq!(&leap, &batch, "{}", entry.slug);
+            prop_assert_eq!(pop_leap.counts(), pop_batch.counts(), "{}", entry.slug);
+        }
     }
 }
 

@@ -11,7 +11,9 @@
 //!   the weights `IdentityWeights::new` computes on the updated counts
 //!   (`W_id`, `row` and `col` all compared), on drawn count vectors;
 //! * Algorithm 1's free-agent flips (rules 1–4), most of its effective
-//!   interactions, touch no marginal, so applying them is O(1).
+//!   interactions, touch no marginal, so applying them is O(1);
+//! * the flip class the batch kernel lumps, read off the compiled table,
+//!   is what each registry family's layout says it is.
 
 use proptest::prelude::*;
 
@@ -144,5 +146,41 @@ fn free_agent_flips_touch_no_marginal() {
         // group states g_i and the k − 2 demolishers d_i with either
         // free state, in both orders.
         assert_eq!(flips, 2 + 4 * (2 * k - 2), "k={k}");
+    }
+}
+
+/// The flip class (states no identity pair involves) of every registry
+/// protocol: `{initial, initial'}` for the k-partition families, the
+/// unsettled states of the hierarchical partitions (2, 6 or 14 of them
+/// for h = 1, 2, 3), and none for the classic protocols.
+#[test]
+fn flip_classes_come_from_the_table() {
+    for e in registry::all() {
+        let class: Vec<&str> = e
+            .proto
+            .flip_class()
+            .into_iter()
+            .map(|s| e.proto.state_name(s))
+            .collect();
+        let slug = e.slug.as_str();
+        if ["ukp-", "basic-", "oneside-", "ratio-", "bipartition"]
+            .iter()
+            .any(|family| slug.starts_with(family))
+        {
+            assert_eq!(class, ["initial", "initial'"], "{slug}");
+        } else if slug.starts_with("composed-") || slug.starts_with("approx-k") {
+            let want = match slug {
+                "composed-h1" => 2,
+                "composed-h2" | "approx-k3" => 6,
+                _ => 14,
+            };
+            assert_eq!(class.len(), want, "{slug}: {class:?}");
+            assert!(
+                class.iter().all(|s| s.starts_with('u')),
+                "{slug}: {class:?}"
+            );
+        } else {
+            assert!(class.is_empty(), "{slug}: {class:?}");
+        }
     }
 }
