@@ -196,11 +196,23 @@ pub struct CellSpec {
 /// keep emitting the exact v3 key (see [`LEGACY_KEY_VERSION`]), so
 /// their content hashes are unchanged and the historical store stays
 /// warm; only cells with non-default dynamics carry the `v4` prefix and
-/// a `dyn=` fragment.
-pub const KEY_VERSION: &str = "v4";
+/// a `dyn=` fragment (see [`DYNAMICS_KEY_VERSION`]).
+///
+/// v5: the batch kernel's exact fallback runs each stretch of free-agent
+/// flips as one lumped step. Batch trial records keep their law but not
+/// their seed-by-seed values — the reason v2 separated leap from naive —
+/// so a batch cell stored or journaled before v5 must miss, or a resumed
+/// cell would mix the two streams. Only `kernel=batch` cells carry the
+/// `v5` prefix; naive and leap cells keep their v3 and v4 keys, and
+/// their addresses, byte for byte.
+pub const KEY_VERSION: &str = "v5";
 
-/// The key version emitted for default-dynamics cells, preserving their
-/// pre-v4 content addresses byte for byte.
+/// The key version emitted for naive and leap cells with non-default
+/// dynamics (batch cells refuse them).
+pub const DYNAMICS_KEY_VERSION: &str = "v4";
+
+/// The key version emitted for naive and leap cells with default
+/// dynamics, preserving their pre-v4 content addresses byte for byte.
 pub const LEGACY_KEY_VERSION: &str = "v3";
 
 impl CellSpec {
@@ -214,10 +226,13 @@ impl CellSpec {
         // Default-dynamics cells keep the legacy key byte for byte (no
         // `dyn=` fragment, v3 prefix) so their content addresses — and
         // hence every pre-v4 store entry — survive the version bump.
-        let version = if self.dynamics.is_default() {
+        // Batch cells alone moved to v5.
+        let version = if self.kernel == KernelChoice::Batch {
+            KEY_VERSION
+        } else if self.dynamics.is_default() {
             LEGACY_KEY_VERSION
         } else {
-            KEY_VERSION
+            DYNAMICS_KEY_VERSION
         };
         let mut key = format!(
             "{version}|{}|n={}|trials={}|seed={}|crit={crit}|budget={}|mode={}|kernel={}",
@@ -718,11 +733,12 @@ mod tests {
     #[test]
     fn every_kernel_keys_and_encodes_under_its_persisted_name() {
         // The names are persisted in store keys and wire JSON: a renamed
-        // kernel would orphan every cached cell that ran on it.
-        for (kernel, name) in [
-            (KernelChoice::Naive, "naive"),
-            (KernelChoice::Leap, "leap"),
-            (KernelChoice::Batch, "batch"),
+        // kernel would orphan every cached cell that ran on it. Batch
+        // cells key under v5 since their exact steps became lumped.
+        for (kernel, name, version) in [
+            (KernelChoice::Naive, "naive", "v3"),
+            (KernelChoice::Leap, "leap", "v3"),
+            (KernelChoice::Batch, "batch", "v5"),
         ] {
             let spec = CellSpec {
                 kernel,
@@ -731,7 +747,7 @@ mod tests {
             assert_eq!(
                 spec.canonical_key(),
                 format!(
-                    "v3|ukp:k=4|n=96|trials=100|seed=12345|crit=stable|budget=1000000|mode=summary|kernel={name}"
+                    "{version}|ukp:k=4|n=96|trials=100|seed=12345|crit=stable|budget=1000000|mode=summary|kernel={name}"
                 )
             );
             let wire = spec.to_json();

@@ -132,14 +132,14 @@ pub fn record_cell(acct: &CellAccounting<'_>) {
 }
 
 /// Gauge stamping every export with the cell-key schema version that
-/// produced it (`KEY_VERSION` `"v4"` → `4`). `pp-sweep status` and
+/// produced it (`KEY_VERSION` `"v5"` → `5`). `pp-sweep status` and
 /// `pp-sweep metrics` compare it against the running binary's version to
 /// tell a stale export apart from a genuinely idle run — without the
 /// stamp, a `metrics.jsonl` left behind by an older schema reads as an
 /// all-zeros digest.
 pub const KEY_VERSION_SERIES: &str = "sweep.export.key_version";
 
-/// Numeric form of [`crate::spec::KEY_VERSION`] (`"v4"` → `4`).
+/// Numeric form of [`crate::spec::KEY_VERSION`] (`"v5"` → `5`).
 pub fn key_version_num() -> u64 {
     crate::spec::KEY_VERSION
         .trim_start_matches('v')
