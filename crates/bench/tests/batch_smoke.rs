@@ -9,18 +9,19 @@ use pp_engine::Kernel;
 use pp_protocols::kpartition::UniformKPartition;
 
 /// Giant-n batch smoke: k = 8, n = 10⁷ to stability. The wall budget is
-/// deliberately loose — 300 s for a run that takes ~75–90 s on a 2-vCPU
+/// deliberately loose — 300 s for a run that takes ~30 s on a 2-vCPU
 /// host, since CI machines vary. The throughput floor asks for at least
 /// 50× the leap kernel's scheduler interactions per second on an
 /// n = 10⁵ cell in the same process. That is a bound on the giant cell,
 /// not a kernel speedup: the two cells differ in n, and identities per
 /// effective interaction grow with n.
 ///
-/// The kernels' equal-n comparison is the printed `equal n=1e5` line:
-/// the batch kernel on the leap reference cell, both in effective
-/// interactions per second. It asserts nothing; over four runs on a
-/// 2-vCPU host the batch/leap ratio read 1.05–1.34×, too thin a margin
-/// for a gate.
+/// The kernels' equal-n comparison is the `equal n=1e5` line: the batch
+/// kernel on the leap reference cell, both in effective interactions per
+/// second. The batch kernel must reach at least 2× the leap kernel's
+/// rate there. Its exact bursts run each stretch of free-agent flips as
+/// one lumped step, and the ratio read 3.3–3.6× over three runs on a
+/// 2-vCPU host; before lumping it read 1.05–1.34×.
 #[test]
 #[ignore = "timing-sensitive; CI runs it in release mode via -- --ignored"]
 fn batch_stabilises_ten_million_agents_within_wall_budget() {
@@ -73,5 +74,11 @@ fn batch_stabilises_ten_million_agents_within_wall_budget() {
         "batch ({:.3e}/s) under 50x leap reference ({:.3e}/s)",
         batch.interactions_per_sec(),
         leap.interactions_per_sec()
+    );
+    assert!(
+        batch_ref.effective_per_sec() >= 2.0 * leap.effective_per_sec(),
+        "batch at n=1e5 ({:.3e} effective/s) under 2x leap ({:.3e} effective/s)",
+        batch_ref.effective_per_sec(),
+        leap.effective_per_sec()
     );
 }
