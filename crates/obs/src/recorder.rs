@@ -203,7 +203,11 @@ impl std::fmt::Debug for FlightRecorder {
 
 impl FlightRecorder {
     /// A recorder holding the most recent `capacity` records.
+    ///
+    /// # Panics
+    /// If `capacity` is 0: a ring needs at least one slot.
     pub fn with_capacity(capacity: usize) -> FlightRecorder {
+        assert!(capacity > 0, "a flight recorder needs at least one slot");
         FlightRecorder {
             slots: (0..capacity).map(|_| Slot::new()).collect(),
             next: AtomicU64::new(0),
@@ -211,14 +215,9 @@ impl FlightRecorder {
         }
     }
 
-    /// Ring capacity (0 = disabled).
+    /// Ring capacity.
     pub fn capacity(&self) -> usize {
         self.slots.len()
-    }
-
-    /// Whether writes land anywhere.
-    pub fn enabled(&self) -> bool {
-        !self.slots.is_empty()
     }
 
     /// Total records ever written (not capped by capacity).
@@ -239,9 +238,6 @@ impl FlightRecorder {
         end_micros: u64,
         value: u64,
     ) {
-        if self.slots.is_empty() {
-            return;
-        }
         let (name_idx, label_idx) = {
             let mut interner = self.interner.lock().unwrap();
             (interner.intern(name), interner.intern(label))
@@ -373,7 +369,7 @@ impl FlightRecorder {
     }
 
     /// The snapshot as NDJSON (one record per line, trailing newline;
-    /// empty string when the ring is empty or disabled).
+    /// empty string when the ring is empty).
     pub fn to_ndjson(&self) -> String {
         let mut out = String::new();
         for rec in self.snapshot() {
@@ -501,12 +497,9 @@ mod tests {
     }
 
     #[test]
-    fn zero_capacity_disables_recording() {
-        let rec = FlightRecorder::with_capacity(0);
-        assert!(!rec.enabled());
-        rec.record(RecordKind::Event, 0, 0, "x", "", 0, 0, 0);
-        assert!(rec.snapshot().is_empty());
-        assert_eq!(rec.to_ndjson(), "");
+    #[should_panic(expected = "at least one slot")]
+    fn zero_capacity_panics() {
+        FlightRecorder::with_capacity(0);
     }
 
     #[test]
