@@ -9,7 +9,7 @@ use pp_engine::Kernel;
 use pp_protocols::kpartition::UniformKPartition;
 
 /// Giant-n batch smoke: k = 8, n = 10⁷ to stability. The wall budget is
-/// deliberately loose — 300 s for a run that takes ~30 s on a 2-vCPU
+/// deliberately loose — 300 s for a run that takes ~25 s on a 2-vCPU
 /// host, since CI machines vary. The throughput floor asks for at least
 /// 50× the leap kernel's scheduler interactions per second on an
 /// n = 10⁵ cell in the same process. That is a bound on the giant cell,

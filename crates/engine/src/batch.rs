@@ -575,7 +575,6 @@ impl<'a> BatchTrial<'a> {
             if left == 0 {
                 run.interactions = max_interactions;
                 run.effective += flipped;
-                flips.commit(&mut *run.tracker, counts);
                 observer.on_leap_batch(max_interactions, room, flipped, counts);
                 return StepOutcome::Limit;
             }
