@@ -490,7 +490,7 @@ fn compare(label: &str, cell: &Cell, batch: &[Outcome], leap: &[Outcome]) {
 /// One stretch from each cell's start: flips and their terminating
 /// pair, uncensored.
 #[test]
-#[ignore = "law test, ~10 s in release; CI runs it in release mode via -- --ignored"]
+#[ignore = "law test, seconds in release; CI runs it in release mode via -- --ignored"]
 fn stretches_match_repeated_leap_steps() {
     for (i, cell) in [k3_cell(), k4_cell(), hierarchical_cell()]
         .iter()
@@ -509,11 +509,12 @@ fn stretches_match_repeated_leap_steps() {
     }
 }
 
-/// Budgets that cut most stretches: the final configurations at the
-/// cut, for one stretch from each cell's start, and for the
-/// hierarchical cell under `Never`, across many stretches.
+/// Budgets that cut a third to a half of the stretches: the final
+/// configurations and the effective interactions at the cut, for one
+/// stretch from each cell's start, and for the hierarchical cell under
+/// `Never`, across many stretches.
 #[test]
-#[ignore = "law test, ~10 s in release; CI runs it in release mode via -- --ignored"]
+#[ignore = "law test, seconds in release; CI runs it in release mode via -- --ignored"]
 fn censored_stretches_match_repeated_leap_steps() {
     for (i, (cell, budget)) in [(k3_cell(), 5), (k4_cell(), 6), (hierarchical_cell(), 60)]
         .iter()
