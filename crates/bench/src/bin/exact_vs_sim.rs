@@ -12,10 +12,12 @@
 
 #![forbid(unsafe_code)]
 
+use std::io::{self, Write};
 use std::process::ExitCode;
 
 use pp_analysis::table::{fmt_f64, Table};
 use pp_protocols::kpartition::UniformKPartition;
+use pp_sweep::cli::stdout_failed;
 use pp_sweep::exec::{run_cell, ExecOptions};
 use pp_sweep::observer::NullObserver;
 use pp_sweep::plan::{results_path, ukp_cell, PlanConfig};
@@ -34,16 +36,27 @@ fn main() -> ExitCode {
     };
     // The 4σ comparison runs at least the paper's 100 trials per cell.
     cfg.trials = cfg.trials.max(100);
+    match compare(cfg, &mut io::stdout()) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => ExitCode::from(stdout_failed(&e)),
+    }
+}
+
+/// Run every cell, assert agreement, and write the table to `out` and
+/// the CSV to `exact_vs_sim.csv` in the results directory.
+fn compare(cfg: PlanConfig, out: &mut dyn Write) -> io::Result<()> {
     let store = ResultStore::in_memory();
-    println!(
+    writeln!(
+        out,
         "== Exact vs simulated — Markov-chain expectations vs sample means \
          (paper's metric, solved exactly)"
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "   trials/cell = {}, master seed = {} (override with PP_TRIALS / PP_SEED)",
         cfg.trials, cfg.master_seed
-    );
-    println!();
+    )?;
+    writeln!(out)?;
 
     let mut table = Table::new(vec![
         "k",
@@ -114,13 +127,13 @@ fn main() -> ExitCode {
         );
     }
 
-    println!("{}", table.to_markdown());
-    println!(
+    writeln!(out, "{}", table.to_markdown())?;
+    writeln!(
+        out,
         "All |z| < 4: the simulator's sample means are statistically \
          indistinguishable from the exact Markov-chain expectations."
-    );
+    )?;
     let path = results_path("exact_vs_sim.csv");
     table.write_csv(&path).expect("write csv");
-    println!("wrote {}", path.display());
-    ExitCode::SUCCESS
+    writeln!(out, "wrote {}", path.display())
 }

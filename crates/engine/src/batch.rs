@@ -76,10 +76,10 @@
 //! sequence of lumped steps. On a protocol without flips (see below),
 //! or under a criterion whose tracker does not let the kernel lump them,
 //! a lumped step is the leap kernel's step draw for draw, and the run
-//! consumes the RNG identically to `run_leap` — the bit-identity
-//! contract `tests/batch_kernel.rs` pins down over the registry's
-//! flip-free protocols. With flips the run is equal to `run_leap`'s in
-//! law.
+//! consumes the RNG identically to `run_leap_observed` — the
+//! bit-identity contract `tests/batch_kernel.rs` pins down over the
+//! registry's flip-free protocols. With flips the run is equal to
+//! `run_leap_observed`'s in law.
 //!
 //! ## Lumped exact steps
 //!
@@ -624,8 +624,8 @@ impl<'a> BatchTrial<'a> {
         }
         debug_assert_eq!(w_eff, total - run.weights.identity_weight());
         if w_eff == 0 {
-            // Frozen configuration — same verdict run_leap reaches via its
-            // w_id == total check, with no randomness drawn.
+            // Frozen configuration — same verdict the leap kernel reaches
+            // via its w_id == total check, with no randomness drawn.
             return LeapOutcome::Done(StepOutcome::Limit);
         }
 
@@ -1376,7 +1376,7 @@ mod tests {
     #[test]
     fn batch_full_fallback_matches_leap_bitwise() {
         // safety_threshold = n: every step falls back, so run_batch must
-        // replicate run_leap's RNG consumption and counters exactly.
+        // replicate the leap kernel's RNG consumption and counters exactly.
         let proto = epidemic();
         let s = proto.state_by_name("S").unwrap();
         let i = proto.state_by_name("I").unwrap();
@@ -1387,7 +1387,13 @@ mod tests {
             pop_a.set_count(i, 1);
             let mut sched_a = UniformRandomScheduler::from_seed(seed);
             let leap = Simulator::new(&proto)
-                .run_leap(&mut pop_a, &mut sched_a, &Silent, u64::MAX)
+                .run_leap_observed(
+                    &mut pop_a,
+                    &mut sched_a,
+                    &Silent,
+                    u64::MAX,
+                    &mut NullObserver,
+                )
                 .unwrap();
 
             let mut pop_b = CountPopulation::new(&proto, n);

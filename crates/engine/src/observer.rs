@@ -94,8 +94,9 @@ pub trait Observer {
         counts: &[u64],
     );
 
-    /// Called by the leap kernel ([`crate::simulator::Simulator::run_leap`])
-    /// after it skips a maximal run of `skipped ≥ 1` consecutive identity
+    /// Called by the leap kernel
+    /// ([`crate::simulator::Simulator::run_leap_observed`]) after it
+    /// skips a maximal run of `skipped ≥ 1` consecutive identity
     /// interactions in closed form. `last_step` is the (1-based)
     /// interaction number of the last skipped identity, and `counts` is
     /// the configuration — unchanged throughout the run.
@@ -307,14 +308,6 @@ impl TrajectorySampler {
     pub fn samples(&self) -> &[(u64, Vec<u64>)] {
         &self.samples
     }
-
-    /// Project the trajectory onto one state's count.
-    pub fn series_of(&self, s: StateId) -> Vec<(u64, u64)> {
-        self.samples
-            .iter()
-            .map(|(t, c)| (*t, c[s.index()]))
-            .collect()
-    }
 }
 
 impl Observer for TrajectorySampler {
@@ -421,7 +414,6 @@ mod tests {
         }
         let steps: Vec<u64> = t.samples().iter().map(|(st, _)| *st).collect();
         assert_eq!(steps, vec![3, 6, 9]);
-        assert_eq!(t.series_of(StateId(0)), vec![(3, 3), (6, 6), (9, 9)]);
     }
 
     #[test]

@@ -498,21 +498,6 @@ impl CompiledProtocol {
         d[q2.index()] += 1;
         d
     }
-
-    /// Render the non-identity rules as `(p, q) -> (p', q')` lines.
-    pub fn rules_pretty(&self) -> String {
-        let mut s = String::new();
-        for (p, q, p2, q2) in self.non_identity_rules() {
-            s.push_str(&format!(
-                "({}, {}) -> ({}, {})\n",
-                self.state_name(p),
-                self.state_name(q),
-                self.state_name(p2),
-                self.state_name(q2)
-            ));
-        }
-        s
-    }
 }
 
 /// Compile the [`PairEffect`] of every non-identity pair of the
@@ -744,7 +729,6 @@ mod tests {
         assert_eq!(qq, StateId(0));
         assert_eq!(p2, StateId(1));
         assert_eq!(q2, StateId(1));
-        assert!(p.rules_pretty().contains("(a, a) -> (b, b)"));
     }
 
     #[test]

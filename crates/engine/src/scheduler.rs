@@ -80,44 +80,6 @@ impl PairScheduler for UniformRandomScheduler {
     }
 }
 
-/// Replays an explicit queue of ordered state pairs, then falls back to a
-/// wrapped scheduler. Used by tests to script a prefix (e.g. the executions
-/// of the paper's Figures 1 and 2) and then let randomness finish the run.
-#[derive(Debug)]
-pub struct ScriptedPairScheduler<S> {
-    script: std::collections::VecDeque<(StateId, StateId)>,
-    fallback: S,
-}
-
-impl<S> ScriptedPairScheduler<S> {
-    /// Schedule `script` first, then defer to `fallback`.
-    pub fn new(script: Vec<(StateId, StateId)>, fallback: S) -> Self {
-        ScriptedPairScheduler {
-            script: script.into(),
-            fallback,
-        }
-    }
-
-    /// Number of scripted pairs not yet consumed.
-    pub fn remaining(&self) -> usize {
-        self.script.len()
-    }
-}
-
-impl<S: PairScheduler> PairScheduler for ScriptedPairScheduler<S> {
-    fn select_pair(&mut self, pop: &CountPopulation) -> (StateId, StateId) {
-        if let Some((p, q)) = self.script.pop_front() {
-            assert!(
-                pop.count(p) >= 1 && pop.count(q) >= if p == q { 2 } else { 1 },
-                "scripted pair ({p:?}, {q:?}) not available in population"
-            );
-            (p, q)
-        } else {
-            self.fallback.select_pair(pop)
-        }
-    }
-}
-
 /// An adversarial scheduler that greedily picks, among the currently
 /// enabled *non-identity* ordered state pairs, the one maximising a
 /// user-supplied priority; falls back to uniform random among agents when
@@ -321,22 +283,6 @@ mod tests {
             let frac = f64::from(h) / f64::from(trials);
             assert!((frac - 0.25).abs() < 0.02, "frac = {frac}");
         }
-    }
-
-    #[test]
-    fn scripted_scheduler_replays_then_falls_back() {
-        let p = two_state();
-        let a = p.state_by_name("a").unwrap();
-        let mut pop = CountPopulation::new(&p, 3);
-        pop.set_count(a, 3);
-        let mut sched =
-            ScriptedPairScheduler::new(vec![(a, a), (a, a)], UniformRandomScheduler::from_seed(5));
-        assert_eq!(sched.remaining(), 2);
-        assert_eq!(sched.select_pair(&pop), (a, a));
-        assert_eq!(sched.select_pair(&pop), (a, a));
-        assert_eq!(sched.remaining(), 0);
-        let (x, y) = sched.select_pair(&pop); // fallback
-        assert_eq!((x, y), (a, a));
     }
 
     #[test]

@@ -15,11 +15,11 @@
 //! scheduler:
 //!
 //! * [`Simulator::run`] — the naive loop: one sampled pair per iteration.
-//! * [`Simulator::run_leap`] — the leap kernel: skips each maximal run of
-//!   identity interactions in closed form (see [`crate::leap`]), paying
-//!   per *effective* interaction instead of per interaction. Same
-//!   distribution over outcomes, orders of magnitude faster near
-//!   stabilisation where identity interactions dominate.
+//! * [`Simulator::run_leap_observed`] — the leap kernel: skips each
+//!   maximal run of identity interactions in closed form (see
+//!   [`crate::leap`]), paying per *effective* interaction instead of per
+//!   interaction. Same distribution over outcomes, orders of magnitude
+//!   faster near stabilisation where identity interactions dominate.
 //! * [`Simulator::run_batch`] — the tau-leap batch kernel: fires whole
 //!   batches of rule applications per step with bounded propensity drift
 //!   and exact-leap fallback near convergence (see [`crate::batch`]).
@@ -28,8 +28,9 @@
 //!
 //! [`Kernel`] names the three as a value, and [`Simulator::run_kernel`]
 //! is the one place that dispatches on it. Each kernel has an observed
-//! form and an unobserved wrapper; the batch kernel also takes an explicit
-//! safety threshold through [`Simulator::run_batch_configured`].
+//! form; the naive and batch kernels also have an unobserved wrapper, and
+//! the batch kernel takes an explicit safety threshold through
+//! [`Simulator::run_batch_configured`].
 //!
 //! Under the [`crate::stability::Never`] criterion a run never stops
 //! early, so the naive kernel with `Never` is a fixed-length run of
@@ -274,28 +275,6 @@ impl<'a> Simulator<'a> {
         Err(RunError::InteractionLimit {
             limit: max_interactions,
         })
-    }
-
-    /// Run a count-vector population until stability with the **leap
-    /// kernel**, without observation. Same contract as [`Simulator::run`];
-    /// see [`Simulator::run_leap_observed`] for semantics.
-    pub fn run_leap<C>(
-        &self,
-        pop: &mut CountPopulation,
-        scheduler: &mut UniformRandomScheduler,
-        criterion: &C,
-        max_interactions: u64,
-    ) -> Result<RunResult, RunError>
-    where
-        C: StabilityCriterion,
-    {
-        self.run_leap_observed(
-            pop,
-            scheduler,
-            criterion,
-            max_interactions,
-            &mut NullObserver,
-        )
     }
 
     /// Run a count-vector population until stability with the **leap
@@ -605,7 +584,7 @@ mod tests {
         pop.set_count(i, 1);
         let mut sched = UniformRandomScheduler::from_seed(11);
         let res = Simulator::new(&p)
-            .run_leap(&mut pop, &mut sched, &Silent, 10_000_000)
+            .run_leap_observed(&mut pop, &mut sched, &Silent, 10_000_000, &mut NullObserver)
             .unwrap();
         assert_eq!(pop.count(i), 64);
         assert_eq!(res.effective_interactions, 63);
@@ -621,7 +600,7 @@ mod tests {
         pop.set_count(i, 5);
         let mut sched = UniformRandomScheduler::from_seed(0);
         let res = Simulator::new(&p)
-            .run_leap(&mut pop, &mut sched, &Silent, 100)
+            .run_leap_observed(&mut pop, &mut sched, &Silent, 100, &mut NullObserver)
             .unwrap();
         assert_eq!(res.interactions, 0);
     }
@@ -637,7 +616,7 @@ mod tests {
         let mut sched = UniformRandomScheduler::from_seed(2);
         // At n = 1000, stabilising takes ≫ 5 interactions (999 infections).
         let err = Simulator::new(&p)
-            .run_leap(&mut pop, &mut sched, &Silent, 5)
+            .run_leap_observed(&mut pop, &mut sched, &Silent, 5, &mut NullObserver)
             .unwrap_err();
         assert_eq!(err, RunError::InteractionLimit { limit: 5 });
     }
@@ -648,7 +627,7 @@ mod tests {
         let mut pop = CountPopulation::new(&p, 1);
         let mut sched = UniformRandomScheduler::from_seed(2);
         let err = Simulator::new(&p)
-            .run_leap(&mut pop, &mut sched, &Never, 5)
+            .run_leap_observed(&mut pop, &mut sched, &Never, 5, &mut NullObserver)
             .unwrap_err();
         assert_eq!(err, RunError::PopulationTooSmall);
     }
@@ -666,7 +645,7 @@ mod tests {
         pop.set_count(i, 50);
         let mut sched = UniformRandomScheduler::from_seed(3);
         let err = Simulator::new(&p)
-            .run_leap(&mut pop, &mut sched, &Never, u64::MAX)
+            .run_leap_observed(&mut pop, &mut sched, &Never, u64::MAX, &mut NullObserver)
             .unwrap_err();
         assert_eq!(err, RunError::InteractionLimit { limit: u64::MAX });
     }
@@ -748,7 +727,13 @@ mod tests {
                         UniformRandomScheduler::from_seed(1000 + t + u64::from(leap) * 7919);
                     let sim = Simulator::new(&p);
                     let res = if leap {
-                        sim.run_leap(&mut pop, &mut sched, &Silent, u64::MAX)
+                        sim.run_leap_observed(
+                            &mut pop,
+                            &mut sched,
+                            &Silent,
+                            u64::MAX,
+                            &mut NullObserver,
+                        )
                     } else {
                         sim.run(&mut pop, &mut sched, &Silent, u64::MAX)
                     };

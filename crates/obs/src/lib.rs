@@ -1,4 +1,4 @@
-//! # pp-obs — structured spans and a lock-free flight recorder
+//! # pp-obs — structured spans and a flight recorder
 //!
 //! pp-telemetry answers "how much, in aggregate"; this crate answers
 //! "what just happened, in order". It adds two primitives on top of the
@@ -11,11 +11,10 @@
 //!   the shared registry, so the `/metrics` exposition and the recorder
 //!   agree.
 //! * **The flight recorder** ([`FlightRecorder`], [`recorder()`]) — a
-//!   fixed-size ring of the most recent span/event records, written with
-//!   O(1) atomic slot claims (per-slot seqlock, no writer-side lock on
-//!   the publish path) and drained to NDJSON on demand (`GET /flight`),
-//!   on SIGTERM (`pp-serve --flight-dump`), and on panic
-//!   ([`install_panic_hook`]).
+//!   fixed-size ring of the most recent span/event records behind one
+//!   mutex (one lock per write, one per snapshot), drained to NDJSON on
+//!   demand (`GET /flight`), on SIGTERM (`pp-serve --flight-dump`), and
+//!   on panic ([`install_panic_hook`]).
 //!
 //! Nothing here touches simulation hot loops: the engine's kernels remain
 //! instrumented only through the `Observer` seam.

@@ -1,31 +1,17 @@
-//! The flight recorder: a fixed-size, lock-free ring of recent records.
+//! The flight recorder: a fixed-size ring of recent records behind one
+//! mutex.
 //!
-//! Each write claims one global index with a single `fetch_add` and then
-//! publishes into slot `index % capacity` under a per-slot seqlock. The
-//! slot is claimed with a `compare_exchange` from a published sequence
-//! older than the write's own, so two writes never fill one slot at once.
-//! A write that finds a newer write in its slot (it fell a whole lap
-//! behind) drops its record. A write that finds an older write still in
-//! progress waits for it; that happens only after `capacity` writes have
-//! raced past a stalled one.
-//! Readers ([`FlightRecorder::snapshot`]) never block writers: a slot
-//! caught mid-write fails its sequence re-check and is skipped. The ring
-//! therefore always holds (a consistent view of) the most recent
+//! A write locks the ring once; when the ring is full it drops the oldest
+//! record, then pushes its own. A snapshot locks once and copies the ring,
+//! oldest first. The ring therefore always holds the most recent
 //! `capacity` records, which is exactly the "what just happened" evidence
 //! wanted after a panic or SIGTERM.
-//!
-//! The only lock in the module guards the name/label interner, taken when
-//! a record is written (names come from a small fixed set, labels from
-//! cell stems, so the critical section is a `BTreeMap` lookup) and once
-//! per snapshot to clone the string table. The hot slot publish itself is
-//! lock-free.
 
 use pp_telemetry::json::Value;
-use std::collections::BTreeMap;
+use std::collections::VecDeque;
 use std::io;
 use std::path::Path;
-use std::sync::atomic::{fence, AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Instant;
 
 /// Monotonic process clock: microseconds since the first call.
@@ -48,23 +34,6 @@ pub enum RecordKind {
 }
 
 impl RecordKind {
-    fn code(self) -> u64 {
-        match self {
-            RecordKind::Event => 0,
-            RecordKind::SpanOpen => 1,
-            RecordKind::SpanClose => 2,
-        }
-    }
-
-    fn from_code(code: u64) -> Option<RecordKind> {
-        match code {
-            0 => Some(RecordKind::Event),
-            1 => Some(RecordKind::SpanOpen),
-            2 => Some(RecordKind::SpanClose),
-            _ => None,
-        }
-    }
-
     /// Stable wire name used in the NDJSON dump.
     pub fn as_str(self) -> &'static str {
         match self {
@@ -75,7 +44,7 @@ impl RecordKind {
     }
 }
 
-/// One decoded record, as returned by [`FlightRecorder::snapshot`].
+/// One record, as returned by [`FlightRecorder::snapshot`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Record {
     /// Global write index (total ring writes before this one); snapshot
@@ -87,7 +56,7 @@ pub struct Record {
     pub id: u64,
     /// Parent span id, 0 for roots.
     pub parent: u64,
-    /// Interned record name, e.g. `serve.request`.
+    /// Record name, e.g. `serve.request`.
     pub name: String,
     /// Free-form label (cell stem, reason, ...); empty when absent.
     pub label: String,
@@ -124,79 +93,41 @@ impl Record {
     }
 }
 
-/// Slot sequence encoding: `0` = never written, `2i + 1` = write `i` in
-/// progress, `2i + 2` = write `i` published.
-const EMPTY: u64 = 0;
-
+/// One ring entry: a [`Record`] without its `seq`, which the slot's
+/// position gives, and with its name borrowed instead of owned.
 struct Slot {
-    seq: AtomicU64,
-    kind: AtomicU64,
-    id: AtomicU64,
-    parent: AtomicU64,
-    name: AtomicU64,
-    label: AtomicU64,
-    start: AtomicU64,
-    end: AtomicU64,
-    value: AtomicU64,
+    kind: RecordKind,
+    id: u64,
+    parent: u64,
+    name: &'static str,
+    label: Box<str>,
+    start_micros: u64,
+    end_micros: u64,
+    value: u64,
 }
 
-impl Slot {
-    fn new() -> Slot {
-        Slot {
-            seq: AtomicU64::new(EMPTY),
-            kind: AtomicU64::new(0),
-            id: AtomicU64::new(0),
-            parent: AtomicU64::new(0),
-            name: AtomicU64::new(0),
-            label: AtomicU64::new(0),
-            start: AtomicU64::new(0),
-            end: AtomicU64::new(0),
-            value: AtomicU64::new(0),
-        }
-    }
+/// What the lock guards: `slots` holds writes `written - len .. written`,
+/// oldest first.
+struct Ring {
+    slots: VecDeque<Slot>,
+    written: u64,
 }
 
-#[derive(Default)]
-struct Interner {
-    by_name: BTreeMap<String, u64>,
-    names: Vec<String>,
-}
-
-impl Interner {
-    fn intern(&mut self, s: &str) -> u64 {
-        if self.names.is_empty() {
-            // Index 0 is the empty string so `0` can mean "no label".
-            self.names.push(String::new());
-        }
-        if s.is_empty() {
-            return 0;
-        }
-        if let Some(&idx) = self.by_name.get(s) {
-            return idx;
-        }
-        let idx = self.names.len() as u64;
-        self.names.push(s.to_string());
-        self.by_name.insert(s.to_string(), idx);
-        idx
-    }
-}
-
-/// A fixed-size lock-free ring of recent [`Record`]s.
+/// A fixed-size ring of the most recent [`Record`]s, behind one mutex.
 ///
-/// Capacity 0 disables the recorder entirely: writes become no-ops and
-/// snapshots are empty. The process-wide instance ([`recorder`]) holds
+/// Its memory is bounded by its capacity: a slot borrows its static name
+/// and owns its label. The process-wide instance ([`recorder`]) holds
 /// 4096 records.
 pub struct FlightRecorder {
-    slots: Box<[Slot]>,
-    next: AtomicU64,
-    interner: Mutex<Interner>,
+    capacity: usize,
+    ring: Mutex<Ring>,
 }
 
 impl std::fmt::Debug for FlightRecorder {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("FlightRecorder")
-            .field("capacity", &self.slots.len())
-            .field("written", &self.next.load(Ordering::Relaxed))
+            .field("capacity", &self.capacity)
+            .field("written", &self.written())
             .finish()
     }
 }
@@ -209,163 +140,85 @@ impl FlightRecorder {
     pub fn with_capacity(capacity: usize) -> FlightRecorder {
         assert!(capacity > 0, "a flight recorder needs at least one slot");
         FlightRecorder {
-            slots: (0..capacity).map(|_| Slot::new()).collect(),
-            next: AtomicU64::new(0),
-            interner: Mutex::new(Interner::default()),
+            capacity,
+            // Preallocated: a deque grown by doubling would hold a
+            // half-size copy at the moment it fills.
+            ring: Mutex::new(Ring {
+                slots: VecDeque::with_capacity(capacity),
+                written: 0,
+            }),
         }
+    }
+
+    /// The ring, even after a panic under the lock: no writer panics
+    /// while it holds the lock, so the ring is whole, and the panic hook
+    /// must still be able to dump it.
+    fn lock(&self) -> MutexGuard<'_, Ring> {
+        self.ring.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Ring capacity.
     pub fn capacity(&self) -> usize {
-        self.slots.len()
+        self.capacity
     }
 
     /// Total records ever written (not capped by capacity).
     pub fn written(&self) -> u64 {
-        self.next.load(Ordering::Relaxed)
+        self.lock().written
     }
 
-    /// Write one record. Lock-free except for name/label interning.
+    /// Write one record, dropping the oldest when the ring is full.
     #[allow(clippy::too_many_arguments)]
     pub fn record(
         &self,
         kind: RecordKind,
         id: u64,
         parent: u64,
-        name: &str,
+        name: &'static str,
         label: &str,
         start_micros: u64,
         end_micros: u64,
         value: u64,
     ) {
-        let (name_idx, label_idx) = {
-            let mut interner = self.interner.lock().unwrap();
-            (interner.intern(name), interner.intern(label))
+        let slot = Slot {
+            kind,
+            id,
+            parent,
+            name,
+            label: label.into(),
+            start_micros,
+            end_micros,
+            value,
         };
-        let index = self.next.fetch_add(1, Ordering::Relaxed);
-        self.publish(index, |slot| {
-            slot.kind.store(kind.code(), Ordering::Relaxed);
-            slot.id.store(id, Ordering::Relaxed);
-            slot.parent.store(parent, Ordering::Relaxed);
-            slot.name.store(name_idx, Ordering::Relaxed);
-            slot.label.store(label_idx, Ordering::Relaxed);
-            slot.start.store(start_micros, Ordering::Relaxed);
-            slot.end.store(end_micros, Ordering::Relaxed);
-            slot.value.store(value, Ordering::Relaxed);
-        });
-    }
-
-    /// Publish write `index` into slot `index % capacity` under the
-    /// seqlock, `fill` storing the fields (Relaxed). Returns false, having
-    /// written nothing, when a newer write owns the slot.
-    fn publish(&self, index: u64, fill: impl FnOnce(&Slot)) -> bool {
-        let slot = &self.slots[(index % self.slots.len() as u64) as usize];
-        let writing = 2 * index + 1;
-        // Claim the slot: move it from a published (even) sequence older
-        // than ours to our odd mark. The claim's Acquire pairs with the
-        // previous writer's Release publish, so that writer's field
-        // stores happen before ours and cannot land on top of them.
-        let mut seq = slot.seq.load(Ordering::Relaxed);
-        let mut spins = 0u32;
-        loop {
-            if seq > writing {
-                // A newer write owns or has published the slot.
-                return false;
-            }
-            if seq % 2 == 1 {
-                // An older write, a lap behind, is mid-write: wait.
-                if spins < 64 {
-                    std::hint::spin_loop();
-                    spins += 1;
-                } else {
-                    std::thread::yield_now();
-                }
-                seq = slot.seq.load(Ordering::Relaxed);
-                continue;
-            }
-            match slot
-                .seq
-                .compare_exchange_weak(seq, writing, Ordering::Acquire, Ordering::Relaxed)
-            {
-                Ok(_) => break,
-                Err(current) => seq = current,
-            }
+        let mut ring = self.lock();
+        if ring.slots.len() == self.capacity {
+            ring.slots.pop_front();
         }
-        // Seqlock publish: the odd mark is in place; store the fields,
-        // then publish the even sequence with Release, which pairs with
-        // the reader's Acquire load of it. The release fence orders the
-        // odd mark before the field stores and pairs with the reader's
-        // acquire fence: a reader that observes any new field and then
-        // re-reads the sequence is guaranteed to see the odd mark (or a
-        // later value) and discard.
-        fence(Ordering::Release);
-        fill(slot);
-        slot.seq.store(writing + 1, Ordering::Release);
-        true
+        ring.slots.push_back(slot);
+        ring.written += 1;
     }
 
-    /// Consistent snapshot of every published record, oldest first.
+    /// Every record in the ring, oldest first.
     ///
-    /// Non-destructive: the ring keeps recording. Slots caught mid-write
-    /// (or overwritten between the two sequence reads) are skipped.
+    /// Non-destructive: the ring keeps recording.
     pub fn snapshot(&self) -> Vec<Record> {
-        // (record, name index, label index); strings resolved below.
-        let mut raw = Vec::new();
-        for slot in self.slots.iter() {
-            let seq1 = slot.seq.load(Ordering::Acquire);
-            if seq1 == EMPTY || seq1 % 2 == 1 {
-                continue;
-            }
-            let kind = slot.kind.load(Ordering::Relaxed);
-            let id = slot.id.load(Ordering::Relaxed);
-            let parent = slot.parent.load(Ordering::Relaxed);
-            let name = slot.name.load(Ordering::Relaxed);
-            let label = slot.label.load(Ordering::Relaxed);
-            let start = slot.start.load(Ordering::Relaxed);
-            let end = slot.end.load(Ordering::Relaxed);
-            let value = slot.value.load(Ordering::Relaxed);
-            // The acquire fence keeps the re-read below from being hoisted
-            // above the field loads; paired with the writer's release
-            // fence it makes a torn read visible as a sequence change.
-            fence(Ordering::Acquire);
-            if slot.seq.load(Ordering::Relaxed) != seq1 {
-                continue;
-            }
-            let Some(kind) = RecordKind::from_code(kind) else {
-                continue;
-            };
-            let record = Record {
-                seq: (seq1 - 2) / 2,
-                kind,
-                id,
-                parent,
-                name: String::new(),
-                label: String::new(),
-                start_micros: start,
-                end_micros: end,
-                value,
-            };
-            raw.push((record, name, label));
-        }
-        // A writer interns its strings before it publishes its slot, so a
-        // table cloned after reading the slots resolves every index read.
-        let names: Vec<String> = self
-            .interner
-            .lock()
-            .expect("interner lock poisoned by a panicking writer")
-            .names
-            .clone();
-        let resolve = |idx: u64| -> String { names.get(idx as usize).cloned().unwrap_or_default() };
-        let mut out: Vec<Record> = raw
-            .into_iter()
-            .map(|(mut record, name, label)| {
-                record.name = resolve(name);
-                record.label = resolve(label);
-                record
+        let ring = self.lock();
+        let first = ring.written - ring.slots.len() as u64;
+        ring.slots
+            .iter()
+            .zip(first..)
+            .map(|(slot, seq)| Record {
+                seq,
+                kind: slot.kind,
+                id: slot.id,
+                parent: slot.parent,
+                name: slot.name.to_string(),
+                label: slot.label.to_string(),
+                start_micros: slot.start_micros,
+                end_micros: slot.end_micros,
+                value: slot.value,
             })
-            .collect();
-        out.sort_by_key(|r| r.seq);
-        out
+            .collect()
     }
 
     /// The snapshot as NDJSON (one record per line, trailing newline;
@@ -470,32 +323,6 @@ mod tests {
         assert_eq!(rec.written(), 11);
     }
 
-    /// A write that fell a lap behind finds its slot already holding a
-    /// newer record and drops its own instead of overwriting it.
-    #[test]
-    fn a_write_a_lap_behind_keeps_the_newer_record() {
-        let rec = FlightRecorder::with_capacity(4);
-        let event = |value: u64| {
-            move |slot: &Slot| {
-                slot.kind.store(RecordKind::Event.code(), Ordering::Relaxed);
-                slot.value.store(value, Ordering::Relaxed);
-            }
-        };
-        // Writes 1 and 5 share slot 1; write 5 publishes first.
-        assert!(rec.publish(5, event(5)));
-        assert!(!rec.publish(1, event(1)));
-        let snap = rec.snapshot();
-        assert_eq!(
-            snap.iter().map(|r| (r.seq, r.value)).collect::<Vec<_>>(),
-            vec![(5, 5)]
-        );
-        // An older write published first is overwritten as usual.
-        assert!(rec.publish(2, event(2)));
-        assert!(rec.publish(6, event(6)));
-        let seqs: Vec<u64> = rec.snapshot().iter().map(|r| r.seq).collect();
-        assert_eq!(seqs, vec![5, 6]);
-    }
-
     #[test]
     #[should_panic(expected = "at least one slot")]
     fn zero_capacity_panics() {
@@ -524,12 +351,46 @@ mod tests {
         assert_eq!(v.get("label").and_then(Value::as_str), Some("POST /cells"));
     }
 
+    /// Labels are owned by their slots, so each survives exactly as long
+    /// as its record stays in the ring.
     #[test]
-    fn interner_reuses_indices() {
+    fn distinct_labels_survive_wraparound() {
         let rec = FlightRecorder::with_capacity(4);
-        for _ in 0..3 {
-            rec.record(RecordKind::Event, 0, 0, "same", "lbl", 0, 0, 0);
+        for i in 0..12u64 {
+            let label = format!("cell-{i}");
+            rec.record(RecordKind::SpanOpen, i + 1, 0, "cell", &label, i, i, 0);
         }
-        assert_eq!(rec.interner.lock().unwrap().names.len(), 3); // "", "same", "lbl"
+        let labels: Vec<String> = rec.snapshot().into_iter().map(|r| r.label).collect();
+        assert_eq!(labels, ["cell-8", "cell-9", "cell-10", "cell-11"]);
+    }
+
+    #[test]
+    fn a_poisoned_lock_still_records_snapshots_and_renders() {
+        let rec = FlightRecorder::with_capacity(4);
+        rec.record(RecordKind::Event, 0, 0, "before", "", 1, 1, 1);
+        let poisoner = std::thread::scope(|scope| {
+            scope
+                .spawn(|| {
+                    let _ring = rec.lock();
+                    panic!("deliberate panic under the ring's lock");
+                })
+                .join()
+        });
+        assert!(poisoner.is_err());
+        assert!(rec.ring.is_poisoned());
+        rec.record(RecordKind::Event, 0, 0, "after", "x", 2, 2, 2);
+        let snap = rec.snapshot();
+        assert_eq!(
+            snap.iter()
+                .map(|r| (r.seq, r.name.as_str()))
+                .collect::<Vec<_>>(),
+            vec![(0, "before"), (1, "after")]
+        );
+        assert_eq!(rec.written(), 2);
+        let text = rec.to_ndjson();
+        assert_eq!(text.lines().count(), 2);
+        for line in text.lines() {
+            Value::parse(line).unwrap();
+        }
     }
 }

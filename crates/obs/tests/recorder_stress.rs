@@ -26,7 +26,7 @@ fn concurrent_writers_vs_drain_yields_consistent_snapshots() {
                 start.wait();
                 for i in 0..per_writer {
                     // Payload encodes (writer, i) so a torn slot that
-                    // slipped past the seqlock would be detectable.
+                    // slipped past the ring's lock would be detectable.
                     rec.record(
                         RecordKind::Event,
                         0,

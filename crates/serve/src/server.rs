@@ -244,11 +244,6 @@ impl ShutdownFlag {
     pub fn trip(&self) {
         self.ctx.shut_down();
     }
-
-    /// Whether shutdown has been requested.
-    pub fn is_tripped(&self) -> bool {
-        self.ctx.shutdown.load(Ordering::SeqCst)
-    }
 }
 
 /// Refuse one connection with 429. Reads (and discards) the request

@@ -26,12 +26,27 @@
 //! that does not parse, or `PP_TRIALS=0`, exits 2 before any work.
 
 use std::collections::HashSet;
+use std::io::{self, ErrorKind, Write};
 
 use crate::exec::ExecOptions;
 use crate::observer::ConsoleProgress;
 use crate::plan::{self, Plan, PlanConfig};
 use crate::runner;
 use crate::store::ResultStore;
+
+/// The exit code for a failed write to standard output. A reader that
+/// closed the pipe has read all it wanted, so `BrokenPipe` exits 0
+/// without a message; any other error is reported and exits 1.
+/// (`println!` panics on both.) `pp-sweep` and `exact_vs_sim` write their
+/// standard output through an [`io::Write`] and end with this code at the
+/// first write that fails.
+pub fn stdout_failed(e: &io::Error) -> u8 {
+    if e.kind() == ErrorKind::BrokenPipe {
+        return 0;
+    }
+    eprintln!("cannot write to standard output: {e}");
+    1
+}
 
 /// Entry point; returns the process exit code.
 pub fn main_with_args(args: &[String]) -> i32 {
@@ -92,46 +107,42 @@ pub fn main_with_args(args: &[String]) -> i32 {
         }
         (rest, metrics, trace, timelines)
     };
-    match args.as_slice() {
+    let out = &mut io::stdout();
+    let written = match args.as_slice() {
         [] => {
             eprintln!("{USAGE}");
-            2
+            Ok(2)
         }
-        [cmd] if *cmd == "list" => {
-            list(cfg);
-            0
-        }
+        [cmd] if *cmd == "list" => list(cfg, out).map(|()| 0),
         [cmd, name] if *cmd == "run" || *cmd == "resume" => run(
             name,
             cfg,
             &store,
+            out,
             metrics_to.flatten(),
             trace_glob.as_deref(),
             timelines_glob.as_deref(),
         ),
-        [cmd] if *cmd == "status" => {
-            for p in plan::plans(cfg) {
-                status(&p, &store);
-            }
-            status_telemetry(&store);
-            0
-        }
+        [cmd] if *cmd == "status" => plan::plans(cfg)
+            .iter()
+            .try_for_each(|p| status(p, &store, out))
+            .and_then(|()| status_telemetry(&store, out))
+            .map(|()| 0),
         [cmd, name] if *cmd == "status" => match plan::find(name, cfg) {
-            Some(p) => {
-                status(&p, &store);
-                status_telemetry(&store);
-                0
-            }
-            None => unknown_plan(name, cfg),
+            Some(p) => status(&p, &store, out)
+                .and_then(|()| status_telemetry(&store, out))
+                .map(|()| 0),
+            None => Ok(unknown_plan(name, cfg)),
         },
-        [cmd] if *cmd == "gc" => gc(cfg, &store),
-        [cmd] if *cmd == "metrics" => metrics_cmd(&store, &default_metrics_path(&store)),
-        [cmd, path] if *cmd == "metrics" => metrics_cmd(&store, std::path::Path::new(path)),
+        [cmd] if *cmd == "gc" => gc(cfg, &store, out),
+        [cmd] if *cmd == "metrics" => metrics_cmd(&store, &default_metrics_path(&store), out),
+        [cmd, path] if *cmd == "metrics" => metrics_cmd(&store, std::path::Path::new(path), out),
         _ => {
             eprintln!("{USAGE}");
-            2
+            Ok(2)
         }
-    }
+    };
+    written.unwrap_or_else(|e| i32::from(stdout_failed(&e)))
 }
 
 const USAGE: &str = "usage: pp-sweep <list | run <plan|all> [--metrics [path]] [--trace <glob>] \
@@ -160,48 +171,52 @@ fn backend_line(store: &ResultStore) -> String {
     )
 }
 
-fn list(cfg: PlanConfig) {
-    println!(
+fn list(cfg: PlanConfig, out: &mut dyn Write) -> io::Result<()> {
+    writeln!(
+        out,
         "registered plans (PP_TRIALS={}, PP_SEED={}):",
         cfg.trials, cfg.master_seed
-    );
+    )?;
     for p in plan::plans(cfg) {
-        println!(
+        writeln!(
+            out,
             "  {:<18} {:>4} cells  {:>7} trials  — {}",
             p.name,
             p.cells.len(),
             p.total_trials(),
             p.description
-        );
+        )?;
     }
-    println!("  {:<18} union of the above", "all");
+    writeln!(out, "  {:<18} union of the above", "all")
 }
 
-fn banner(p: &Plan, cfg: PlanConfig) {
-    println!("== {} — {}", p.title, p.description);
-    println!(
+fn banner(p: &Plan, cfg: PlanConfig, out: &mut dyn Write) -> io::Result<()> {
+    writeln!(out, "== {} — {}", p.title, p.description)?;
+    writeln!(
+        out,
         "   {} cells, {} trials, master seed = {} (override with PP_TRIALS / PP_SEED)",
         p.cells.len(),
         p.total_trials(),
         cfg.master_seed
-    );
-    println!();
+    )?;
+    writeln!(out)
 }
 
 fn run(
     name: &str,
     cfg: PlanConfig,
     store: &ResultStore,
+    out: &mut dyn Write,
     metrics_to: Option<String>,
     trace_glob: Option<&str>,
     timelines_glob: Option<&str>,
-) -> i32 {
+) -> io::Result<i32> {
     let selected: Vec<Plan> = if name == "all" {
         plan::plans(cfg)
     } else {
         match plan::find(name, cfg) {
             Some(p) => vec![p],
-            None => return unknown_plan(name, cfg),
+            None => return Ok(unknown_plan(name, cfg)),
         }
     };
 
@@ -218,7 +233,7 @@ fn run(
         }
         Err(report) => {
             eprintln!("pp-sweep: refusing to run: {report}");
-            return 1;
+            return Ok(1);
         }
     }
 
@@ -228,7 +243,7 @@ fn run(
         Err(e) => {
             progress.finish();
             eprintln!("pp-sweep: run failed: {e}");
-            return 1;
+            return Ok(1);
         }
     };
     progress.finish();
@@ -242,15 +257,15 @@ fn run(
     );
 
     for p in &selected {
-        banner(p, cfg);
+        banner(p, cfg, out)?;
         match (p.report)(store) {
-            Ok(text) => print!("{text}"),
+            Ok(text) => write!(out, "{text}")?,
             Err(e) => {
                 eprintln!("pp-sweep: report for {} failed: {e}", p.name);
-                return 1;
+                return Ok(1);
             }
         }
-        println!();
+        writeln!(out)?;
     }
 
     // Trace capture happens after the run so it works on cache hits too
@@ -274,7 +289,7 @@ fn run(
             }
             Err(e) => {
                 eprintln!("pp-sweep: trace capture failed: {e}");
-                return 1;
+                return Ok(1);
             }
         }
     }
@@ -301,7 +316,7 @@ fn run(
             }
             Err(e) => {
                 eprintln!("pp-sweep: timeline capture failed: {e}");
-                return 1;
+                return Ok(1);
             }
         }
     }
@@ -313,43 +328,49 @@ fn run(
     for path in &targets {
         if let Err(e) = crate::telemetry::write_metrics(path) {
             eprintln!("pp-sweep: cannot write metrics to {}: {e}", path.display());
-            return 1;
+            return Ok(1);
         }
         eprintln!("  metrics: {}", path.display());
     }
-    0
+    Ok(0)
 }
 
 /// `pp-sweep metrics [path]`: parse an exported metrics file, check the
 /// core engine counters are present, and print the summary table.
-fn metrics_cmd(store: &ResultStore, path: &std::path::Path) -> i32 {
-    println!("{}", backend_line(store));
+fn metrics_cmd(
+    store: &ResultStore,
+    path: &std::path::Path,
+    out: &mut dyn Write,
+) -> io::Result<i32> {
+    writeln!(out, "{}", backend_line(store))?;
     let snap = match pp_telemetry::Snapshot::read_jsonl(path) {
         Ok(s) => s,
         Err(e) => {
             eprintln!("pp-sweep: cannot read metrics: {e}");
-            return 1;
+            return Ok(1);
         }
     };
     if let Err(e) = crate::telemetry::validate_snapshot(&snap) {
         eprintln!("pp-sweep: {}: invalid metrics export: {e}", path.display());
-        return 1;
+        return Ok(1);
     }
     if let Some(warning) = stale_export_warning(&snap) {
         eprintln!("pp-sweep: warning: {warning}");
     }
-    println!("metrics from {}:", path.display());
-    print!("{}", snap.summary_table());
+    writeln!(out, "metrics from {}:", path.display())?;
+    write!(out, "{}", snap.summary_table())?;
     // One derived line when the batch kernel ran: how often it leapt vs
     // handed back to exact stepping, the observable batch/exact crossover.
     let batches = snap.value("engine.leap_batches").unwrap_or(0);
     if batches > 0 {
         let fallbacks = snap.value("engine.batch_fallbacks").unwrap_or(0);
-        println!(
-            "batch kernel: {batches} tau-leaps applied, {fallbacks} fallbacks to exact stepping"
-        );
+        writeln!(
+            out,
+            "batch kernel: {batches} batches (τ-leaps and lumped stretches) applied, \
+{fallbacks} fallbacks to exact stepping"
+        )?;
     }
-    0
+    Ok(0)
 }
 
 /// Explain why an export cannot be trusted as "the last run", if so.
@@ -378,20 +399,20 @@ re-run `pp-sweep run` to refresh"
 
 /// One compact line of engine/sweep totals from the default metrics
 /// export, if a run has produced one.
-fn status_telemetry(store: &ResultStore) {
-    println!("{}", backend_line(store));
+fn status_telemetry(store: &ResultStore, out: &mut dyn Write) -> io::Result<()> {
+    writeln!(out, "{}", backend_line(store))?;
     let path = default_metrics_path(store);
     let Ok(snap) = pp_telemetry::Snapshot::read_jsonl(&path) else {
-        return; // no export yet — say nothing rather than alarm
+        return Ok(()); // no export yet — say nothing rather than alarm
     };
     if let Some(warning) = stale_export_warning(&snap) {
         // A stale export must not masquerade as a zeros digest of the
         // last run — say what happened and skip the digest entirely.
-        println!("telemetry: {warning} ({})", path.display());
-        return;
+        return writeln!(out, "telemetry: {warning} ({})", path.display());
     }
     let v = |name: &str| snap.value(name).unwrap_or(0);
-    println!(
+    writeln!(
+        out,
         "telemetry (last run): {} interactions ({} effective) over {} engine runs; \
 {} cells ({} cached), {} trials simulated, {} recovered — {}",
         v("engine.interactions"),
@@ -402,30 +423,34 @@ fn status_telemetry(store: &ResultStore) {
         v("sweep.trials.simulated"),
         v("sweep.trials.recovered"),
         path.display()
-    );
-    // Batch-kernel crossover line, only when the tau-leap kernel ran.
+    )?;
+    // Batch-kernel crossover line, only when the batch kernel ran.
     let batches = v("engine.leap_batches");
     if batches > 0 {
-        println!(
-            "batch kernel (last run): {batches} tau-leaps, {} exact fallbacks",
+        writeln!(
+            out,
+            "batch kernel (last run): {batches} batches (τ-leaps and lumped stretches), \
+{} exact fallbacks",
             v("engine.batch_fallbacks")
-        );
+        )?;
     }
     // Timeline line only when the last run captured phase timelines.
     let timelines = v("timeline.cells.recorded") + v("timeline.cells.reused");
     if timelines > 0 {
-        println!(
+        writeln!(
+            out,
             "timelines (last run): {timelines} cells ({} freshly recorded, {} phase segments, \
 {} checkpoints)",
             v("timeline.cells.recorded"),
             v("timeline.segments"),
             v("timeline.checkpoints"),
-        );
+        )?;
     }
     // Second line only when the last run captured traces.
     let effective = v("trace.records.effective");
     if effective > 0 {
-        println!(
+        writeln!(
+            out,
             "traces (last run): {} effective records ({} bytes); chains: {} born, \
 {} completed, {} aborted, {} demolished",
             effective,
@@ -434,11 +459,12 @@ fn status_telemetry(store: &ResultStore) {
             v("trace.chain.completions"),
             v("trace.chain.aborts"),
             v("trace.chain.demolitions"),
-        );
+        )?;
     }
+    Ok(())
 }
 
-fn status(p: &Plan, store: &ResultStore) {
+fn status(p: &Plan, store: &ResultStore, out: &mut dyn Write) -> io::Result<()> {
     let mut complete = 0usize;
     let mut partial = 0usize;
     let mut partial_trials = 0u64;
@@ -479,7 +505,8 @@ fn status(p: &Plan, store: &ResultStore) {
     if timelined > 0 {
         traces.push_str(&format!(", {timelined} timelined"));
     }
-    println!(
+    writeln!(
+        out,
         "{:<18} {:>11}: {}/{} cells complete, {} partial ({} journaled trials), {} pending{}",
         p.name,
         state,
@@ -489,10 +516,10 @@ fn status(p: &Plan, store: &ResultStore) {
         partial_trials,
         pending,
         traces
-    );
+    )
 }
 
-fn gc(cfg: PlanConfig, store: &ResultStore) -> i32 {
+fn gc(cfg: PlanConfig, store: &ResultStore, out: &mut dyn Write) -> io::Result<i32> {
     // Everything a *current* plan (under the current settings) can
     // address is live; anything else — stale KEY_VERSION entries, cells
     // from other PP_TRIALS/PP_SEED settings, leftover .tmp files — is
@@ -511,20 +538,21 @@ fn gc(cfg: PlanConfig, store: &ResultStore) -> i32 {
         Ok(o) => o,
         Err(e) => {
             eprintln!("pp-sweep: gc failed: {e}");
-            return 1;
+            return Ok(1);
         }
     };
     for item in &outcome.removed {
-        println!("removed {item}");
+        writeln!(out, "removed {item}")?;
     }
-    println!(
+    writeln!(
+        out,
         "gc: removed {}, kept {} (store: {})",
         outcome.removed.len(),
         outcome.kept,
         store.location()
-    );
-    println!("{}", backend_line(store));
-    0
+    )?;
+    writeln!(out, "{}", backend_line(store))?;
+    Ok(0)
 }
 
 fn unknown_plan(name: &str, cfg: PlanConfig) -> i32 {
@@ -591,7 +619,7 @@ mod tests {
         store
             .save(&k16, vec![TrialRecord::summary(0, Some(7))])
             .unwrap();
-        assert_eq!(gc(cfg, &store), 0);
+        assert_eq!(gc(cfg, &store, &mut io::sink()).unwrap(), 0);
         let kept = store.load(&k16).is_some();
         let _ = std::fs::remove_dir_all(&dir);
         assert!(kept, "gc removed fig6's k = 16 cell");
@@ -609,9 +637,9 @@ mod tests {
             master_seed: 1,
         };
         for p in plan::plans(cfg) {
-            status(&p, &store);
+            status(&p, &store, &mut io::sink()).unwrap();
         }
-        list(cfg);
+        list(cfg, &mut io::sink()).unwrap();
         assert!(!dir.exists());
     }
 }

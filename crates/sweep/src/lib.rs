@@ -35,15 +35,11 @@
 #![warn(missing_docs)]
 
 pub mod backend;
-// The CLI surface prints to stdout by design.
-#[allow(clippy::print_stdout)]
 pub mod cli;
 pub mod exec;
 pub mod journal;
 pub mod json;
 pub mod lintgate;
-// Console progress writes to stdout by design.
-#[allow(clippy::print_stdout)]
 pub mod observer;
 pub mod plan;
 pub mod plans;

@@ -53,7 +53,7 @@ pub const TAG_LIFECYCLE: u64 = 3;
 pub enum TraceKernel {
     /// One interaction per loop iteration (`Simulator::run`).
     Naive,
-    /// Batched identity-skipping kernel (`Simulator::run_leap`).
+    /// Batched identity-skipping kernel (`Simulator::run_leap_observed`).
     Leap,
 }
 

@@ -17,7 +17,7 @@
 //! * [`recorder`] — [`TraceRecorder`], an `Observer` that encodes a live
 //!   run without touching the simulator's hot loops.
 //! * [`replay`] — [`Trace`]: decode, deterministic replay, δ-checked
-//!   replay, and random access to "configuration at step t".
+//!   replay, and the configuration at any step t.
 //! * [`classify`](mod@classify) — rule attribution, lifecycle [`Event`]s, and the
 //!   online Lemma-1 checker.
 //! * [`live`] — record a live k-partition run; verify a trace against a
@@ -45,4 +45,4 @@ pub use classify::{check_lemma1, classify, Diagnostics, Event, Lemma1Report};
 pub use format::{TraceError, TraceHeader, TraceKernel, TraceRecord};
 pub use live::{record_kpartition, verify_against_live, RecordOutcome, VerifyReport};
 pub use recorder::TraceRecorder;
-pub use replay::{ReplaySummary, Trace, TraceIndex};
+pub use replay::{ReplaySummary, Trace};

@@ -88,11 +88,6 @@ impl TraceRecorder {
         self.lifecycle
     }
 
-    /// Bytes encoded so far (header + records; no footer yet).
-    pub fn bytes_so_far(&self) -> usize {
-        self.buf.len()
-    }
-
     fn flush_identities(&mut self) {
         if self.pending_identities > 0 {
             let last = self.emitted_step + self.pending_identities;

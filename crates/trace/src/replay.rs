@@ -6,8 +6,7 @@
 //! verifies the result is bit-identical to the footer's final counts —
 //! which, for a trace recorded from a live run, are the live run's final
 //! counts, making replay an end-to-end correctness oracle for both
-//! kernels. [`Trace::index`] adds random access to "configuration at
-//! step t" via evenly spaced checkpoints.
+//! kernels. [`Trace::config_at`] answers "configuration at step t".
 
 use crate::format::{
     decode_header, Reader, TraceError, TraceHeader, TraceRecord, TAG_EFFECTIVE, TAG_FOOTER,
@@ -277,50 +276,13 @@ impl Trace {
     }
 
     /// The configuration after interaction `t` (`t = 0` is the initial
-    /// configuration). Linear in the number of records before `t`; for
-    /// repeated queries build a [`TraceIndex`].
+    /// configuration). Linear in the number of records before `t`.
     pub fn config_at(&self, t: u64) -> Result<Vec<u64>, TraceError> {
         let mut counts = self.header.initial_counts.clone();
         for rec in self.records.iter().take_while(|r| r.last_step() <= t) {
             apply(&mut counts, rec)?;
         }
         Ok(counts)
-    }
-
-    /// Build a checkpoint index with one snapshot every `stride`
-    /// count-changing records (`stride ≥ 1`), enabling O(stride) random
-    /// access.
-    pub fn index(&self, stride: usize) -> TraceIndex {
-        assert!(stride >= 1, "index stride must be at least 1");
-        let mut checkpoints = vec![Checkpoint {
-            applied: 0,
-            step: 0,
-            counts: self.header.initial_counts.clone(),
-        }];
-        let mut counts = self.header.initial_counts.clone();
-        let mut since = 0usize;
-        for (i, rec) in self.records.iter().enumerate() {
-            if matches!(rec, TraceRecord::IdentityRun { .. }) {
-                continue;
-            }
-            // Records decoded by `Trace::decode` cannot underflow n, but
-            // tolerate hand-built traces by ignoring failures here; the
-            // authoritative check lives in `replay`.
-            let _ = apply(&mut counts, rec);
-            since += 1;
-            if since == stride {
-                checkpoints.push(Checkpoint {
-                    applied: i + 1,
-                    step: rec.last_step(),
-                    counts: counts.clone(),
-                });
-                since = 0;
-            }
-        }
-        TraceIndex {
-            stride,
-            checkpoints,
-        }
     }
 }
 
@@ -351,62 +313,6 @@ fn apply(counts: &mut [u64], rec: &TraceRecord) -> Result<(), TraceError> {
         TraceRecord::Lifecycle { step, state, .. } => take(counts, step, state)?,
     }
     Ok(())
-}
-
-/// One snapshot in a [`TraceIndex`]: the configuration after the first
-/// `applied` records. Keyed by record position rather than step because
-/// a lifecycle record may share its step with the preceding interaction
-/// (zero step delta), making steps alone ambiguous resume points.
-#[derive(Clone, Debug)]
-struct Checkpoint {
-    /// Number of records consumed to reach this snapshot.
-    applied: usize,
-    /// Step of the last record consumed (0 for the initial snapshot).
-    step: u64,
-    /// Configuration counts at this point.
-    counts: Vec<u64>,
-}
-
-/// Evenly spaced configuration checkpoints over a trace, for random
-/// access to "configuration at step t" without replaying from the start.
-#[derive(Clone, Debug)]
-pub struct TraceIndex {
-    stride: usize,
-    /// Snapshots in record order; the first is the initial configuration.
-    checkpoints: Vec<Checkpoint>,
-}
-
-impl TraceIndex {
-    /// Number of checkpoints held (including the initial configuration).
-    pub fn len(&self) -> usize {
-        self.checkpoints.len()
-    }
-
-    /// Whether only the initial checkpoint exists.
-    pub fn is_empty(&self) -> bool {
-        self.checkpoints.len() <= 1
-    }
-
-    /// Checkpoint stride in count-changing records.
-    pub fn stride(&self) -> usize {
-        self.stride
-    }
-
-    /// The configuration after interaction `t`, resuming from the nearest
-    /// preceding checkpoint. O(`stride`) record applications.
-    pub fn config_at(&self, trace: &Trace, t: u64) -> Result<Vec<u64>, TraceError> {
-        let i = self
-            .checkpoints
-            .partition_point(|c| c.step <= t)
-            .saturating_sub(1);
-        let cp = &self.checkpoints[i];
-        let mut counts = cp.counts.clone();
-        let pending = trace.records[cp.applied..].iter();
-        for rec in pending.take_while(|r| r.last_step() <= t) {
-            apply(&mut counts, rec)?;
-        }
-        Ok(counts)
-    }
 }
 
 #[cfg(test)]
@@ -455,13 +361,6 @@ mod tests {
         assert_eq!(trace.config_at(2).unwrap(), vec![2, 2]);
         assert_eq!(trace.config_at(3).unwrap(), vec![0, 4]);
         assert_eq!(trace.config_at(99).unwrap(), vec![0, 4]);
-        let idx = trace.index(1);
-        for t in 0..=4 {
-            assert_eq!(
-                idx.config_at(&trace, t).unwrap(),
-                trace.config_at(t).unwrap()
-            );
-        }
     }
 
     #[test]
@@ -481,8 +380,8 @@ mod tests {
         }
     }
 
-    /// A trace with churn: the index must resume correctly even when a
-    /// lifecycle record shares its step with an interaction (zero delta).
+    /// A trace with churn, where a lifecycle record shares its step with
+    /// an interaction (zero delta).
     fn churn_trace() -> Vec<u8> {
         let header = TraceHeader {
             protocol: "toy".into(),
@@ -514,18 +413,6 @@ mod tests {
         assert_eq!(trace.config_at(1).unwrap(), vec![2, 3]);
         assert_eq!(trace.config_at(2).unwrap(), vec![2, 3]);
         assert_eq!(trace.config_at(3).unwrap(), vec![0, 3]);
-        // Every stride must agree with the linear scan, including
-        // strides that checkpoint mid-way through a same-step cluster.
-        for stride in 1..=6 {
-            let idx = trace.index(stride);
-            for t in 0..=4 {
-                assert_eq!(
-                    idx.config_at(&trace, t).unwrap(),
-                    trace.config_at(t).unwrap(),
-                    "stride {stride}, t {t}"
-                );
-            }
-        }
     }
 
     #[test]

@@ -62,7 +62,13 @@ proptest! {
 
             let mut pop_leap = CountPopulation::from_counts(counts.clone());
             let mut sched_leap = UniformRandomScheduler::from_seed(seed);
-            let leap = sim.run_leap(&mut pop_leap, &mut sched_leap, &Silent, budget);
+            let leap = sim.run_leap_observed(
+                &mut pop_leap,
+                &mut sched_leap,
+                &Silent,
+                budget,
+                &mut NullObserver,
+            );
 
             let mut pop_batch = CountPopulation::from_counts(counts);
             let mut sched_batch = UniformRandomScheduler::from_seed(seed);
@@ -124,7 +130,8 @@ fn samples(batch_kernel: bool, k: usize, n: u64, trials: u64, seed_base: u64) ->
             leaps += counter.leaps;
             r
         } else {
-            sim.run_leap(&mut pop, &mut sched, &sig, u64::MAX).unwrap()
+            sim.run_leap_observed(&mut pop, &mut sched, &sig, u64::MAX, &mut NullObserver)
+                .unwrap()
         };
         out.push(r.interactions as f64);
     }

@@ -35,7 +35,9 @@ fn sample_mean(kernel: Kernel, k: usize, n: u64, trials: u64, seed_base: u64) ->
         let mut sched = UniformRandomScheduler::from_seed(seed_base + t);
         let r = match kernel {
             Kernel::Naive => sim.run(&mut pop, &mut sched, &sig, u64::MAX),
-            Kernel::Leap => sim.run_leap(&mut pop, &mut sched, &sig, u64::MAX),
+            Kernel::Leap => {
+                sim.run_leap_observed(&mut pop, &mut sched, &sig, u64::MAX, &mut NullObserver)
+            }
             Kernel::BatchExact => {
                 sim.run_batch_configured(&mut pop, &mut sched, &sig, u64::MAX, n, &mut NullObserver)
             }
@@ -122,7 +124,13 @@ fn leap_fixed_seed_regression() {
     let mut pop = CountPopulation::new(&proto, 30);
     let mut sched = UniformRandomScheduler::from_seed(2024);
     let r = Simulator::new(&proto)
-        .run_leap(&mut pop, &mut sched, &kp.stable_signature(30), u64::MAX)
+        .run_leap_observed(
+            &mut pop,
+            &mut sched,
+            &kp.stable_signature(30),
+            u64::MAX,
+            &mut NullObserver,
+        )
         .unwrap();
     assert_eq!(pop.group_sizes(&proto), vec![8, 8, 7, 7]);
     assert_eq!((r.interactions, r.effective_interactions), (354, 84));
