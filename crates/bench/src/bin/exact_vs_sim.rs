@@ -16,8 +16,8 @@ use std::io::{self, Write};
 use std::process::ExitCode;
 
 use pp_analysis::table::{fmt_f64, Table};
+use pp_engine::cli::stdout_failed;
 use pp_protocols::kpartition::UniformKPartition;
-use pp_sweep::cli::stdout_failed;
 use pp_sweep::exec::{run_cell, ExecOptions};
 use pp_sweep::observer::NullObserver;
 use pp_sweep::plan::{results_path, ukp_cell, PlanConfig};

@@ -41,6 +41,8 @@
 //!   per-rule drift, the shared currency of invariant checks.
 //! * [`seeds`] — deterministic seed derivation for reproducible experiment
 //!   fan-out, and the FNV-1a hash behind persisted content addresses.
+//! * [`cli`] — the exit code every command-line tool of the workspace
+//!   gives a failed write to standard output.
 //!
 //! ## Quick example
 //!
@@ -76,6 +78,7 @@
 #![warn(missing_docs)]
 
 pub mod batch;
+pub mod cli;
 pub mod dot;
 pub mod functional;
 pub mod leap;

@@ -11,21 +11,46 @@
 //! `leader-election`, `approx-majority`). Exit code is 0 when every
 //! linted protocol is clean at the chosen threshold, 1 when any has an
 //! `Error` finding (or a `Warning`, under `--deny warnings`), and 2 on
-//! usage errors.
+//! usage errors. A failed write to standard output ends the run with
+//! [`stdout_failed`]'s code: 0 when the reader has gone, else 1.
+
+use std::io::{self, Write};
 
 use crate::checks::lint;
 use crate::findings::Severity;
 use crate::registry::{self, Entry};
+use pp_engine::cli::stdout_failed;
 use pp_telemetry::json::Value;
 
 /// Entry point; returns the process exit code.
 pub fn main_with_args(args: &[String]) -> i32 {
-    match run(args) {
+    match run(args, &mut io::stdout()) {
         Ok(denied) => i32::from(denied),
-        Err(msg) => {
+        Err(Failure::Usage(msg)) => {
             eprintln!("pp-lint: {msg}");
             2
         }
+        Err(Failure::Stdout(e)) => i32::from(stdout_failed(&e)),
+    }
+}
+
+/// Why [`run`] stopped.
+enum Failure {
+    /// Bad arguments, or an `--out` file that cannot be written.
+    Usage(String),
+    /// A write to standard output failed.
+    Stdout(io::Error),
+}
+
+impl From<String> for Failure {
+    fn from(msg: String) -> Self {
+        Failure::Usage(msg)
+    }
+}
+
+impl From<io::Error> for Failure {
+    fn from(e: io::Error) -> Self {
+        Failure::Stdout(e)
     }
 }
 
@@ -88,27 +113,28 @@ fn parse(args: &[String]) -> Result<Options, String> {
     Ok(o)
 }
 
-fn print_usage() {
-    println!(
+fn print_usage(out: &mut dyn Write) -> io::Result<()> {
+    writeln!(
+        out,
         "pp-lint: static analysis of population protocols
 
 usage:
   pp-lint --all-protocols [--format text|json] [--deny warnings] [--out FILE]
   pp-lint --protocol FAMILY [--k N] [--h N] [--format text|json] [--deny warnings] [--out FILE]
   pp-lint list"
-    );
+    )
 }
 
 /// Returns `Ok(true)` when findings at/above the threshold were found.
-fn run(args: &[String]) -> Result<bool, String> {
+fn run(args: &[String], out: &mut dyn Write) -> Result<bool, Failure> {
     let o = parse(args)?;
     if o.help {
-        print_usage();
+        print_usage(out)?;
         return Ok(false);
     }
     if o.list {
         for e in registry::all() {
-            println!("{}", e.slug);
+            writeln!(out, "{}", e.slug)?;
         }
         return Ok(false);
     }
@@ -120,8 +146,12 @@ fn run(args: &[String]) -> Result<bool, String> {
         vec![registry::by_name(name, size)
             .ok_or_else(|| format!("unknown protocol `{name}` (try `pp-lint list`)"))?]
     } else {
-        print_usage();
-        return Err("nothing to lint: pass --all-protocols or --protocol".to_string());
+        // The usage error's exit code stands even if the usage text
+        // cannot be written.
+        let _ = print_usage(out);
+        return Err(Failure::Usage(
+            "nothing to lint: pass --all-protocols or --protocol".to_string(),
+        ));
     };
 
     let threshold = if o.deny_warnings {
@@ -150,8 +180,8 @@ fn run(args: &[String]) -> Result<bool, String> {
         std::fs::write(path, &json).map_err(|e| format!("writing {path}: {e}"))?;
     }
     match o.format.as_str() {
-        "json" => println!("{json}"),
-        _ => print!("{text}"),
+        "json" => writeln!(out, "{json}")?,
+        _ => write!(out, "{text}")?,
     }
     if denied {
         eprintln!(

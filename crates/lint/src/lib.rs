@@ -34,8 +34,6 @@
 #![deny(clippy::dbg_macro, clippy::todo, clippy::print_stdout)]
 
 pub mod checks;
-// The CLI surface prints to stdout by design.
-#[allow(clippy::print_stdout)]
 pub mod cli;
 pub mod findings;
 pub mod invariant;

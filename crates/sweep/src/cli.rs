@@ -26,27 +26,15 @@
 //! that does not parse, or `PP_TRIALS=0`, exits 2 before any work.
 
 use std::collections::HashSet;
-use std::io::{self, ErrorKind, Write};
+use std::io::{self, Write};
+
+use pp_engine::cli::stdout_failed;
 
 use crate::exec::ExecOptions;
 use crate::observer::ConsoleProgress;
 use crate::plan::{self, Plan, PlanConfig};
 use crate::runner;
 use crate::store::ResultStore;
-
-/// The exit code for a failed write to standard output. A reader that
-/// closed the pipe has read all it wanted, so `BrokenPipe` exits 0
-/// without a message; any other error is reported and exits 1.
-/// (`println!` panics on both.) `pp-sweep` and `exact_vs_sim` write their
-/// standard output through an [`io::Write`] and end with this code at the
-/// first write that fails.
-pub fn stdout_failed(e: &io::Error) -> u8 {
-    if e.kind() == ErrorKind::BrokenPipe {
-        return 0;
-    }
-    eprintln!("cannot write to standard output: {e}");
-    1
-}
 
 /// Entry point; returns the process exit code.
 pub fn main_with_args(args: &[String]) -> i32 {

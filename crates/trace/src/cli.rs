@@ -13,49 +13,78 @@
 //! The batch kernel reports tau-leaps only in bulk, so a batch request
 //! records on its stand-in, the exact leap kernel — as `pp-sweep run
 //! --trace` does — and the header says `leap`.
+//!
+//! A failed write to standard output ends the command with
+//! [`stdout_failed`]'s code: 0 when the reader has gone, else 1.
 
 use crate::classify::{check_lemma1, classify, Event, Lemma1Report};
 use crate::format::{TraceError, TraceKernel};
 use crate::live::{record_kpartition, verify_against_live};
 use crate::replay::Trace;
+use pp_engine::cli::stdout_failed;
 use pp_engine::simulator::Kernel;
 use pp_protocols::kpartition::UniformKPartition;
+use std::io::{self, Write};
 use std::path::Path;
 
 /// Entry point; returns the process exit code.
 pub fn main_with_args(args: &[String]) -> i32 {
-    match run(args) {
+    match run(args, &mut io::stdout()) {
         Ok(()) => 0,
-        Err(msg) => {
+        Err(Failure::Message(msg)) => {
             eprintln!("pp-trace: {msg}");
             1
         }
+        Err(Failure::Stdout(e)) => i32::from(stdout_failed(&e)),
     }
 }
 
-fn run(args: &[String]) -> Result<(), String> {
+/// Why a command stopped.
+enum Failure {
+    /// The command failed; the message goes to standard error.
+    Message(String),
+    /// A write to standard output failed.
+    Stdout(io::Error),
+}
+
+impl From<String> for Failure {
+    fn from(msg: String) -> Self {
+        Failure::Message(msg)
+    }
+}
+
+impl From<&str> for Failure {
+    fn from(msg: &str) -> Self {
+        Failure::Message(msg.to_string())
+    }
+}
+
+impl From<io::Error> for Failure {
+    fn from(e: io::Error) -> Self {
+        Failure::Stdout(e)
+    }
+}
+
+fn run(args: &[String], out: &mut dyn Write) -> Result<(), Failure> {
     let Some(cmd) = args.first() else {
-        print_usage();
-        return Ok(());
+        return Ok(print_usage(out)?);
     };
     let rest = &args[1..];
     match cmd.as_str() {
-        "record" => cmd_record(rest),
-        "info" => cmd_info(rest),
-        "events" => cmd_events(rest),
-        "replay" => cmd_replay(rest),
-        "verify" => cmd_verify(rest),
-        "lemma1" => cmd_lemma1(rest),
-        "help" | "--help" | "-h" => {
-            print_usage();
-            Ok(())
-        }
-        other => Err(format!("unknown command `{other}` (try `pp-trace help`)")),
+        "record" => cmd_record(rest, out),
+        "info" => cmd_info(rest, out),
+        "events" => cmd_events(rest, out),
+        "replay" => cmd_replay(rest, out),
+        "verify" => cmd_verify(rest, out),
+        "lemma1" => cmd_lemma1(rest, out),
+        "help" | "--help" | "-h" => Ok(print_usage(out)?),
+        other => Err(format!("unknown command `{other}` (try `pp-trace help`)").into()),
     }
 }
 
-fn print_usage() {
-    println!(
+fn print_usage(out: &mut dyn Write) -> io::Result<()> {
+    writeln!(
+        out,
         "pp-trace: record, replay, and diagnose population-protocol executions
 
 usage:
@@ -65,7 +94,7 @@ usage:
   pp-trace replay FILE [--at STEP]
   pp-trace verify FILE
   pp-trace lemma1 FILE"
-    );
+    )
 }
 
 /// Parsed `--flag value` pairs, last occurrence winning (see [`opt`]).
@@ -128,7 +157,7 @@ fn one_file(pos: &[String], cmd: &str) -> Result<String, String> {
     }
 }
 
-fn cmd_record(args: &[String]) -> Result<(), String> {
+fn cmd_record(args: &[String], out: &mut dyn Write) -> Result<(), Failure> {
     let (opts, pos) = parse_opts(args)?;
     if !pos.is_empty() {
         return Err("`pp-trace record` takes only --flag options".into());
@@ -140,18 +169,19 @@ fn cmd_record(args: &[String]) -> Result<(), String> {
     let kernel = kernel_from(&opts)?;
     let out_path = opt(&opts, "out").ok_or("--out is required")?;
     UniformKPartition::try_new(k).map_err(|e| e.to_string())?;
-    let out = record_kpartition(k, n, seed, kernel, budget)
+    let recorded = record_kpartition(k, n, seed, kernel, budget)
         .map_err(|e| format!("cannot record uniform-{k}-partition n={n}: {e}"))?;
-    write_atomic(Path::new(out_path), &out.bytes)
+    write_atomic(Path::new(out_path), &recorded.bytes)
         .map_err(|e| format!("cannot write {out_path}: {e}"))?;
-    println!(
+    writeln!(
+        out,
         "recorded uniform-{k}-partition n={n} seed={seed} kernel={kernel}: \
          {} interactions ({} effective){} -> {out_path} ({} bytes)",
-        out.interactions,
-        out.effective,
-        if out.censored { " [censored]" } else { "" },
-        out.bytes.len()
-    );
+        recorded.interactions,
+        recorded.effective,
+        if recorded.censored { " [censored]" } else { "" },
+        recorded.bytes.len()
+    )?;
     Ok(())
 }
 
@@ -167,7 +197,7 @@ pub fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
     std::fs::rename(&tmp, path)
 }
 
-fn cmd_info(args: &[String]) -> Result<(), String> {
+fn cmd_info(args: &[String], out: &mut dyn Write) -> Result<(), Failure> {
     let (opts, pos) = parse_opts(args)?;
     if !opts.is_empty() {
         return Err("`pp-trace info` takes no options".into());
@@ -176,18 +206,24 @@ fn cmd_info(args: &[String]) -> Result<(), String> {
     let bytes = std::fs::read(&path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let trace = Trace::decode(&bytes).map_err(|e| format!("{path}: {e}"))?;
     let h = &trace.header;
-    println!("trace     {path} ({} bytes)", bytes.len());
-    println!("protocol  {} ({} states)", h.protocol, h.state_names.len());
-    println!("n         {}", h.n);
-    println!("seed      {}", h.seed);
-    println!("kernel    {}", h.kernel);
-    println!(
+    writeln!(out, "trace     {path} ({} bytes)", bytes.len())?;
+    writeln!(
+        out,
+        "protocol  {} ({} states)",
+        h.protocol,
+        h.state_names.len()
+    )?;
+    writeln!(out, "n         {}", h.n)?;
+    writeln!(out, "seed      {}", h.seed)?;
+    writeln!(out, "kernel    {}", h.kernel)?;
+    writeln!(
+        out,
         "records   {} effective + {} identity-run (covering {} identities)",
         trace.effective_len(),
         trace.records.len() as u64 - trace.effective_len(),
         trace.identity_total()
-    );
-    println!("last step {}", trace.last_step());
+    )?;
+    writeln!(out, "last step {}", trace.last_step())?;
     let nonzero: Vec<String> = trace
         .final_counts
         .iter()
@@ -195,24 +231,25 @@ fn cmd_info(args: &[String]) -> Result<(), String> {
         .filter(|(_, c)| **c > 0)
         .map(|(i, c)| format!("{}:{c}", h.state_names[i]))
         .collect();
-    println!("final     {}", nonzero.join(" "));
+    writeln!(out, "final     {}", nonzero.join(" "))?;
     Ok(())
 }
 
-fn cmd_events(args: &[String]) -> Result<(), String> {
+fn cmd_events(args: &[String], out: &mut dyn Write) -> Result<(), Failure> {
     let (opts, pos) = parse_opts(args)?;
     let limit = parse_u64(&opts, "limit")?.unwrap_or(u64::MAX) as usize;
     let path = one_file(&pos, "events")?;
     let trace = load(&path)?;
     let diag = classify(&trace).map_err(|e| format!("{path}: {e}"))?;
-    println!("rule firings:");
+    writeln!(out, "rule firings:")?;
     for (rule, count) in &diag.rule_firings {
-        println!("  {rule:<4} {count}");
+        writeln!(out, "  {rule:<4} {count}")?;
     }
     if diag.unattributed > 0 {
-        println!("  (unattributed: {})", diag.unattributed);
+        writeln!(out, "  (unattributed: {})", diag.unattributed)?;
     }
-    println!(
+    writeln!(
+        out,
         "lifecycle: {} births, {} advances, {} completions, {} aborts, \
          {} demolition steps, {} demolitions finished",
         diag.births,
@@ -221,41 +258,42 @@ fn cmd_events(args: &[String]) -> Result<(), String> {
         diag.aborts,
         diag.demolition_steps,
         diag.demolitions
-    );
+    )?;
     for ev in diag.events.iter().take(limit) {
         match *ev {
-            Event::ChainBirth { step } => println!("{step:>10}  chain birth"),
+            Event::ChainBirth { step } => writeln!(out, "{step:>10}  chain birth"),
             Event::BuilderAdvance { step, level } => {
-                println!("{step:>10}  builder advance -> m{level}")
+                writeln!(out, "{step:>10}  builder advance -> m{level}")
             }
-            Event::ChainCompletion { step } => println!("{step:>10}  chain completion"),
+            Event::ChainCompletion { step } => writeln!(out, "{step:>10}  chain completion"),
             Event::ChainAbort { step, i, j } => {
-                println!("{step:>10}  chain abort (m{i} vs m{j})")
+                writeln!(out, "{step:>10}  chain abort (m{i} vs m{j})")
             }
             Event::DemolitionStep { step, level } => {
-                println!("{step:>10}  demolition step at d{level}")
+                writeln!(out, "{step:>10}  demolition step at d{level}")
             }
             Event::DemolitionComplete { step } => {
-                println!("{step:>10}  demolition complete")
+                writeln!(out, "{step:>10}  demolition complete")
             }
-        }
+        }?;
     }
     if diag.events.len() > limit {
-        println!("... {} more events", diag.events.len() - limit);
+        writeln!(out, "... {} more events", diag.events.len() - limit)?;
     }
     Ok(())
 }
 
-fn cmd_replay(args: &[String]) -> Result<(), String> {
+fn cmd_replay(args: &[String], out: &mut dyn Write) -> Result<(), Failure> {
     let (opts, pos) = parse_opts(args)?;
     let at = parse_u64(&opts, "at")?;
     let path = one_file(&pos, "replay")?;
     let trace = load(&path)?;
     let summary = trace.replay().map_err(|e| format!("{path}: {e}"))?;
-    println!(
+    writeln!(
+        out,
         "replayed {} interactions ({} effective, {} identity): final counts match footer",
         summary.interactions, summary.effective, summary.identity
-    );
+    )?;
     if let Some(t) = at {
         let config = trace.config_at(t).map_err(|e| format!("{path}: {e}"))?;
         let pretty: Vec<String> = config
@@ -264,12 +302,12 @@ fn cmd_replay(args: &[String]) -> Result<(), String> {
             .filter(|(_, c)| **c > 0)
             .map(|(i, c)| format!("{}:{c}", trace.header.state_names[i]))
             .collect();
-        println!("config at step {t}: {}", pretty.join(" "));
+        writeln!(out, "config at step {t}: {}", pretty.join(" "))?;
     }
     Ok(())
 }
 
-fn cmd_verify(args: &[String]) -> Result<(), String> {
+fn cmd_verify(args: &[String], out: &mut dyn Write) -> Result<(), Failure> {
     let (opts, pos) = parse_opts(args)?;
     if !opts.is_empty() {
         return Err("`pp-trace verify` takes no options".into());
@@ -277,18 +315,19 @@ fn cmd_verify(args: &[String]) -> Result<(), String> {
     let path = one_file(&pos, "verify")?;
     let trace = load(&path)?;
     let report = verify_against_live(&trace).map_err(|e| format!("{path}: {e}"))?;
-    println!(
+    writeln!(
+        out,
         "verified: replay of {} effective interactions is bit-identical to the live \
          {} run ({} interactions{})",
         report.replay.effective,
         trace.header.kernel,
         report.live_interactions,
         if report.censored { ", censored" } else { "" }
-    );
+    )?;
     Ok(())
 }
 
-fn cmd_lemma1(args: &[String]) -> Result<(), String> {
+fn cmd_lemma1(args: &[String], out: &mut dyn Write) -> Result<(), Failure> {
     let (opts, pos) = parse_opts(args)?;
     if !opts.is_empty() {
         return Err("`pp-trace lemma1` takes no options".into());
@@ -297,12 +336,15 @@ fn cmd_lemma1(args: &[String]) -> Result<(), String> {
     let trace = load(&path)?;
     match check_lemma1(&trace).map_err(|e| format!("{path}: {e}"))? {
         Lemma1Report::Holds { checked } => {
-            println!("lemma 1 holds at all {checked} recorded configurations");
+            writeln!(
+                out,
+                "lemma 1 holds at all {checked} recorded configurations"
+            )?;
             Ok(())
         }
-        Lemma1Report::ViolatedAt { step, residual } => Err(format!(
-            "lemma 1 violated at step {step}: residual {residual:?}"
-        )),
+        Lemma1Report::ViolatedAt { step, residual } => {
+            Err(format!("lemma 1 violated at step {step}: residual {residual:?}").into())
+        }
     }
 }
 

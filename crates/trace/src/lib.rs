@@ -32,8 +32,6 @@
 #![warn(missing_docs)]
 
 pub mod classify;
-// The CLI surface prints to stdout by design.
-#[allow(clippy::print_stdout)]
 pub mod cli;
 pub mod export;
 pub mod format;

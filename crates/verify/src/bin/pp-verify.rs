@@ -32,13 +32,18 @@
 //! `"hitting_cap"`, or the solver's error kind
 //! ([`HittingError::kind`](pp_verify::hitting::HittingError::kind)) when
 //! the shortest schedule or the solve failed.
+//!
+//! A failed write to standard output ends the report with
+//! [`stdout_failed`]'s code: 0 when the reader has gone, else 1.
 
 #![forbid(unsafe_code)]
-#![deny(clippy::dbg_macro, clippy::todo)]
+#![deny(clippy::dbg_macro, clippy::todo, clippy::print_stdout)]
 
+use std::io::{self, Write};
 use std::process::ExitCode;
 use std::time::Instant;
 
+use pp_engine::cli::stdout_failed;
 use pp_protocols::kpartition::UniformKPartition;
 use pp_verify::hitting::{expected_interactions, HittingError, SolverOptions};
 use pp_verify::ConfigGraph;
@@ -276,7 +281,7 @@ fn scheduler_gap(
     Ok((optimal, expected, speedup))
 }
 
-fn run_report(opts: &Opts) -> ExitCode {
+fn run_report(opts: &Opts, out: &mut dyn Write) -> io::Result<ExitCode> {
     let _root = pp_obs::span("verify.report");
     let t_start = Instant::now();
     let mut cells: Vec<Cell> = Vec::new();
@@ -294,7 +299,8 @@ fn run_report(opts: &Opts) -> ExitCode {
                 break;
             }
             let cell = verify_cell(&kp, n, opts);
-            println!(
+            writeln!(
+                out,
                 "  k={} n={:>3}: {} configs, {} µs{}{}",
                 cell.k,
                 cell.n,
@@ -312,7 +318,7 @@ fn run_report(opts: &Opts) -> ExitCode {
                     (None, Some(why)) => format!(", no scheduler gap ({why})"),
                     (None, None) => String::new(),
                 },
-            );
+            )?;
             let censored = cell.censored;
             if cell.verified {
                 n_max = n;
@@ -336,10 +342,11 @@ fn run_report(opts: &Opts) -> ExitCode {
     let json = report_json(&cells, &envelope, opts);
     if let Err(e) = std::fs::write(&opts.out, format!("{json}\n")) {
         eprintln!("pp-verify: cannot write {}: {e}", opts.out);
-        return ExitCode::FAILURE;
+        return Ok(ExitCode::FAILURE);
     }
     for row in &envelope {
-        println!(
+        writeln!(
+            out,
             "envelope: k={} verified up to n={}{}",
             row.k,
             row.n_max,
@@ -348,20 +355,21 @@ fn run_report(opts: &Opts) -> ExitCode {
             } else {
                 ""
             }
-        );
+        )?;
     }
-    println!("pp-verify: report written to {}", opts.out);
+    writeln!(out, "pp-verify: report written to {}", opts.out)?;
     if failed {
         eprintln!("pp-verify: a non-censored instance FAILED verification");
-        return ExitCode::FAILURE;
+        return Ok(ExitCode::FAILURE);
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
-        Some("report") => run_report(&parse_opts(&args[1..])),
+        Some("report") => run_report(&parse_opts(&args[1..]), &mut io::stdout())
+            .unwrap_or_else(|e| ExitCode::from(stdout_failed(&e))),
         _ => usage(),
     }
 }

@@ -37,6 +37,7 @@ pub mod oracle;
 use pp_engine::protocol::{CompiledProtocol, StateId};
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::{Arc, OnceLock};
 
 /// The verifier's series in the process-wide telemetry registry:
@@ -107,12 +108,14 @@ const NO_CONFIG: u32 = u32::MAX;
 ///
 /// Storage is flat. Configuration `i`'s count vector is the `i`-th
 /// stride-`|Q|` row of one `Vec<u32>`. Its successors sit in one
-/// compressed sparse row array, sorted and deduplicated, each with an
-/// integer weight: the number of ordered agent pairs, `c_p·(c_q − [p = q])`
-/// summed over the pairs `(p, q)` whose rule leads there. Identity rules
-/// produce no edge; a non-identity rule that maps a configuration onto
-/// itself produces a self-edge. A configuration's edge weights plus its
-/// identity pairs therefore sum to `n(n − 1)`.
+/// compressed sparse row array, sorted, each once, with an integer
+/// weight: the number of ordered agent pairs, `c_p·(c_q − [p = q])`
+/// summed over the pairs `(p, q)` whose rule leads there. Those pairs
+/// share one net count change (a *move*), so each successor is one
+/// move of the protocol's compiled pair table. Identity rules produce no
+/// edge; a non-identity rule that maps a configuration onto itself, such
+/// as a swap `(p, q) → (q, p)`, produces a self-edge. A configuration's
+/// edge weights plus its identity pairs therefore sum to `n(n − 1)`.
 ///
 /// Every SCC analysis ([`terminal_sccs`](Self::terminal_sccs),
 /// [`max_reachable`](Self::max_reachable) and each solve in
@@ -149,6 +152,84 @@ fn key_of(cfg: &[u32], z: &[u64]) -> u64 {
     })
 }
 
+/// Hashes a configuration key as itself. A key is a sum of the
+/// splitmix64 outputs [`key_constants`] fixes, mixed already, so SipHash
+/// would only mix it again; and since no key comes from outside the
+/// program, its guard against crafted collisions buys nothing here.
+#[derive(Default)]
+struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("configuration keys are hashed as u64");
+    }
+
+    fn write_u64(&mut self, key: u64) {
+        self.0 = key;
+    }
+}
+
+/// One net move: the count change `d` that one or more non-identity
+/// ordered pairs make.
+struct Move {
+    /// The net count deltas `(s, d_s)`, zeros dropped. A swap rule
+    /// `(p, q) → (q, p)` has none.
+    deltas: Vec<(usize, i32)>,
+    /// `Σ d_s·z_s`: the move's change of the configuration key.
+    key_delta: u64,
+}
+
+/// A protocol's compiled pairs ([`CompiledProtocol::pair_effects`])
+/// grouped into net moves. Pairs with the same net deltas, such as a
+/// symmetric rule's two orders or Algorithm 1's rule 3/4 flips through
+/// every `g_i` and `d_i`, turn any configuration into the same
+/// successor; distinct moves turn it into distinct successors.
+struct Moves {
+    /// `(p, lo, hi)`: row `p`'s pairs are `pairs[lo..hi]`. Only rows
+    /// holding a non-identity pair are listed, in state order.
+    rows: Vec<(usize, usize, usize)>,
+    /// `(q, m)` for every non-identity pair `(p, q)`, in row-major
+    /// order: the second state, and the pair's move as an index into
+    /// `moves`.
+    pairs: Vec<(usize, usize)>,
+    moves: Vec<Move>,
+}
+
+impl Moves {
+    fn new(proto: &CompiledProtocol, z: &[u64]) -> Self {
+        let mut rows: Vec<(usize, usize, usize)> = Vec::new();
+        let mut pairs = Vec::with_capacity(proto.pair_effects().len());
+        let mut moves: Vec<Move> = Vec::new();
+        let mut move_of: HashMap<Vec<(usize, i32)>, usize> = HashMap::new();
+        for e in proto.pair_effects() {
+            let mut deltas: Vec<(usize, i32)> =
+                e.deltas().map(|(s, d)| (s.index(), d as i32)).collect();
+            deltas.sort_unstable();
+            let m = *move_of.entry(deltas).or_insert_with_key(|deltas| {
+                let key_delta = deltas.iter().fold(0u64, |key, &(s, d)| {
+                    key.wrapping_add(z[s].wrapping_mul(i64::from(d) as u64))
+                });
+                moves.push(Move {
+                    deltas: deltas.clone(),
+                    key_delta,
+                });
+                moves.len() - 1
+            });
+            let p = e.p.index();
+            match rows.last_mut() {
+                Some((row, _, hi)) if *row == p => *hi += 1,
+                _ => rows.push((p, pairs.len(), pairs.len() + 1)),
+            }
+            pairs.push((e.q.index(), m));
+        }
+        Moves { rows, pairs, moves }
+    }
+}
+
 impl<'a> ConfigGraph<'a> {
     /// Explore all configurations reachable from the all-`initial`
     /// configuration of `n` agents, with a budget guard.
@@ -182,10 +263,19 @@ impl<'a> ConfigGraph<'a> {
     /// assigned in discovery order and configurations are expanded in
     /// stack (LIFO) order.
     ///
-    /// A configuration is found by its key `Σ c_s·z_s`, updated in O(1)
-    /// per candidate successor. Configurations sharing a key form a chain
-    /// (`same_key`), and a candidate matches only on equal counts, so a
-    /// key collision costs time but never merges two configurations.
+    /// The candidate successors are the protocol's net moves ([`Moves`]).
+    /// Expanding a configuration walks its enabled non-identity pairs in
+    /// row-major order and adds each pair's weight to its move; a move's
+    /// successor is looked up (and, if new, numbered) once, at the move's
+    /// first enabled pair, which is where a pair-by-pair walk first meets
+    /// it. So there is one lookup per distinct successor, and ids follow
+    /// the order in which the ordered pairs first reach them.
+    ///
+    /// A configuration is found by its key `Σ c_s·z_s`, which a move
+    /// changes by its precomputed `Σ d_s·z_s`. Configurations sharing a
+    /// key form a chain (`same_key`), and a candidate matches only on
+    /// equal counts, so a key collision costs time but never merges two
+    /// configurations.
     fn explore_keyed(
         proto: &'a CompiledProtocol,
         start: Vec<u32>,
@@ -200,7 +290,7 @@ impl<'a> ConfigGraph<'a> {
         }
         let metrics = verify_metrics();
         metrics.explorations.inc();
-        let mut index: HashMap<u64, u32> = HashMap::new();
+        let mut index: HashMap<u64, u32, BuildHasherDefault<KeyHasher>> = HashMap::default();
         let mut same_key: Vec<u32> = vec![NO_CONFIG];
         let mut edges: Vec<(usize, usize)> = vec![(0, 0)];
         let mut succ: Vec<u32> = Vec::new();
@@ -209,42 +299,41 @@ impl<'a> ConfigGraph<'a> {
         let mut counts = start;
         let mut frontier: Vec<u32> = vec![0];
         let mut frontier_peak = frontier.len();
-        // The configuration being expanded; each candidate successor is
+        let Moves { rows, pairs, moves } = Moves::new(proto, z);
+        // The configuration being expanded; each move's successor is
         // formed in place and undone after its lookup.
         let mut cfg = vec![0u32; stride];
-        let mut out: Vec<(u32, u64)> = Vec::new();
+        // Per move, the weight summed so far; 0 until its first enabled
+        // pair.
+        let mut pending = vec![0u64; moves.len()];
+        // `(successor id, move)` of every move met so far.
+        let mut out: Vec<(u32, usize)> = Vec::new();
 
         while let Some(id) = frontier.pop() {
             let row = id as usize * stride;
             cfg.copy_from_slice(&counts[row..row + stride]);
             let key = key_of(&cfg, z);
             out.clear();
-            for pi in 0..stride {
-                let cp = cfg[pi];
+            for &(p, lo, hi) in &rows {
+                let cp = cfg[p];
                 if cp == 0 {
                     continue;
                 }
-                let p = StateId(pi as u16);
-                for qi in 0..stride {
-                    let partners = cfg[qi] - u32::from(pi == qi);
+                for &(q, m) in &pairs[lo..hi] {
+                    let partners = cfg[q] - u32::from(p == q);
                     if partners == 0 {
                         continue;
                     }
-                    let q = StateId(qi as u16);
-                    if proto.is_identity(p, q) {
+                    let w = u64::from(cp) * u64::from(partners);
+                    if pending[m] > 0 {
+                        pending[m] += w;
                         continue;
                     }
-                    let (p2, q2) = proto.delta(p, q);
-                    let (p2, q2) = (p2.index(), q2.index());
-                    let next_key = key
-                        .wrapping_sub(z[pi])
-                        .wrapping_sub(z[qi])
-                        .wrapping_add(z[p2])
-                        .wrapping_add(z[q2]);
-                    cfg[pi] -= 1;
-                    cfg[qi] -= 1;
-                    cfg[p2] += 1;
-                    cfg[q2] += 1;
+                    let mv = &moves[m];
+                    let next_key = key.wrapping_add(mv.key_delta);
+                    for &(s, d) in &mv.deltas {
+                        cfg[s] = cfg[s].wrapping_add_signed(d);
+                    }
                     let head = index.get(&next_key).copied();
                     let mut found = head.unwrap_or(NO_CONFIG);
                     while found != NO_CONFIG {
@@ -274,22 +363,19 @@ impl<'a> ConfigGraph<'a> {
                         frontier_peak = frontier_peak.max(frontier.len());
                         nid
                     };
-                    cfg[p2] -= 1;
-                    cfg[q2] -= 1;
-                    cfg[pi] += 1;
-                    cfg[qi] += 1;
-                    out.push((nid, u64::from(cp) * u64::from(partners)));
+                    for &(s, d) in &mv.deltas {
+                        cfg[s] = cfg[s].wrapping_add_signed(-d);
+                    }
+                    out.push((nid, m));
+                    pending[m] = w;
                 }
             }
+            // Distinct moves lead to distinct successors: no id repeats.
             out.sort_unstable_by_key(|&(nid, _)| nid);
             let first = succ.len();
-            for &(nid, w) in &out {
-                if succ[first..].last() == Some(&nid) {
-                    *weight.last_mut().expect("one weight per edge") += w;
-                } else {
-                    succ.push(nid);
-                    weight.push(w);
-                }
+            for &(nid, m) in &out {
+                succ.push(nid);
+                weight.push(std::mem::take(&mut pending[m]));
             }
             edges[id as usize] = (first, succ.len());
         }
@@ -673,6 +759,7 @@ impl VerifyReport {
 mod tests {
     use super::*;
     use pp_engine::spec::ProtocolSpec;
+    use std::collections::BTreeMap;
 
     fn epidemic() -> CompiledProtocol {
         let mut spec = ProtocolSpec::new("epidemic");
@@ -868,6 +955,117 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The successors of `cfg` with their weights, counted agent by
+    /// agent: every ordered pair of two distinct agents whose rule is not
+    /// the identity adds one to the configuration it leads to.
+    fn brute_force_edges(proto: &CompiledProtocol, cfg: &[u32]) -> BTreeMap<Vec<u32>, u64> {
+        let agents: Vec<StateId> = proto
+            .states()
+            .flat_map(|s| std::iter::repeat_n(s, cfg[s.index()] as usize))
+            .collect();
+        let mut edges = BTreeMap::new();
+        for (i, &p) in agents.iter().enumerate() {
+            for (j, &q) in agents.iter().enumerate() {
+                if i == j || proto.is_identity(p, q) {
+                    continue;
+                }
+                let (p2, q2) = proto.delta(p, q);
+                let mut next = cfg.to_vec();
+                next[p.index()] -= 1;
+                next[q.index()] -= 1;
+                next[p2.index()] += 1;
+                next[q2.index()] += 1;
+                *edges.entry(next).or_default() += 1;
+            }
+        }
+        edges
+    }
+
+    /// Every configuration of `g` lists each successor once, with the
+    /// weight the agent-by-agent count gives it.
+    fn assert_brute_force_edges(g: &ConfigGraph<'_>) {
+        for id in 0..g.num_configs() as u32 {
+            let edges: BTreeMap<Vec<u32>, u64> = g
+                .successors(id)
+                .iter()
+                .zip(g.weights(id))
+                .map(|(&s, &w)| (g.config(s).to_vec(), w))
+                .collect();
+            assert_eq!(edges.len(), g.successors(id).len(), "config {id}");
+            assert_eq!(edges, brute_force_edges(g.protocol(), g.config(id)));
+        }
+    }
+
+    /// Six ordered pairs make two moves. `(a, x)`, `(b, x)` and their
+    /// mirrors all turn an `x` into a `y`; `(a, b)` and `(b, a)` both
+    /// turn an `a` and a `b` into two `x`, though their compiled deltas
+    /// list the states in different orders. Each move is one edge
+    /// carrying its pairs' summed weight.
+    #[test]
+    fn pairs_sharing_a_net_move_make_one_edge() {
+        let mut spec = ProtocolSpec::new("shared-moves");
+        let a = spec.add_state("a", 1);
+        let b = spec.add_state("b", 1);
+        let x = spec.add_state("x", 1);
+        let y = spec.add_state("y", 2);
+        spec.set_initial(x);
+        spec.add_rule_symmetric(a, x, a, y);
+        spec.add_rule_symmetric(b, x, b, y);
+        spec.add_rule_symmetric(a, b, x, x);
+        let p = spec.compile().unwrap();
+        let moves = Moves::new(&p, &key_constants(p.num_states()));
+        assert_eq!((moves.pairs.len(), moves.moves.len()), (6, 2));
+        let g = ConfigGraph::explore_from(&p, vec![2, 1, 3, 0], 1000).unwrap();
+        let succ: Vec<&[u32]> = g.successors(0).iter().map(|&s| g.config(s)).collect();
+        assert_eq!(succ, [&[1, 0, 5, 0][..], &[2, 1, 2, 1][..]]);
+        // (a, b) and (b, a): 2·1 each; (a, x) and (x, a): 2·3 each;
+        // (b, x) and (x, b): 1·3 each.
+        assert_eq!(g.weights(0), &[4, 18]);
+        assert_brute_force_edges(&g);
+    }
+
+    /// `(a, b) → (c, c)` and its mirror `(b, a) → (b, b)` change the
+    /// counts differently: two moves, two edges.
+    #[test]
+    fn a_pair_and_a_mirror_with_other_deltas_make_two_edges() {
+        let mut spec = ProtocolSpec::new("split-mirror");
+        let a = spec.add_state("a", 1);
+        let b = spec.add_state("b", 1);
+        let c = spec.add_state("c", 2);
+        spec.set_initial(a);
+        spec.add_rule(a, b, c, c);
+        spec.add_rule(b, a, b, b);
+        let p = spec.compile().unwrap();
+        let moves = Moves::new(&p, &key_constants(p.num_states()));
+        assert_eq!((moves.pairs.len(), moves.moves.len()), (2, 2));
+        let g = ConfigGraph::explore_from(&p, vec![2, 1, 0], 100).unwrap();
+        let succ: Vec<&[u32]> = g.successors(0).iter().map(|&s| g.config(s)).collect();
+        assert_eq!(succ, [&[1, 0, 2][..], &[1, 2, 0][..]]);
+        assert_eq!(g.weights(0), &[2, 2]);
+        assert_brute_force_edges(&g);
+    }
+
+    /// A swap `(a, b) → (b, a)` changes no count: both orders make one
+    /// self-edge of weight `2·c_a·c_b`.
+    #[test]
+    fn a_swap_rule_makes_a_self_edge() {
+        let mut spec = ProtocolSpec::new("swap");
+        let a = spec.add_state("a", 1);
+        let b = spec.add_state("b", 2);
+        spec.set_initial(a);
+        spec.add_rule_symmetric(a, b, b, a);
+        spec.add_rule(a, a, b, b);
+        let p = spec.compile().unwrap();
+        let g = ConfigGraph::explore_from(&p, vec![2, 3], 100).unwrap();
+        assert_eq!(g.num_configs(), 2);
+        // (a, a) first reaches all-b; the swaps then lead back to 0.
+        assert_eq!(g.successors(0), &[0, 1]);
+        assert_eq!(g.weights(0), &[2 * 2 * 3, 2]);
+        assert_eq!(g.config(1), &[0, 5]);
+        assert!(g.successors(1).is_empty());
+        assert_brute_force_edges(&g);
     }
 
     #[test]

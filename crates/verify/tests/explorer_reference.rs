@@ -169,7 +169,7 @@ fn registry_graphs_match_the_reference_explorer() {
 /// configurations). Slow in debug builds; run with
 /// `cargo test --release -p pp-verify --test explorer_reference -- --ignored`.
 #[test]
-#[ignore = "about a minute in release: the full BENCH_verify.json envelope"]
+#[ignore = "about 15 s in release: the full BENCH_verify.json envelope"]
 fn envelope_graphs_match_the_reference_explorer() {
     let _serial = GAUGE.lock().unwrap_or_else(|e| e.into_inner());
     let mut peak = frontier_gauge();

@@ -4,9 +4,9 @@
 //! every step of `run_batch` falls back to an exact lumped step. On a
 //! protocol without flips (no flip class) that step is the leap kernel's
 //! step, draw for draw, and — because the fallback eligibility check
-//! consumes no randomness — the whole run is bit-identical to `run_leap`
-//! for the same seed. That is a hard equality, property-tested over the
-//! registry's flip-free protocols. With flips the two kernels agree in
+//! consumes no randomness — the whole run is bit-identical to
+//! `run_leap_observed` for the same seed. That is a hard equality,
+//! property-tested over the registry's flip-free protocols. With flips the two kernels agree in
 //! law; pp-bench's `lumped_step_law` and the exact hitting-time test in
 //! `tests/kernel_equivalence.rs` check that.
 //!
@@ -37,7 +37,7 @@ proptest! {
     /// On every flip-free registry protocol (epidemic, leader election,
     /// approximate majority), `run_batch` with `safety_threshold = n`
     /// (every step low-count → always falls back) is bit-identical to
-    /// `run_leap` under `Silent`: same outcome, interaction and
+    /// `run_leap_observed` under `Silent`: same outcome, interaction and
     /// effective-interaction counts, and final configuration, for the
     /// same seed, from a configuration drawn from the seed.
     #[test]
