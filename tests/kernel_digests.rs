@@ -11,6 +11,13 @@
 //! (whose final counts are the configuration at the cut), and one batch
 //! cell's observer tallies.
 //!
+//! The leap grid also covers the shapes of the stability query after a
+//! free-agent flip: n = 97 (≡ 1 mod k), where the k-partition signature
+//! pools `{initial, initial'}`; the basic strategy under `Silent`, whose
+//! rescanning tracker ignores moves within the flip class; and the
+//! composed bipartition under its hierarchical criterion, whose tracker
+//! does not.
+//!
 //! A kernel change meant as a pure speed-up moves no RNG draw, counter
 //! or count, so it must leave every pinned digest unchanged.
 
@@ -19,6 +26,8 @@ use uniform_k_partition::engine::seeds::{derive, fnv1a64};
 use uniform_k_partition::engine::simulator::RunError;
 use uniform_k_partition::engine::Kernel;
 use uniform_k_partition::prelude::*;
+use uniform_k_partition::protocols::hierarchical::HierarchicalPartition;
+use uniform_k_partition::protocols::kpartition::ablation::BasicStrategyKPartition;
 
 /// Master seed the per-cell trial seeds derive from.
 const MASTER: u64 = 20180725;
@@ -43,18 +52,37 @@ fn push_outcome(bytes: &mut Vec<u8>, res: &Result<RunResult, RunError>) {
 /// with the given interaction `budget`.
 fn cell_digest(kernel: Kernel, k: usize, n: u64, trials: u64, budget: u64) -> u64 {
     let kp = UniformKPartition::new(k);
-    let proto = kp.compile();
-    let sig = kp.stable_signature(n);
-    let sim = Simulator::new(&proto);
+    run_digest(
+        &kp.compile(),
+        &kp.stable_signature(n),
+        kernel,
+        n,
+        trials,
+        budget,
+    )
+}
+
+/// Digest of `trials` seeds of `proto` from all agents in its initial
+/// state, `n` agents, on `kernel` under `criterion`, each with the given
+/// interaction `budget`.
+fn run_digest<C: StabilityCriterion>(
+    proto: &CompiledProtocol,
+    criterion: &C,
+    kernel: Kernel,
+    n: u64,
+    trials: u64,
+    budget: u64,
+) -> u64 {
+    let sim = Simulator::new(proto);
     let mut bytes = Vec::new();
     for t in 0..trials {
-        let mut pop = CountPopulation::new(&proto, n);
+        let mut pop = CountPopulation::new(proto, n);
         let mut sched = UniformRandomScheduler::from_seed(derive(MASTER, t));
         let res = sim.run_kernel(
             kernel,
             &mut pop,
             &mut sched,
-            &sig,
+            criterion,
             budget,
             &mut NullObserver,
         );
@@ -126,6 +154,50 @@ fn leap_trajectories_match_their_pinned_digests() {
             (format!("leap k={k} n={n}"), got, want)
         })
         .collect();
+    check(&rows);
+}
+
+#[test]
+fn leap_flip_shapes_match_their_pinned_digests() {
+    // n = 97 ≡ 1 (mod k): the stable signature pools the lone free
+    // agent's `{initial, initial'}`. (k, n, trials, digest)
+    let cells: [(usize, u64, u64, u64); 3] = [
+        (3, 97, 4, 0x18392af298796201),
+        (4, 97, 4, 0xb384904cb1e1aca1),
+        (8, 97, 4, 0x8381ac900c7f5b61),
+    ];
+    let mut rows: Vec<(String, u64, u64)> = cells
+        .iter()
+        .map(|&(k, n, trials, want)| {
+            let got = cell_digest(Kernel::Leap, k, n, trials, u64::MAX);
+            (format!("leap k={k} n={n}"), got, want)
+        })
+        .collect();
+    // The basic strategy under `Silent`: at n = 97 a lone free agent
+    // flips forever, so a run ends on the budget (seed 0) or in a silent
+    // deadlock (seeds 1–3).
+    let (n, trials, budget) = (97, 4, 2_000_000);
+    let basic = BasicStrategyKPartition::new(3).compile();
+    rows.push((
+        format!("leap basic-k3 silent n={n} budget={budget}"),
+        run_digest(&basic, &Silent, Kernel::Leap, n, trials, budget),
+        0x2214528fdff7b137,
+    ));
+    // The composed bipartition (h = 2) under its hierarchical criterion.
+    let (n, trials) = (96, 4);
+    let composed = HierarchicalPartition::composed(2);
+    rows.push((
+        format!("leap composed-h2 n={n}"),
+        run_digest(
+            &composed.compile(),
+            &composed.stability(),
+            Kernel::Leap,
+            n,
+            trials,
+            u64::MAX,
+        ),
+        0x2fd7ce4572b7dab0,
+    ));
     check(&rows);
 }
 
