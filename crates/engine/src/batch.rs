@@ -99,7 +99,7 @@
 //!   `[0, W_eff)`: a flip move, applied to the class counts, or — past
 //!   the flip weight — the non-flip pair that ends the stretch;
 //! * the identity gaps are i.i.d. geometric, so those after the first
-//!   are one negative-binomial draw ([`sample_negative_binomial`]);
+//!   are one negative-binomial draw (`sample_negative_binomial`);
 //! * a stretch that overruns the budget is cut exactly, by
 //!   exchangeability (see `BatchTrial::lumped_step`).
 //!
@@ -112,7 +112,7 @@
 //! [`Observer::on_leap_batch`] (the flips and the identities between
 //! them) and [`Observer::on_interaction`] (the terminating pair).
 
-use crate::leap::{sample_identity_run, IdentityWeights, LeapRun, StepOutcome};
+use crate::leap::{IdentityWeights, LeapRun, StepDraws, StepOutcome};
 use crate::observer::{FallbackReason, Observer};
 use crate::protocol::{CompiledProtocol, PairEffect, StateId};
 use crate::simulator::{RunError, RunResult};
@@ -215,7 +215,7 @@ impl Move {
 ///
 /// A *flip* is a compiled pair with a reactant in the protocol's
 /// [flip class](CompiledProtocol::flip_class) whose net deltas stay
-/// inside the class, with `K = 0` and an empty marginal list. A flip
+/// inside the class ([`PairEffect::is_flip`]). A flip
 /// between a class state and a state outside the class has a weight
 /// linear in the class state's count: flips with the same class
 /// reactant and the same deltas fold into one *linear* move whose
@@ -237,22 +237,17 @@ struct Flips {
 }
 
 impl Flips {
-    /// The moves of `class` in `proto`; an empty `class` has none.
-    fn new(proto: &CompiledProtocol, class: &[StateId]) -> Self {
-        let mut in_class = vec![false; proto.num_states()];
-        for s in class {
-            in_class[s.index()] = true;
-        }
+    /// The moves of `proto`'s flip class when `lumped`; otherwise no
+    /// moves, and every pair is a non-flip.
+    fn new(proto: &CompiledProtocol, lumped: bool) -> Self {
+        let class = if lumped { proto.flip_class() } else { &[] };
+        let in_class = |s: usize| class.contains(&StateId(s as u16));
         let mut moves: Vec<Move> = Vec::new();
         let mut non_flips = Vec::new();
         let mut rows: Vec<(usize, usize)> = Vec::new();
         for e in proto.pair_effects() {
             let (p, q) = (e.p.index(), e.q.index());
-            let flip = (in_class[p] || in_class[q])
-                && e.deltas().all(|(s, _)| in_class[s.index()])
-                && e.identity_constant() == 0
-                && proto.pair_marginals(e).is_empty();
-            if !flip {
+            if !(lumped && e.is_flip()) {
                 non_flips.push(*e);
                 match rows.last_mut() {
                     Some((row, end)) if *row == p => *end += 1,
@@ -260,7 +255,7 @@ impl Flips {
                 }
                 continue;
             }
-            if in_class[p] && in_class[q] {
+            if in_class(p) && in_class(q) {
                 moves.push(Move {
                     a: p,
                     b: q,
@@ -270,7 +265,7 @@ impl Flips {
                 });
                 continue;
             }
-            let (a, partner) = if in_class[p] { (p, q) } else { (q, p) };
+            let (a, partner) = if in_class(p) { (p, q) } else { (q, p) };
             let same = |m: &&mut Move| {
                 m.b == LINEAR
                     && m.a == a
@@ -408,10 +403,8 @@ impl<'a> BatchTrial<'a> {
         counts: &[u64],
     ) -> Result<Self, RunError> {
         let run = LeapRun::new(proto, criterion, counts)?;
-        let class = proto.flip_class();
-        let lumped = run.tracker.ignores_moves_within(&class);
         Ok(BatchTrial {
-            flips: Flips::new(proto, if lumped { &class } else { &[] }),
+            flips: Flips::new(proto, run.quiet_flips),
             run,
             exact_left: 0,
             scratch: Scratch::new(proto),
@@ -462,9 +455,10 @@ impl<'a> BatchTrial<'a> {
     /// for draw.
     ///
     /// A flip touches no state any identity pair involves, so `W_id` and
-    /// `W_eff` stay fixed through the stretch. Each effective interaction
-    /// is one uniform draw over `[0, W_eff)` (the rejection threshold is
-    /// computed once per stretch), read as a flip move or, past the flip
+    /// `W_eff` stay fixed through the stretch, and the run's draw memo
+    /// ([`StepDraws`]) serves all of it. Each effective interaction
+    /// is one uniform draw over `[0, W_eff)` (with the memo's rejection
+    /// threshold), read as a flip move or, past the flip
     /// weight, as a non-flip pair. The identity gaps are i.i.d.
     /// geometric, so the gaps after the first are one negative-binomial
     /// draw. The stability tracker is asked only after the terminating
@@ -502,8 +496,8 @@ impl<'a> BatchTrial<'a> {
         }
         let run = &mut self.run;
         let flips = &mut self.flips;
-        let w_id = run.weights.identity_weight();
-        let g = sample_identity_run(rng, w_id, run.total);
+        let draws = run.draws();
+        let g = draws.identity_run(rng);
         if g >= max_interactions - run.interactions {
             return StepOutcome::Limit;
         }
@@ -514,8 +508,7 @@ impl<'a> BatchTrial<'a> {
         // The interactions left after the first gap: at least one, so the
         // stretch's first event fits.
         let room = max_interactions - run.interactions;
-        let w_eff = run.total - w_id;
-        let zone = w_eff.wrapping_neg() % w_eff;
+        let w_eff = draws.w_eff;
         let mut left = room;
         let mut flipped = 0u64;
         // The first block's first event has no gap before it.
@@ -528,7 +521,7 @@ impl<'a> BatchTrial<'a> {
             let mut fired = 0u64;
             let mut terminal = None;
             while fired < cap {
-                match flips.fire(counts, uniform_below(rng, w_eff, zone)) {
+                match flips.fire(counts, draws.effective(rng)) {
                     None => fired += 1,
                     Some(offset) => {
                         terminal = Some(offset);
@@ -537,7 +530,7 @@ impl<'a> BatchTrial<'a> {
                 }
             }
             let events = fired + u64::from(terminal.is_some());
-            let gaps = sample_negative_binomial(rng, events - lead, w_id, run.total);
+            let gaps = sample_negative_binomial(rng, events - lead, &draws);
             // The block's last event is interaction `span` of the block.
             let span = events.saturating_add(gaps);
             if span <= left {
@@ -566,7 +559,7 @@ impl<'a> BatchTrial<'a> {
                 flips.rewind(counts);
                 let mut replay = before;
                 for _ in 0..done {
-                    let fired = flips.fire(counts, uniform_below(&mut replay, w_eff, zone));
+                    let fired = flips.fire(counts, draws.effective(&mut replay));
                     debug_assert!(fired.is_none(), "the replay repeats the block's flips");
                 }
                 flipped += done;
@@ -752,20 +745,6 @@ enum LeapOutcome {
     Fallback(FallbackReason),
 }
 
-/// A uniform draw from `[0, bound)` by Lemire's multiply-shift
-/// rejection, with the threshold `zone = 2⁶⁴ mod bound` computed by the
-/// caller, so a stretch pays its division once. It accepts and maps
-/// exactly as `gen_range(0..bound)` does.
-#[inline(always)]
-fn uniform_below(rng: &mut SmallRng, bound: u64, zone: u64) -> u64 {
-    loop {
-        let wide = u128::from(rng.next_u64()) * u128::from(bound);
-        if wide as u64 >= zone {
-            return (wide >> 64) as u64;
-        }
-    }
-}
-
 /// How many of `k` marked items, placed uniformly over `slots` slots,
 /// land in the first `draws`: the hypergeometric law, one `gen_range`
 /// per marked item (each takes a uniform slot among those still free).
@@ -785,30 +764,28 @@ fn sample_hypergeometric(rng: &mut SmallRng, k: u64, slots: u64, draws: u64) -> 
     hits
 }
 
-/// Draw the total of `r` independent identity runs at identity weight
-/// `w_id` of `total`: the negative binomial `NB(r, 1 − ρ)` with
-/// `ρ = w_id / total`, the number of identities before the `r`-th
-/// effective interaction, with mean `rρ/(1 − ρ)` and variance
-/// `rρ/(1 − ρ)²`.
+/// Draw the total of `r` independent identity runs at the memo's
+/// identity weight `w_id` of `total`: the negative binomial
+/// `NB(r, 1 − ρ)` with `ρ = w_id / total`, the number of identities
+/// before the `r`-th effective interaction, with mean `rρ/(1 − ρ)` and
+/// variance `rρ/(1 − ρ)²`.
 ///
-/// Below 16 runs it sums `r` draws of [`sample_identity_run`]; from 16
-/// on it draws the gamma–Poisson mixture `Poisson(Gamma(r, ρ/(1 − ρ)))`,
-/// whose cost does not grow with `r` (Marsaglia–Tsang gamma, PTRS
-/// Poisson). Both are exact up to f64 rounding. Requires
-/// `w_id < total`; saturates at `u64::MAX`, as [`sample_identity_run`]
-/// does.
-pub fn sample_negative_binomial(rng: &mut SmallRng, r: u64, w_id: u64, total: u64) -> u64 {
-    debug_assert!(w_id < total);
-    if r == 0 || w_id == 0 {
+/// Below 16 runs it sums `r` identity-run draws
+/// ([`StepDraws::identity_run`]); from 16 on it draws the gamma–Poisson
+/// mixture `Poisson(Gamma(r, ρ/(1 − ρ)))`, whose cost does not grow
+/// with `r` (Marsaglia–Tsang gamma, PTRS Poisson). Both are exact up to
+/// f64 rounding. Requires `w_id < total`; saturates at `u64::MAX`, as
+/// [`crate::leap::sample_identity_run`] does.
+pub(crate) fn sample_negative_binomial(rng: &mut SmallRng, r: u64, draws: &StepDraws) -> u64 {
+    debug_assert!(draws.w_eff > 0);
+    if r == 0 || draws.w_id == 0 {
         return 0;
     }
     if r < 16 {
-        return (0..r).fold(0u64, |sum, _| {
-            sum.saturating_add(sample_identity_run(rng, w_id, total))
-        });
+        return (0..r).fold(0u64, |sum, _| sum.saturating_add(draws.identity_run(rng)));
     }
     // ρ/(1 − ρ) = W_id / W_eff, from the integers.
-    let odds = w_id as f64 / (total - w_id) as f64;
+    let odds = draws.w_id as f64 / draws.w_eff as f64;
     let mean = sample_gamma(rng, r as f64) * odds;
     sample_poisson(rng, mean)
 }
@@ -1115,8 +1092,9 @@ mod tests {
                 let w_id = total - w_eff;
                 let (rho, p) = (w_id as f64 / total as f64, w_eff as f64 / total as f64);
                 let draws = if r == 10_000 { 4_000 } else { 20_000 };
+                let memo = StepDraws::new(w_id, total);
                 let xs: Vec<u64> = (0..draws)
-                    .map(|_| sample_negative_binomial(&mut rng, r, w_id, total))
+                    .map(|_| sample_negative_binomial(&mut rng, r, &memo))
                     .collect();
                 let nf = draws as f64;
                 let mean = r as f64 * rho / p;
@@ -1162,12 +1140,18 @@ mod tests {
     #[test]
     fn negative_binomial_edges() {
         let mut rng = SmallRng::seed_from_u64(5);
-        assert_eq!(sample_negative_binomial(&mut rng, 0, 3, 4), 0);
-        assert_eq!(sample_negative_binomial(&mut rng, 100, 0, 4), 0);
+        assert_eq!(
+            sample_negative_binomial(&mut rng, 0, &StepDraws::new(3, 4)),
+            0
+        );
+        assert_eq!(
+            sample_negative_binomial(&mut rng, 100, &StepDraws::new(0, 4)),
+            0
+        );
         // ρ within 2⁻⁶⁴ of 1: the mean is far beyond u64, so the draw
         // saturates.
         assert_eq!(
-            sample_negative_binomial(&mut rng, 1_000, u64::MAX - 1, u64::MAX),
+            sample_negative_binomial(&mut rng, 1_000, &StepDraws::new(u64::MAX - 1, u64::MAX)),
             u64::MAX
         );
     }
@@ -1198,7 +1182,7 @@ mod tests {
         let class = proto.flip_class();
         let names: Vec<_> = class.iter().map(|&s| proto.state_name(s)).collect();
         assert_eq!(names, ["initial", "initial'"]);
-        let flips = Flips::new(&proto, &class);
+        let flips = Flips::new(&proto, true);
         // Rules 1 and 2 as pair moves, rules 3–4 as two linear moves whose
         // partners are g1 and g2 in both orders.
         let shapes: Vec<_> = flips
@@ -1213,12 +1197,10 @@ mod tests {
         // The settle, both orders, is the only non-flip.
         assert_eq!(flips.non_flips.len(), 2);
         // With no flip class, every pair is a non-flip.
-        let none = Flips::new(&proto, &[]);
+        let none = Flips::new(&proto, false);
         assert!(none.moves.is_empty());
         assert_eq!(none.non_flips.len(), proto.pair_effects().len());
-        assert!(Flips::new(&epidemic(), &epidemic().flip_class())
-            .moves
-            .is_empty());
+        assert!(Flips::new(&epidemic(), true).moves.is_empty());
     }
 
     /// Counts each hook's calls and interactions.

@@ -29,8 +29,10 @@
 //! protocol compiles it once per ordered pair ([`PairEffect`]), and
 //! [`IdentityWeights::apply_pair`] costs O(1) plus the pair's marginal
 //! list. For a pair that no identity pair involves, such as
-//! Algorithm 1's free-agent flips (92–94% of its effective
-//! interactions), the list is empty.
+//! Algorithm 1's free-agent flips, the list is empty. Flips are most of
+//! the leap kernel's steps: 88.3% of its effective interactions over
+//! perfbench `sweep_fig`'s grid (Figures 3 and 5, seed 3), and 93.8% to
+//! 96.3% at k = 8 from n = 10⁴ to 10⁶ (ROADMAP item 11).
 //!
 //! `LeapRun::step` is the kernel's one exact step (an identity run,
 //! then one effective interaction) on a detached count vector. The leap
@@ -39,13 +41,22 @@
 //! is enabled (otherwise they lump the stretch of flips, see
 //! [`crate::batch`]), which is what makes the two bit-identical per seed
 //! on flip-free protocols whenever the batch kernel never leaps.
+//!
+//! A flip keeps `W_id`, so the step pays what depends on `W_id` alone
+//! only when `W_id` changes: `ln ρ` for the identity run and the Lemire
+//! threshold `2⁶⁴ mod W_eff` for the effective draw live in a memo
+//! (`StepDraws`) keyed on `W_id`. A flip also leaves the verdict of a
+//! tracker that ignores moves within the flip class as it was, so after
+//! a flip such a run continues without asking the tracker. Neither
+//! moves a draw: the step is the same, draw for draw, as one that
+//! recomputes both values and asks the tracker after every interaction.
 
 use crate::observer::Observer;
 use crate::protocol::{CompiledProtocol, PairEffect, StateId};
 use crate::simulator::{RunError, RunResult};
 use crate::stability::{StabilityCriterion, StabilityTracker};
 use rand::rngs::SmallRng;
-use rand::{Rng, RngCore};
+use rand::RngCore;
 
 /// Maintained weight of identity ordered pairs in the current
 /// configuration, with per-state row/column marginals for per-pair
@@ -146,28 +157,28 @@ impl IdentityWeights {
         }
     }
 
-    /// Sample an ordered pair of distinct agents conditioned on the
-    /// interaction being *effective* (non-identity), with the exact
-    /// conditional distribution of the uniform random scheduler.
+    /// The effective (non-identity) ordered pair at offset `target` of
+    /// `[0, W_eff)`, with the pairs weighted `c_p · (c_q − [p = q])` in
+    /// row-major order: for `target` uniform on `[0, W_eff)`, an ordered
+    /// pair of distinct agents conditioned on the interaction being
+    /// effective, with the exact conditional distribution of the uniform
+    /// random scheduler.
     ///
     /// Takes the population as a raw `(n, counts)` pair: the kernels
     /// step detached count vectors.
     ///
-    /// Requires `W_eff = n(n−1) − W_id > 0`, with `n(n−1)` within `u64`
-    /// (which the kernels check before their first draw). Cost is O(occupied states)
-    /// for the row scan plus O(|Q|) for the column scan of the chosen row.
+    /// Requires `target < W_eff = n(n−1) − W_id`. Cost is O(occupied
+    /// states) for the row scan plus O(|Q|) for the column scan of the
+    /// chosen row.
     #[inline]
-    pub fn sample_effective(
+    pub fn effective_pair(
         &self,
         proto: &CompiledProtocol,
         n: u64,
         counts: &[u64],
-        rng: &mut SmallRng,
+        mut target: u64,
     ) -> (StateId, StateId) {
-        let total = n * (n - 1);
-        let w_eff = total - self.w_id;
-        debug_assert!(w_eff > 0, "no effective pair enabled");
-        let mut target = rng.gen_range(0..w_eff);
+        debug_assert!(target < n * (n - 1) - self.w_id, "offset beyond W_eff");
         for (pi, &cp) in counts.iter().enumerate() {
             if cp == 0 {
                 continue;
@@ -212,9 +223,62 @@ pub(crate) enum StepOutcome {
     Limit,
 }
 
+/// The values one exact step's draws share across the steps of a run at
+/// identity weight `w_id` of `total`: `ln ρ` for the identity run and
+/// the Lemire threshold `2⁶⁴ mod W_eff` for the effective draw.
+///
+/// [`LeapRun`] keeps one, keyed on the current `W_id`, and rebuilds it
+/// only when `W_id` changes, which a flip never does; the batch kernel's
+/// lumped steps read the same memo for a whole stretch.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct StepDraws {
+    /// The identity weight the values belong to.
+    pub(crate) w_id: u64,
+    /// `W_eff = total − w_id`: 0 in a frozen configuration.
+    pub(crate) w_eff: u64,
+    /// `ln ρ` with `ρ = w_id / total`, as [`sample_identity_run`]
+    /// computes it; unused when `w_id = 0`.
+    ln_rho: f64,
+    /// `2⁶⁴ mod W_eff`, or 0 when `W_eff = 0`.
+    zone: u64,
+}
+
+impl StepDraws {
+    /// The memo for identity weight `w_id` of `total`, `w_id ≤ total`.
+    /// Out of line: the step needs it only when `W_id` moves.
+    #[inline(never)]
+    pub(crate) fn new(w_id: u64, total: u64) -> Self {
+        let w_eff = total - w_id;
+        StepDraws {
+            w_id,
+            w_eff,
+            ln_rho: ln_rho(w_id, total),
+            zone: w_eff.wrapping_neg().checked_rem(w_eff).unwrap_or(0),
+        }
+    }
+
+    /// [`sample_identity_run`] at this memo's weights, draw for draw.
+    /// Requires `W_eff > 0`.
+    #[inline(always)]
+    pub(crate) fn identity_run(&self, rng: &mut SmallRng) -> u64 {
+        debug_assert!(self.w_eff > 0);
+        if self.w_id == 0 {
+            return 0;
+        }
+        identity_run(rng, self.ln_rho)
+    }
+
+    /// A uniform offset in `[0, W_eff)`, accepted and mapped exactly as
+    /// `gen_range(0..W_eff)` does. Requires `W_eff > 0`.
+    #[inline(always)]
+    pub(crate) fn effective(&self, rng: &mut SmallRng) -> u64 {
+        uniform_below(rng, self.w_eff, self.zone)
+    }
+}
+
 /// One run of the exact leap step on a detached count vector: the
-/// identity-weight algebra, the incremental stability tracker and the
-/// interaction counters.
+/// identity-weight algebra and its draw memo, the incremental stability
+/// tracker and the interaction counters.
 ///
 /// [`crate::simulator::Simulator::run_leap_observed`] repeats
 /// [`LeapRun::step`] until the run ends; the batch kernel's exact bursts
@@ -222,7 +286,14 @@ pub(crate) enum StepOutcome {
 /// and call the same step when no flip is enabled.
 pub(crate) struct LeapRun<'a> {
     pub(crate) weights: IdentityWeights,
+    /// The draw memo for the `W_id` it was last built at.
+    draws: StepDraws,
     pub(crate) tracker: Box<dyn StabilityTracker + 'a>,
+    /// The tracker's answer to
+    /// [`StabilityTracker::ignores_moves_within`] for the protocol's
+    /// flip class, asked once: when yes, a flip needs no stability query
+    /// after it, and the batch kernel lumps flips.
+    pub(crate) quiet_flips: bool,
     /// Number of agents `n`.
     pub(crate) n: u64,
     /// `n(n−1)`: the ordered agent pairs the scheduler draws from.
@@ -253,14 +324,29 @@ impl<'a> LeapRun<'a> {
         let total = n
             .checked_mul(n - 1)
             .ok_or(RunError::PopulationTooLarge { n })?;
+        let weights = IdentityWeights::new(proto, counts);
+        let tracker = criterion.tracker(proto, counts);
         Ok(LeapRun {
-            weights: IdentityWeights::new(proto, counts),
-            tracker: criterion.tracker(proto, counts),
+            draws: StepDraws::new(weights.identity_weight(), total),
+            weights,
+            quiet_flips: tracker.ignores_moves_within(proto.flip_class()),
+            tracker,
             n,
             total,
             interactions: 0,
             effective: 0,
         })
+    }
+
+    /// The draw memo for the current `W_id`, rebuilt if `W_id` moved
+    /// since it was built.
+    #[inline(always)]
+    pub(crate) fn draws(&mut self) -> StepDraws {
+        let w_id = self.weights.identity_weight();
+        if w_id != self.draws.w_id {
+            self.draws = StepDraws::new(w_id, self.total);
+        }
+        self.draws
     }
 
     /// The counters so far.
@@ -280,7 +366,8 @@ impl<'a> LeapRun<'a> {
     /// identity weights and (in one call) the stability tracker. The
     /// observer sees the identity run ([`Observer::on_identity_run`], with
     /// the counts it ran on) and the effective interaction
-    /// ([`Observer::on_interaction`], with the counts after it).
+    /// ([`Observer::on_interaction`], with the counts after it). The
+    /// draws read the memo for the current `W_id` ([`StepDraws`]).
     #[inline(always)]
     pub(crate) fn step<O: Observer>(
         &mut self,
@@ -290,14 +377,14 @@ impl<'a> LeapRun<'a> {
         max_interactions: u64,
         observer: &mut O,
     ) -> StepOutcome {
-        let w_id = self.weights.identity_weight();
-        if w_id == self.total {
+        let draws = self.draws();
+        if draws.w_eff == 0 {
             // Every enabled pair is an identity: the configuration can
             // never change again, and the criterion already judged it
             // unstable — the naive loop would spin to the limit.
             return StepOutcome::Limit;
         }
-        let g = sample_identity_run(rng, w_id, self.total);
+        let g = draws.identity_run(rng);
         // The naive loop admits the stabilising interaction only while
         // the counter is below the limit: g identities plus one
         // effective interaction must fit in the remaining budget.
@@ -308,7 +395,8 @@ impl<'a> LeapRun<'a> {
             self.interactions += g;
             observer.on_identity_run(self.interactions, g, counts);
         }
-        let (p, q) = self.weights.sample_effective(proto, self.n, counts, rng);
+        let target = draws.effective(rng);
+        let (p, q) = self.weights.effective_pair(proto, self.n, counts, target);
         let e = proto
             .pair_effect(p, q)
             .expect("effective pairs are non-identity");
@@ -319,7 +407,10 @@ impl<'a> LeapRun<'a> {
     /// next interaction: its net deltas update `counts`, its effect the
     /// identity weights and the stability tracker, and the observer sees
     /// it through [`Observer::on_interaction`]. Then ask the tracker
-    /// whether the run is over.
+    /// whether the run is over, unless `e` is a flip and the tracker
+    /// ignores moves within the flip class: the configuration before the
+    /// flip was unstable, and so is every one that differs from it only
+    /// by a move within the class.
     #[inline(always)]
     pub(crate) fn fire<O: Observer>(
         &mut self,
@@ -338,6 +429,9 @@ impl<'a> LeapRun<'a> {
         }
         self.tracker.apply_pair(e);
         observer.on_interaction(self.interactions, e.p, e.q, e.p2, e.q2, counts);
+        if self.quiet_flips && e.is_flip() {
+            return StepOutcome::Continue;
+        }
         if self.tracker.is_stable(proto, counts) {
             StepOutcome::Stable
         } else {
@@ -349,23 +443,37 @@ impl<'a> LeapRun<'a> {
 /// Sample the length of the maximal run of consecutive identity
 /// interactions before the next effective one: `G ~ Geometric(1 − ρ)`
 /// with `ρ = w_id / total`, via inversion `G = ⌊ln U / ln ρ⌋` for `U`
-/// uniform on `(0, 1]`.
+/// uniform on `(0, 1]`. No draw when `w_id = 0`.
 ///
 /// Requires `w_id < total` (some effective pair is enabled); saturates at
 /// `u64::MAX`, which every caller treats as exceeding its remaining
-/// interaction budget.
+/// interaction budget. The kernels draw the same value through their
+/// memo (`StepDraws::identity_run`), which computes `ln ρ` once per
+/// `W_id`.
 pub fn sample_identity_run(rng: &mut SmallRng, w_id: u64, total: u64) -> u64 {
     debug_assert!(w_id < total);
     if w_id == 0 {
         return 0;
     }
-    // Clamp ρ strictly below 1.0: for total > 2^53 the f64 quotient can
-    // round to exactly 1.0, which would make the inversion divide by zero.
-    let rho = ((w_id as f64) / (total as f64)).min(1.0 - f64::EPSILON / 2.0);
+    identity_run(rng, ln_rho(w_id, total))
+}
+
+/// `ln ρ` for `ρ = w_id / total`, clamped strictly below 1.0 first: for
+/// total > 2^53 the f64 quotient can round to exactly 1.0, which would
+/// make the inversion divide by zero.
+fn ln_rho(w_id: u64, total: u64) -> f64 {
+    ((w_id as f64) / (total as f64))
+        .min(1.0 - f64::EPSILON / 2.0)
+        .ln()
+}
+
+/// The identity-run draw `⌊ln U / ln ρ⌋` given `ln ρ < 0`.
+#[inline(always)]
+fn identity_run(rng: &mut SmallRng, ln_rho: f64) -> u64 {
     // 53 high bits of a u64, shifted into (0, 1]: never exactly 0, so the
     // logarithm is finite.
     let u = (((rng.next_u64() >> 11) + 1) as f64) / ((1u64 << 53) as f64);
-    let g = u.ln() / rho.ln();
+    let g = u.ln() / ln_rho;
     debug_assert!(g >= 0.0);
     if g >= u64::MAX as f64 {
         u64::MAX
@@ -374,12 +482,26 @@ pub fn sample_identity_run(rng: &mut SmallRng, w_id: u64, total: u64) -> u64 {
     }
 }
 
+/// A uniform draw from `[0, bound)` by Lemire's multiply-shift
+/// rejection, with the threshold `zone = 2⁶⁴ mod bound` computed by the
+/// caller, so a run pays its division once per `W_eff`. It accepts and
+/// maps exactly as `gen_range(0..bound)` does.
+#[inline(always)]
+fn uniform_below(rng: &mut SmallRng, bound: u64, zone: u64) -> u64 {
+    loop {
+        let wide = u128::from(rng.next_u64()) * u128::from(bound);
+        if wide as u64 >= zone {
+            return (wide >> 64) as u64;
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::population::{CountPopulation, Population};
     use crate::spec::ProtocolSpec;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     /// Epidemic: (I, S) and (S, I) are the only non-identity pairs.
     fn epidemic() -> CompiledProtocol {
@@ -459,8 +581,11 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(7);
         let trials = 20_000;
         let mut si = 0u32;
+        let n = pop.num_agents();
+        let w_eff = n * (n - 1) - w.identity_weight();
         for _ in 0..trials {
-            let (p, q) = w.sample_effective(&proto, pop.num_agents(), pop.counts(), &mut rng);
+            let target = rng.gen_range(0..w_eff);
+            let (p, q) = w.effective_pair(&proto, n, pop.counts(), target);
             assert!(!proto.is_identity(p, q));
             if (p, q) == (s, i) {
                 si += 1;
@@ -482,6 +607,32 @@ mod tests {
             .sum();
         let mean = sum as f64 / trials as f64;
         assert!((mean - 3.0).abs() < 0.05, "mean = {mean}");
+    }
+
+    /// The memo's draws are the memo-less ones, draw for draw: the
+    /// identity run of `sample_identity_run` and the offset of
+    /// `gen_range(0..W_eff)`, with the generator left in the same state.
+    #[test]
+    fn memo_draws_match_the_memo_less_draws() {
+        for (w_id, total) in [
+            (0, 12),
+            (3, 4),
+            (11, 12),
+            (999, 1_000_000),
+            (1 << 40, 3 << 41),
+        ] {
+            let memo = StepDraws::new(w_id, total);
+            let mut a = SmallRng::seed_from_u64(w_id ^ total);
+            let mut b = a.clone();
+            for _ in 0..1_000 {
+                assert_eq!(
+                    memo.identity_run(&mut a),
+                    sample_identity_run(&mut b, w_id, total)
+                );
+                assert_eq!(memo.effective(&mut a), b.gen_range(0..total - w_id));
+            }
+            assert_eq!(a.next_u64(), b.next_u64(), "w_id = {w_id}, total = {total}");
+        }
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! | `engine.interactions`           | counter   | total interactions (incl. identities) |
 //! | `engine.effective_interactions` | counter   | state-changing interactions |
 //! | `engine.identity_run_len`       | histogram | lengths of maximal identity runs |
-//! | `engine.stability.rescans`      | counter   | O(&#124;Q&#124;) fallback stability rescans |
+//! | `engine.stability.rescans`      | counter   | O(&#124;Q&#124;) fallback stability rescans; none after a flip under a criterion that ignores class moves (`Silent`, `Never`) |
 //! | `engine.leap_batches`           | counter   | batches applied by the batch kernel: tau-leaps and lumped stretches of flips |
 //! | `engine.batch_fallbacks`        | counter   | batch→exact fallback transitions |
 

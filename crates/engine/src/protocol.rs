@@ -152,7 +152,10 @@ pub struct RuleEntry {
 ///   `K = Σ_{a,b} id(a, b)·d_a·d_b − Σ_a id(a, a)·d_a`.
 ///
 /// A pair that no identity pair involves, such as Algorithm 1's
-/// free-agent flips, has an empty marginal list and `K = 0`.
+/// free-agent flips, has an empty marginal list and `K = 0`. Whether the
+/// pair is a *flip* of the protocol's
+/// [flip class](CompiledProtocol::flip_class) is compiled too
+/// ([`PairEffect::is_flip`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PairEffect {
     /// First state of the ordered pair.
@@ -171,6 +174,8 @@ pub struct PairEffect {
     /// This pair's entries in the flat marginal list.
     marginals_len: u16,
     marginals_start: u32,
+    /// Whether the pair is a flip (see [`PairEffect::is_flip`]).
+    flip: bool,
 }
 
 impl PairEffect {
@@ -188,6 +193,16 @@ impl PairEffect {
     #[inline(always)]
     pub fn identity_constant(&self) -> i64 {
         i64::from(self.identity_constant)
+    }
+
+    /// Whether the pair is a *flip*: a reactant lies in the protocol's
+    /// [flip class](CompiledProtocol::flip_class) and every net delta
+    /// stays inside it. A flip changes no count an identity pair reads,
+    /// so its marginal list is empty, `K = 0`, and `W_id` stays where it
+    /// was; Algorithm 1's flips are its rules 1–4.
+    #[inline(always)]
+    pub fn is_flip(&self) -> bool {
+        self.flip
     }
 }
 
@@ -239,6 +254,8 @@ pub struct CompiledProtocol {
     pair_effects: Vec<PairEffect>,
     /// Every pair's marginal list, back to back.
     pair_marginals: Vec<MarginalDelta>,
+    /// The states no identity pair involves (see [`Self::flip_class`]).
+    flip_class: Vec<StateId>,
 }
 
 impl CompiledProtocol {
@@ -288,7 +305,8 @@ impl CompiledProtocol {
                 }
             }
         }
-        let (pair_slot, pair_effects, pair_marginals) = compile_pairs(s, &table, &identity);
+        let (pair_slot, pair_effects, pair_marginals, flip_class) =
+            compile_pairs(s, &table, &identity);
         Ok(CompiledProtocol {
             name,
             state_names,
@@ -304,6 +322,7 @@ impl CompiledProtocol {
             pair_slot,
             pair_effects,
             pair_marginals,
+            flip_class,
         })
     }
 
@@ -397,17 +416,15 @@ impl CompiledProtocol {
     /// `{initial, initial'}`.
     ///
     /// A pair whose net deltas stay inside the class (a *flip*, such as
-    /// Algorithm 1's rules 1–4) changes no count an identity pair reads,
-    /// so its [`PairEffect`] has `K = 0` and an empty marginal list, and
-    /// `W_id` stays where it was. The batch kernel runs stretches of flips
-    /// as one lumped step ([`crate::batch`]).
-    pub fn flip_class(&self) -> Vec<StateId> {
-        self.states()
-            .filter(|&s| {
-                self.states()
-                    .all(|t| !self.is_identity(s, t) && !self.is_identity(t, s))
-            })
-            .collect()
+    /// Algorithm 1's rules 1–4, see [`PairEffect::is_flip`]) changes no
+    /// count an identity pair reads, so `W_id` stays where it was. The
+    /// leap step skips the stability query after a flip, and the batch
+    /// kernel runs stretches of flips as one lumped step
+    /// ([`crate::batch`]), when the tracker allows it. Compiled once with
+    /// the pair table.
+    #[inline(always)]
+    pub fn flip_class(&self) -> &[StateId] {
+        &self.flip_class
     }
 
     /// Whether `δ(p, q)` changes the group (under `f`) of either agent.
@@ -502,18 +519,19 @@ impl CompiledProtocol {
 
 /// Compile the [`PairEffect`] of every non-identity pair of the
 /// row-major `s × s` transition `table`, with their marginal lists laid
-/// out back to back.
+/// out back to back, and the flip class.
 ///
 /// The identity mask is first packed into per-state bitsets, and a
 /// pair's marginal changes are then summed bit-sliced, one 64-state word
 /// at a time, so the build costs O(s²/64) plus O(1) per pair and per
 /// marginal entry. A pair whose mirror `(q, p)` has the same net deltas
-/// (every pair of a symmetric rule) shares the mirror's list.
+/// (every pair of a symmetric rule) shares the mirror's list. The flip
+/// class is the states whose two bitsets are empty.
 fn compile_pairs(
     s: usize,
     table: &[(StateId, StateId)],
     identity: &[bool],
-) -> (Vec<u32>, Vec<PairEffect>, Vec<MarginalDelta>) {
+) -> (Vec<u32>, Vec<PairEffect>, Vec<MarginalDelta>, Vec<StateId>) {
     let words = s.div_ceil(64);
     // Bit x of `into[a]` is id(x, a): row marginal x counts state a.
     // Bit x of `from[a]` is id(a, x): column marginal x counts state a.
@@ -527,6 +545,9 @@ fn compile_pairs(
             }
         }
     }
+    let in_class: Vec<bool> = (0..s)
+        .map(|a| (0..words).all(|w| (into[a * words + w] | from[a * words + w]) == 0))
+        .collect();
     let mut slot = vec![NO_PAIR; s * s];
     let mut effects: Vec<PairEffect> =
         Vec::with_capacity(identity.iter().filter(|&&id| !id).count());
@@ -586,6 +607,11 @@ fn compile_pairs(
                     (start as u32, len)
                 }
             };
+            // Deltas inside the class meet no identity pair, so a flip's
+            // K and marginal list are zero.
+            let flip = (in_class[p.index()] || in_class[q.index()])
+                && net.iter().all(|&(a, _)| in_class[a.index()]);
+            debug_assert!(!flip || (identity_constant == 0 && marginals_len == 0));
             slot[pq] = effects.len() as u32;
             effects.push(PairEffect {
                 p,
@@ -597,10 +623,15 @@ fn compile_pairs(
                 identity_constant,
                 marginals_len,
                 marginals_start,
+                flip,
             });
         }
     }
-    (slot, effects, marginals)
+    let class = (0..s)
+        .filter(|&a| in_class[a])
+        .map(|a| StateId(a as u16))
+        .collect();
+    (slot, effects, marginals, class)
 }
 
 /// Append the marginal entries of word `w` (states `64w..64w + 63`) for

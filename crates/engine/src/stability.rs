@@ -126,14 +126,15 @@ pub trait StabilityTracker {
     /// Whether moving agents between the states of `class` can never
     /// change this tracker's verdict.
     ///
-    /// The batch kernel asks once per run, with the protocol's
-    /// [flip class](CompiledProtocol::flip_class), whether it may run a
-    /// stretch of flips without a stability query between them. Along
-    /// such a stretch the class total and every count outside the class
-    /// stay fixed, and so does the identity weight `W_id`, so a
-    /// configuration with an enabled non-identity pair keeps one. The
-    /// default, `false`, is always safe: the kernel then treats the class
-    /// as empty and steps flips one at a time.
+    /// The leap step asks once per run, with the protocol's
+    /// [flip class](CompiledProtocol::flip_class), whether it may skip
+    /// the stability query after a flip, and the batch kernel reads the
+    /// same answer to decide whether it may run a stretch of flips
+    /// without a query between them. Along a stretch the class total and
+    /// every count outside the class stay fixed, and so does the identity
+    /// weight `W_id`, so a configuration with an enabled non-identity
+    /// pair keeps one. The default, `false`, is always safe: the kernels
+    /// then query after every flip and step flips one at a time.
     fn ignores_moves_within(&self, _class: &[StateId]) -> bool {
         false
     }
@@ -165,27 +166,26 @@ impl<C: StabilityCriterion + ?Sized> StabilityTracker for RescanTracker<'_, C> {
     }
 }
 
-/// Returns every ordered pair `(p, q)` enabled in `counts`
-/// (`counts[p] ≥ 1`, and `counts[q] ≥ 2` when `p == q`).
+/// Every ordered pair `(p, q)` enabled in `counts` (`counts[p] ≥ 1`,
+/// and `counts[q] ≥ 2` when `p == q`): occupied rows in state order,
+/// and within each its occupied columns in state order.
 ///
-/// Skips zero-count states up front, so the cost is quadratic in the
-/// number of *occupied* states rather than in |Q|.
+/// Lazy and allocation-free, so a caller that stops at its first
+/// answer pays only for the pairs up to it; a full walk costs
+/// O(occupied states · |Q|).
 pub fn enabled_pairs(counts: &[u64]) -> impl Iterator<Item = (StateId, StateId)> + '_ {
-    let nz: Vec<(u16, u64)> = counts
-        .iter()
-        .enumerate()
-        .filter(|&(_, &c)| c >= 1)
-        .map(|(i, &c)| (i as u16, c))
-        .collect();
-    let mut pairs = Vec::with_capacity(nz.len() * nz.len());
-    for &(pi, _) in &nz {
-        for &(qi, cq) in &nz {
-            if pi != qi || cq >= 2 {
-                pairs.push((StateId(pi), StateId(qi)));
-            }
-        }
-    }
-    pairs.into_iter()
+    let occupied = move || {
+        counts
+            .iter()
+            .enumerate()
+            .filter(|&(_, &c)| c >= 1)
+            .map(|(i, &c)| (StateId(i as u16), c))
+    };
+    occupied().flat_map(move |(p, _)| {
+        occupied()
+            .filter(move |&(q, cq)| p != q || cq >= 2)
+            .map(move |(q, _)| (p, q))
+    })
 }
 
 /// No enabled transition changes any state: the configuration is a sink.

@@ -11,7 +11,8 @@
 //!   the weights `IdentityWeights::new` computes on the updated counts
 //!   (`W_id`, `row` and `col` all compared), on drawn count vectors;
 //! * Algorithm 1's free-agent flips (rules 1–4), most of its effective
-//!   interactions, touch no marginal, so applying them is O(1);
+//!   interactions, touch no marginal, so applying them is O(1), and they
+//!   are exactly the pairs the table compiles as flips;
 //! * the flip class the batch kernel lumps, read off the compiled table,
 //!   is what each registry family's layout says it is.
 
@@ -127,10 +128,17 @@ fn free_agent_flips_touch_no_marginal() {
             .collect();
         let mut flips = 0;
         for e in proto.pair_effects() {
-            if !proto
+            let labelled = proto
                 .rule_of(e.p, e.q)
-                .is_some_and(|r| flip_rules.contains(&r))
-            {
+                .is_some_and(|r| flip_rules.contains(&r));
+            assert_eq!(
+                e.is_flip(),
+                labelled,
+                "k={k}: ({}, {}) compiled flip bit against the r1–r4 labels",
+                proto.state_name(e.p),
+                proto.state_name(e.q)
+            );
+            if !labelled {
                 continue;
             }
             flips += 1;
@@ -159,8 +167,8 @@ fn flip_classes_come_from_the_table() {
         let class: Vec<&str> = e
             .proto
             .flip_class()
-            .into_iter()
-            .map(|s| e.proto.state_name(s))
+            .iter()
+            .map(|&s| e.proto.state_name(s))
             .collect();
         let slug = e.slug.as_str();
         if ["ukp-", "basic-", "oneside-", "ratio-", "bipartition"]
